@@ -1,6 +1,6 @@
 //! End-to-end descent-step benchmark: set params, record the loss,
 //! backward sweep, gather gradients, update — the exact per-step work of
-//! `run_single_start` — on the current hot path and the pre-refactor
+//! the engine's `run_segment` — on the current hot path and the pre-refactor
 //! legacy tape, at several depths. After the Criterion display the run
 //! regenerates `BENCH_6.json` at the repository root via
 //! [`dosa_bench::perf`], so the checked-in perf trajectory always comes

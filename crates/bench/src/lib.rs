@@ -1,22 +1,16 @@
 //! # dosa-bench
 //!
 //! The experiment harness of the DOSA reproduction: one module per table /
-//! figure of the paper's evaluation (§6), a batched multi-network service
-//! mode ([`batch`]), a three-[`Strategy`](dosa_search::Strategy) service
-//! comparison ([`strategies`]), a concurrent-scheduling demonstration
-//! ([`sched`]), a persistent worker-pool demonstration ([`pool`]), a
-//! result-cache / checkpoint-resume demonstration
-//! ([`cache`]), shared terminal plotting and CSV output, and quick/paper
-//! scaling presets. The `repro` binary exposes each
-//! experiment as a subcommand; the Criterion benches under `benches/` run
-//! reduced versions of the same code paths.
+//! figure of the paper's evaluation (§6), the autodiff hot-path
+//! measurement ([`perf`]), the workspace invariant checker driver
+//! ([`lint`]), shared terminal plotting and CSV output, and quick/paper
+//! scaling presets. The `repro` binary exposes each experiment as a
+//! subcommand; the Criterion benches under `benches/` run reduced
+//! versions of the same code paths.
 
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod batch;
-pub mod cache;
-pub mod faults;
 pub mod fig10_11;
 pub mod fig12;
 pub mod fig4;
@@ -28,9 +22,6 @@ pub mod info;
 pub mod lint;
 pub mod perf;
 pub mod plot;
-pub mod pool;
 pub mod scale;
-pub mod sched;
-pub mod strategies;
 
 pub use scale::Scale;

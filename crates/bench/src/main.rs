@@ -2,40 +2,20 @@
 //!
 //! ```text
 //! repro [--scale quick|paper] [--seed N] [--out DIR] [--threads N] [--smoke] <command> [workload..]
-//! commands: info | table2 | fig4 | fig6 | fig7 | fig8 | fig9 | fig10 | fig12 | batch | strategies | sched | pool | cache | faults | bench | all
+//! commands: info | table2 | fig4 | fig6 | fig7 | fig8 | fig9 | fig10 | fig12 | ablation | bench | lint | all
 //! workloads: unet | resnet50 | bert | retinanet
 //! ```
 //!
 //! `--threads N` caps the worker threads the search service fans work
 //! items out over (default: all cores). Results are bit-identical for
-//! every choice; only wall-clock time changes. `batch` submits all named
-//! workloads (default: the four targets) as **one** batched
-//! `SearchService` job with live progress polling; `strategies` runs all
-//! three search strategies (GD, random, BB-BO) as three concurrent
-//! batched jobs on one service; `sched` demonstrates the concurrent
-//! scheduler (a long BB-BO job sharing worker slots with short
-//! `ShortestFirst` GD jobs and a `Priority` random job, finishing out of
-//! submission order); `pool` demonstrates the persistent worker pool (a
-//! fixed thread footprint probed via `/proc/self/status` while a mixed
-//! workload of segmented GD, random, and watchdog-armed jobs drains);
-//! `cache` runs the same batch cold, replayed from
-//! the content-addressed result cache, and warm-started; `faults`
-//! injects deterministic faults into jobs sharing one service and shows
-//! the failure domains holding. `--smoke batch` / `--smoke strategies`
-//! / `--smoke sched` / `--smoke pool` / `--smoke cache` /
-//! `--smoke faults` run
-//! seconds-scale versions that assert batched == standalone bit-parity
-//! (and, for `sched`, that jobs provably overlap; for `pool`, the
-//! thread-count ceiling over 50 jobs, 1-slot FIFO degeneration, and
-//! starvation freedom under a priority stream; for `cache`, 100%
-//! replay hits and resume-after-cancel parity; for `faults`, panic
-//! containment, typed deadline kills, degrade prefix-parity, and
-//! zero-fault bit-exactness), for CI.
+//! every choice; only wall-clock time changes. `--smoke bench` and
+//! `--smoke lint` are the seconds-scale CI gates; the service's
+//! batching, scheduling, pool, cache and fault contracts are pinned by
+//! the `dosa-search` integration tests.
 
 use dosa_accel::HardwareConfig;
 use dosa_bench::{
-    ablation, batch, cache, faults, fig10_11, fig12, fig4, fig6, fig7, fig8, fig9, info, lint,
-    perf, pool, sched, strategies, Scale,
+    ablation, fig10_11, fig12, fig4, fig6, fig7, fig8, fig9, info, lint, perf, Scale,
 };
 use dosa_workload::Network;
 use std::path::PathBuf;
@@ -108,29 +88,13 @@ fn usage() {
            info    print Tables 1-6\n\
            table2  print Tables 2 and 4 for the default config\n\
            fig4    differentiable-model correlation study\n\
-           fig6    loop-ordering strategies (ResNet-50, BERT)\n\
+           fig6    loop-ordering comparison (ResNet-50, BERT)\n\
            fig7    DOSA vs random vs BB-BO [workload]\n\
            fig8    comparison to expert baselines [workload]\n\
            fig9    hardware/mapping attribution\n\
            fig10   latency-model accuracy (Figures 10 & 11)\n\
            fig12   Gemmini-RTL optimization + Table 7\n\
            ablation  design-choice ablations (rounding, lr, start points)\n\
-           batch   one batched SearchService job over [workload..]\n\
-                   (default: all four targets) with live progress\n\
-           strategies  all three search strategies (GD, random, BB-BO)\n\
-                   as three concurrent batched service jobs over [workload..]\n\
-           sched   concurrent-scheduling demo: a long BB-BO job plus\n\
-                   short GD/random jobs sharing one service's worker\n\
-                   slots, finishing out of submission order\n\
-           pool    persistent worker-pool demo: a mixed workload on a\n\
-                   fixed worker set, probing the process thread count\n\
-                   and reporting per-job segment / queue-wait counters\n\
-           cache   result-cache demo over [workload..]: the same batch\n\
-                   cold, replayed 100% from the content-addressed\n\
-                   cache, then warm-started from cached neighbors\n\
-           faults  fault-injection demo over [workload..]: healthy\n\
-                   jobs sharing a service with seeded-chaos jobs,\n\
-                   showing per-job failure domains holding\n\
            bench   measure the autodiff hot path (record / sweep /\n\
                    full GD step vs the legacy tape) and regenerate\n\
                    BENCH_6.json at the repository root\n\
@@ -142,16 +106,8 @@ fn usage() {
          workloads: unet | resnet50 | bert | retinanet\n\
          --threads N caps the service's worker threads (results are\n\
          identical for every N; only wall-clock time changes)\n\
-         --smoke batch / --smoke strategies / --smoke sched / --smoke\n\
-         pool / --smoke cache / --smoke faults run seconds-scale jobs\n\
-         asserting batched == standalone bit-parity (and, for sched,\n\
-         that concurrent jobs provably overlap; for pool, the thread\n\
-         ceiling, 1-slot FIFO degeneration, and starvation freedom;\n\
-         for cache, 100% replay hits\n\
-         and resume-after-cancel parity; for faults, panic containment,\n\
-         typed deadline kills, degrade prefix-parity, and zero-fault\n\
-         bit-exactness); --smoke bench re-measures quickly and\n\
-         validates the checked-in BENCH_6.json — the CI smokes"
+         --smoke bench re-measures quickly and validates the checked-in\n\
+         BENCH_6.json; --smoke lint is the CI lint gate"
     );
 }
 
@@ -222,30 +178,6 @@ fn main() -> ExitCode {
         "ablation" => {
             ablation::run(scale, seed, out);
         }
-        "batch" => {
-            if args.smoke {
-                batch::run_smoke(seed, out);
-            } else {
-                let networks = if args.networks.is_empty() {
-                    Network::TARGETS.to_vec()
-                } else {
-                    args.networks.clone()
-                };
-                batch::run(scale, &networks, seed, out);
-            }
-        }
-        "strategies" => {
-            if args.smoke {
-                strategies::run_smoke(seed, out);
-            } else {
-                let networks = if args.networks.is_empty() {
-                    Network::TARGETS.to_vec()
-                } else {
-                    args.networks.clone()
-                };
-                strategies::run(scale, &networks, seed, out);
-            }
-        }
         "bench" => {
             if args.smoke {
                 perf::run_smoke();
@@ -261,54 +193,6 @@ fn main() -> ExitCode {
             };
             if !clean {
                 return ExitCode::FAILURE;
-            }
-        }
-        "cache" => {
-            if args.smoke {
-                cache::run_smoke(seed, out);
-            } else {
-                let networks = if args.networks.is_empty() {
-                    Network::TARGETS.to_vec()
-                } else {
-                    args.networks.clone()
-                };
-                cache::run(scale, &networks, seed, out);
-            }
-        }
-        "faults" => {
-            if args.smoke {
-                faults::run_smoke(seed, out);
-            } else {
-                let networks = if args.networks.is_empty() {
-                    Network::TARGETS.to_vec()
-                } else {
-                    args.networks.clone()
-                };
-                faults::run(scale, &networks, seed, out);
-            }
-        }
-        "pool" => {
-            if args.smoke {
-                pool::run_smoke(seed, out);
-            } else {
-                let networks = if args.networks.is_empty() {
-                    Network::TARGETS.to_vec()
-                } else {
-                    args.networks.clone()
-                };
-                pool::run(scale, &networks, seed, out);
-            }
-        }
-        "sched" => {
-            if args.smoke {
-                sched::run_smoke(seed, out);
-            } else {
-                let networks = if args.networks.is_empty() {
-                    Network::TARGETS.to_vec()
-                } else {
-                    args.networks.clone()
-                };
-                sched::run(scale, &networks, seed, out);
             }
         }
         "all" => {

@@ -4,18 +4,16 @@
 //! mapping samples per layer per design, candidates selected from 1000
 //! random proposals by expected improvement.
 //!
-//! The searcher runs as [`Strategy::BayesOpt`] on the
-//! [`SearchService`](crate::SearchService)'s worker fleet. The outer GP
-//! loop stays sequential and seed-deterministic (design proposals come
-//! off one RNG stream in a fixed order), while the two hot inner loops
-//! fan out: every joint mapping sample of a design's inner search draws
-//! from its own RNG stream and is evaluated in parallel, and the
-//! per-step EI scoring of the candidate designs is fleet-parallel with a
-//! first-maximum (lowest-index) deterministic argmax. Results are
-//! bit-identical for every thread budget and batch composition.
-//! [`bayesian_search`] is the blocking single-network shim.
+//! The searcher runs as [`Strategy::BayesOpt`]: each network is one work
+//! item on a [`SearchService`](crate::SearchService) worker. The outer GP
+//! loop is sequential and seed-deterministic (design proposals come off
+//! one RNG stream in a fixed order); every joint mapping sample of a
+//! design's inner search draws from its own RNG stream, and EI scoring
+//! takes the first (lowest-index) maximum. Results are bit-identical for
+//! every thread budget and batch composition. [`bayesian_search`] is the
+//! blocking single-network shim.
 
-use crate::engine::{Fleet, StartControl};
+use crate::engine::StartControl;
 use crate::gd::SearchResult;
 use crate::gp::GaussianProcess;
 use crate::request::SearchRequest;
@@ -68,20 +66,18 @@ fn hw_features(hw: &HardwareConfig) -> Vec<f64> {
     ]
 }
 
-/// One evaluated layer candidate of a joint sample: the mapping and its
-/// count-scaled energy / latency, or `None` if the mapping did not fit.
+/// One layer's best candidate so far: the mapping and its count-scaled
+/// energy / latency, or `None` while no sampled mapping has fit.
 type LayerCandidate = Option<(Mapping, f64, f64)>;
 
 /// The inner random-mapper loop of one BB-BO design, shared by every
 /// outer step: joint samples are drawn from per-sample RNG streams and
-/// evaluated across the fleet, then folded sequentially in sample order —
-/// bit-identical to a serial run for every worker count.
+/// folded in sample order.
 struct InnerLoop<'a> {
     layers: &'a [Layer],
     hier: &'a Hierarchy,
     samples: usize,
     record_every: usize,
-    fleet: &'a Fleet,
     ctrl: StartControl<'a>,
 }
 
@@ -91,49 +87,28 @@ impl InnerLoop<'_> {
     /// large finite penalty when no sample fit, so the GP learns to avoid
     /// the region).
     fn search(&self, hw: &HardwareConfig, design_seed: u64, result: &mut SearchResult) -> f64 {
-        let evaluated: Vec<Option<Vec<LayerCandidate>>> =
-            self.fleet.run((0..self.samples).collect(), |_, s: usize| {
-                if self.ctrl.cancelled() {
-                    return None;
-                }
-                let mut rng = StdRng::seed_from_u64(stream_seed(design_seed, s as u64));
-                let row = self
-                    .layers
-                    .iter()
-                    .map(|layer| {
-                        let m = random_mapping(&mut rng, &layer.problem, self.hier, hw.pe_side());
-                        if fits(&layer.problem, &m, hw, self.hier) {
-                            let perf = evaluate_layer(&layer.problem, &m, hw, self.hier);
-                            Some((
-                                m,
-                                perf.energy_uj * layer.count as f64,
-                                perf.latency_cycles * layer.count as f64,
-                            ))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                Some(row)
-            });
-
         let mut best: Vec<LayerCandidate> = vec![None; self.layers.len()];
-        for (s, row) in evaluated.into_iter().enumerate() {
-            // A `None` row was skipped by cancellation; everything after
-            // it is dropped so the fold stays a prefix of the serial run.
-            // Samples are counted here, not in the parallel items, so the
-            // live progress counter never exceeds the returned
-            // `result.samples` even when cancellation drops in-flight rows.
-            let Some(row) = row else { break };
-            for (i, cand) in row.into_iter().enumerate() {
-                if let Some((m, e, l)) = cand {
-                    let better = match &best[i] {
-                        None => true,
-                        Some((_, be, bl)) => e * l < be * bl,
-                    };
-                    if better {
-                        best[i] = Some((m, e, l));
-                    }
+        for s in 0..self.samples {
+            // Cancellation stops at a sample boundary, so the fold is a
+            // prefix of the uncancelled run.
+            if self.ctrl.cancelled() {
+                break;
+            }
+            let mut rng = StdRng::seed_from_u64(stream_seed(design_seed, s as u64));
+            for (layer, best) in self.layers.iter().zip(best.iter_mut()) {
+                let m = random_mapping(&mut rng, &layer.problem, self.hier, hw.pe_side());
+                if !fits(&layer.problem, &m, hw, self.hier) {
+                    continue;
+                }
+                let perf = evaluate_layer(&layer.problem, &m, hw, self.hier);
+                let e = perf.energy_uj * layer.count as f64;
+                let l = perf.latency_cycles * layer.count as f64;
+                let better = match best {
+                    None => true,
+                    Some((_, be, bl)) => e * l < *be * *bl,
+                };
+                if better {
+                    *best = Some((m, e, l));
                 }
             }
             result.samples += 1;
@@ -180,27 +155,24 @@ fn model_edp(best: &[LayerCandidate]) -> f64 {
 
 /// One BO step's design proposal: fit the GP, draw `candidates` random
 /// designs sequentially off the outer RNG (keeping the outer loop
-/// seed-deterministic), score their expected improvement across the
-/// fleet, and take the first maximum (ties and all-NaN scores resolve to
-/// the lowest candidate index, matching a serial scan).
+/// seed-deterministic), and take the first maximum of their expected
+/// improvement (ties and all-NaN scores resolve to the lowest candidate
+/// index).
 fn propose_by_ei(
     rng: &mut impl Rng,
     observed_x: &[Vec<f64>],
     observed_y: &[f64],
     candidates: usize,
-    fleet: &Fleet,
 ) -> HardwareConfig {
     let gp = GaussianProcess::fit(observed_x.to_vec(), observed_y.to_vec(), 1.0, 0.05);
     let best_y = observed_y.iter().cloned().fold(f64::INFINITY, f64::min);
     let cands: Vec<HardwareConfig> = (0..candidates).map(|_| random_hw(rng)).collect();
-    let scores: Vec<f64> = fleet.run(cands.iter().map(hw_features).collect(), |_, feat| {
-        gp.expected_improvement(&feat, best_y)
-    });
     let mut best_index = 0;
     let mut best_ei = f64::NEG_INFINITY;
-    for (i, ei) in scores.iter().enumerate() {
-        if *ei > best_ei {
-            best_ei = *ei;
+    for (i, cand) in cands.iter().enumerate() {
+        let ei = gp.expected_improvement(&hw_features(cand), best_y);
+        if ei > best_ei {
+            best_ei = ei;
             best_index = i;
         }
     }
@@ -209,12 +181,11 @@ fn propose_by_ei(
 
 /// Run the BB-BO baseline on `layers` for one network of a
 /// [`Strategy::BayesOpt`] job: a sequential outer GP loop over
-/// `cfg.num_hw` designs with fleet-parallel inner loops.
+/// `cfg.num_hw` designs.
 pub(crate) fn run_bayesian_search(
     layers: &[Layer],
     hier: &Hierarchy,
     cfg: &BbboConfig,
-    fleet: &Fleet,
     ctrl: StartControl<'_>,
 ) -> SearchResult {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -224,7 +195,6 @@ pub(crate) fn run_bayesian_search(
         hier,
         samples: cfg.samples_per_hw,
         record_every: (cfg.samples_per_hw / 4).max(1),
-        fleet,
         ctrl,
     };
 
@@ -242,7 +212,7 @@ pub(crate) fn run_bayesian_search(
         let hw = if step < init_random {
             random_hw(&mut rng)
         } else {
-            propose_by_ei(&mut rng, &observed_x, &observed_y, cfg.candidates, fleet)
+            propose_by_ei(&mut rng, &observed_x, &observed_y, cfg.candidates)
         };
         let score = inner.search(&hw, stream_seed(cfg.seed, step as u64), &mut result);
         observed_x.push(hw_features(&hw));
@@ -257,9 +227,8 @@ pub(crate) fn run_bayesian_search(
 /// single-network [`Strategy::BayesOpt`] request to a throwaway
 /// [`SearchService`](crate::SearchService) and waits. The worker-thread
 /// budget is read from the calling thread's rayon configuration, and the
-/// result is bit-identical for every budget (the outer GP loop is
-/// sequential; only the inner sampling and EI scoring fan out). For
-/// batching, live progress, or cancellation, use the service directly.
+/// result is bit-identical for every budget. For batching, live
+/// progress, or cancellation, use the service directly.
 ///
 /// # Panics
 ///

@@ -6,15 +6,16 @@
 //! ([`dosa_search_rtl`](crate::dosa_search_rtl)). This module factors that
 //! loop out once — Adam stepping over the log tiling factors, tape reuse,
 //! the §5.3.2 rounding cadence, and sample accounting — behind the
-//! [`DiffLoss`] trait, and parallelizes it across start points.
+//! [`DiffLoss`] trait. The [`SearchService`](crate::SearchService) runs
+//! each start point's descent as one work item on a persistent worker.
 //!
 //! ## Determinism
 //!
-//! [`run_gd_search`] produces bit-identical results for a given seed
-//! regardless of the worker-thread count:
+//! A gradient-descent job produces bit-identical results for a given seed
+//! regardless of the service's worker count:
 //!
 //! * start points are generated sequentially from the run's seed before
-//!   any parallelism begins;
+//!   any work item is dispatched;
 //! * each start point descends independently on its **own** [`Tape`]
 //!   (cleared, never reallocated, between steps), its own [`Adam`] state
 //!   and its own RNG seeded `cfg.seed + start_index`, so no worker
@@ -29,19 +30,17 @@
 //! This purity — every start's descent is a function of `(loss inputs,
 //! cfg, seed, start_index)` alone — is also what makes per-start results
 //! content-addressable: the service's result cache
-//! ([`crate::cache`]) fingerprints exactly these inputs and replays
-//! `run_single_start`'s output bit for bit. Warm-started descents
+//! ([`crate::cache`]) fingerprints exactly these inputs and replays a
+//! finished descent's output bit for bit. Warm-started descents
 //! (seeded from a cached neighbor rather than the RNG) are keyed by the
 //! seeding mappings' content and always use the first start index past
 //! the regular ones, so they never perturb a cold run's RNG streams.
 
 use crate::adam::Adam;
-use crate::fault::payload_string;
 use crate::gd::{
     choose_best_orderings, evaluate_rounded, GdConfig, LoopOrderStrategy, SearchPoint, SearchResult,
 };
 use crate::latency_model::LatencyPredictor;
-use crate::startpoints::StartPoint;
 use dosa_accel::{HardwareConfig, Hierarchy};
 use dosa_autodiff::{sum, SegScratch, SegmentPlan, Tape, Var};
 use dosa_model::{
@@ -52,8 +51,6 @@ use dosa_timeloop::{evaluate_layer, min_hw_for_all, LoopOrder, Mapping, Stationa
 use dosa_workload::{Layer, Problem};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Record a best-so-far history point every this many gradient steps (in
@@ -65,8 +62,8 @@ const RECORD_EVERY: usize = 50;
 /// Implementations own everything layer- and model-specific; the engine
 /// owns everything loop-specific. All methods must be deterministic pure
 /// functions of their arguments (plus the RNG handed to
-/// [`prepare_start`](DiffLoss::prepare_start)) — that is what makes the
-/// parallel driver bit-identical across thread counts.
+/// [`prepare_start`](DiffLoss::prepare_start)) — that is what makes a
+/// search bit-identical across thread counts.
 pub trait DiffLoss: Sync {
     /// The layers being co-optimized.
     fn layers(&self) -> &[Layer];
@@ -83,10 +80,11 @@ pub trait DiffLoss: Sync {
     /// Record the loss at the point `relaxed` on `tape`, returning the
     /// scalar to backpropagate. Leaf variables are appended to `leaves`
     /// flattened in [`RelaxedMapping::params`] order, and per-layer segment
-    /// boundaries are recorded on `plan` so the engine can sweep the
-    /// backward pass on parallel workers (bit-identically; see
-    /// `dosa_autodiff::SegmentPlan`). Both buffers arrive cleared and are
-    /// reused across steps, so steady-state recording allocates nothing.
+    /// boundaries are recorded on `plan` for `Tape::backward_segmented`,
+    /// which the engine runs with one worker (every worker count is
+    /// bit-identical; see `dosa_autodiff::SegmentPlan`). Both buffers
+    /// arrive cleared and are reused across steps, so steady-state
+    /// recording allocates nothing.
     fn build<'t>(
         &self,
         tape: &'t Tape,
@@ -359,8 +357,7 @@ impl ProgressCounters {
 
 /// Control surface handed to every start-point descent: an optional
 /// cooperative-cancellation flag (checked once per gradient step) and an
-/// optional progress sink. `StartControl::default()` is the uncontrolled
-/// blocking mode used by [`run_gd_search`].
+/// optional progress sink.
 #[derive(Clone, Copy)]
 pub(crate) struct StartControl<'a> {
     /// When set, descents return their partial result at the next step
@@ -368,27 +365,12 @@ pub(crate) struct StartControl<'a> {
     pub(crate) cancel: Option<&'a AtomicBool>,
     /// Live observation counters for the network this start belongs to.
     pub(crate) progress: Option<&'a ProgressCounters>,
-    /// Worker budget for the segmented backward sweep inside each descent
-    /// step. `1` keeps the sweep serial; the result is bit-identical for
-    /// every budget (see [`dosa_autodiff::SegmentPlan`]).
-    pub(crate) inner_threads: usize,
     /// Fault injection ([`FaultKind::NonFiniteLoss`](crate::FaultKind)):
     /// report the first gradient step's loss as NaN *and* poison the
     /// rounding checkpoint's reference EDP, so the descent's real
     /// two-half guard (suspect mark, then rounding adjudication) trips
     /// end to end. Never set outside the test-only fault hook.
     pub(crate) force_non_finite: bool,
-}
-
-impl Default for StartControl<'_> {
-    fn default() -> Self {
-        StartControl {
-            cancel: None,
-            progress: None,
-            inner_threads: 1,
-            force_non_finite: false,
-        }
-    }
 }
 
 impl StartControl<'_> {
@@ -409,188 +391,10 @@ impl StartControl<'_> {
     }
 }
 
-/// A pool of workers a strategy fans its inner work out over: GD start
-/// points in the blocking shims, random-search hardware designs, BB-BO's
-/// inner mapping samples and EI candidate scores. It runs in one of two
-/// modes:
-///
-/// * **Pool** — a private rayon pool of a fixed worker count, used by the
-///   blocking [`run_gd_search`] path; parallelism is scoped to the fleet
-///   and never touches the global rayon configuration.
-/// * **Serial** — the service mode: the fan-out runs inline on the
-///   calling thread, one item at a time. Service work items execute on a
-///   **persistent worker** of the service's pool (see
-///   [`crate::service`]), so their inner fan-outs must not spawn — the
-///   worker itself is the unit of parallelism, and the scheduler
-///   interleaves *items* of different jobs, not threads. Results are
-///   thread-count-invariant by construction, so serial execution is
-///   bit-identical to any pooled run.
-///
-/// Both modes land results at fixed item slots, so output order — and
-/// every deterministic reduction built on it — is independent of worker
-/// count and of whatever other jobs are running.
-pub(crate) struct Fleet {
-    mode: FleetMode,
-}
-
-enum FleetMode {
-    Pool(rayon::ThreadPool),
-    Serial,
-}
-
-impl Fleet {
-    /// A fleet backed by its own pool of `threads` workers (blocking mode).
-    pub(crate) fn new(threads: usize) -> Fleet {
-        Fleet {
-            mode: FleetMode::Pool(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads.max(1))
-                    .build()
-                    // dosa-lint: allow(panic-perimeter) — pool construction
-                    // with a clamped nonzero thread count cannot fail; dying
-                    // at startup beats serving with a half-built fleet.
-                    .expect("scoped pool"),
-            ),
-        }
-    }
-
-    /// A fleet that runs every item inline on the calling thread (service
-    /// mode: the caller is already a pool worker).
-    pub(crate) fn serial() -> Fleet {
-        Fleet {
-            mode: FleetMode::Serial,
-        }
-    }
-
-    /// Fan `items` out over the fleet, returning `f(index, item)` results
-    /// in item order. Output order — and therefore every deterministic
-    /// reduction built on it — is independent of thread count and
-    /// scheduling; this is the engine's only parallel primitive.
-    ///
-    /// A panic inside `f` is contained per item by [`Fleet::try_run`] and
-    /// re-raised here with its original payload once every other item has
-    /// finished — the blocking shims keep panic semantics while the
-    /// service uses `try_run` for typed per-item failures.
-    pub(crate) fn run<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        self.try_run(items, f)
-            .unwrap_or_else(|fault| std::panic::resume_unwind(Box::new(fault.payload)))
-    }
-
-    /// [`Fleet::run`] with panic containment: each item's `f` runs inside
-    /// `catch_unwind`, so one panicking item is one failure domain —
-    /// its worker slot is released normally, **every other item still
-    /// runs to completion** (journaling to the result cache as usual),
-    /// and the lowest-indexed fault is reported, deterministically,
-    /// once the fan-out drains. The catch sits *inside* the worker, which
-    /// preserves the original panic payload that `std::thread::scope`
-    /// would otherwise replace with "a scoped thread panicked".
-    pub(crate) fn try_run<T, R, F>(&self, items: Vec<T>, f: F) -> Result<Vec<R>, ItemFault>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        let caught: Vec<Result<R, String>> = match &self.mode {
-            FleetMode::Pool(pool) => pool.install(|| {
-                items
-                    .into_par_iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        catch_unwind(AssertUnwindSafe(|| f(i, t))).map_err(payload_string)
-                    })
-                    .collect()
-            }),
-            FleetMode::Serial => items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| catch_unwind(AssertUnwindSafe(|| f(i, t))).map_err(payload_string))
-                .collect(),
-        };
-        let mut results = Vec::with_capacity(caught.len());
-        for out in caught {
-            match out {
-                Ok(r) => results.push(r),
-                Err(payload) => return Err(ItemFault { payload }),
-            }
-        }
-        Ok(results)
-    }
-}
-
-/// A contained work-item panic from [`Fleet::try_run`]: the stringified
-/// panic payload of the lowest-indexed faulting item.
-#[derive(Debug, Clone)]
-pub(crate) struct ItemFault {
-    pub(crate) payload: String,
-}
-
-/// One-shot [`Fleet::run`] on a throwaway fleet of `threads` workers.
-pub(crate) fn fan_out<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    Fleet::new(threads).run(items, f)
-}
-
-/// Descend from every start point in parallel and merge the results
-/// deterministically (see the module docs for the exact guarantees).
-///
-/// Worker count follows the global rayon configuration
-/// (`rayon::ThreadPoolBuilder::new().num_threads(n).build_global()`, or
-/// all cores by default); the result is identical for every choice. For
-/// queued, observable, cancellable or batched runs, submit a
-/// [`SearchRequest`](crate::SearchRequest) to a
-/// [`SearchService`](crate::SearchService) instead — it drives this same
-/// per-start loop through its own worker fleet.
-///
-/// # Panics
-///
-/// Panics if `cfg` fails [`GdConfig::validate`] (e.g. the
-/// divide-by-zero-prone `round_every == 0`).
-pub fn run_gd_search<L: DiffLoss + ?Sized>(
-    loss: &L,
-    starts: Vec<StartPoint>,
-    cfg: &GdConfig,
-) -> SearchResult {
-    if let Err(e) = cfg.validate() {
-        // dosa-lint: allow(panic-perimeter) — documented perimeter of the
-        // direct (non-service) entrypoint: its docs state it panics on an
-        // invalid config; the service path validates at submit instead.
-        panic!("invalid GdConfig: {e}");
-    }
-    let threads = rayon::current_num_threads();
-    // Threads left over after one-per-start are spent inside each start's
-    // segmented backward sweep; the result is bit-identical either way.
-    let inner_threads = (threads / starts.len().max(1)).max(1);
-    let per_start = fan_out(starts, threads, move |index, start| {
-        let ctrl = StartControl {
-            inner_threads,
-            ..StartControl::default()
-        };
-        run_single_start(loss, start.relaxed, index, cfg, ctrl).unwrap_or_else(|e| {
-            // dosa-lint: allow(panic-perimeter) — same direct-entrypoint
-            // perimeter; the service path maps this to JobError::NonFiniteLoss.
-            panic!(
-                "non-finite loss at gradient step {} of start point {index}",
-                e.step
-            )
-        })
-    });
-    merge_start_results(per_start)
-}
-
 /// A gradient step whose loss went NaN: the typed per-item failure
-/// [`run_single_start`] reports instead of letting a poisoned descent
-/// merge a silently bogus `best_edp`. The service surfaces it as
-/// [`JobError::NonFiniteLoss`](crate::JobError); the blocking paths
-/// panic on it.
+/// [`run_segment`] reports instead of letting a poisoned descent merge a
+/// silently bogus `best_edp`. The service surfaces it as
+/// [`JobError::NonFiniteLoss`](crate::JobError).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NonFiniteLoss {
     /// The 1-based gradient step at which the loss went non-finite.
@@ -731,7 +535,7 @@ pub(crate) fn run_segment<L: DiffLoss + ?Sized>(
         if loss_value.is_nan() {
             state.suspect_since.get_or_insert(step);
         }
-        let grads = tape.backward_segmented(loss_var, &plan, ctrl.inner_threads, &mut scratch);
+        let grads = tape.backward_segmented(loss_var, &plan, 1, &mut scratch);
         grads.wrt_into(&leaves, &mut flat);
         for g in flat.iter_mut() {
             if !g.is_finite() {
@@ -796,25 +600,6 @@ pub(crate) fn run_segment<L: DiffLoss + ?Sized>(
         ran += 1;
     }
     Ok(true)
-}
-
-/// One start point's full descent: the loop previously duplicated between
-/// `dosa_search` and `dosa_search_rtl`, run as a single unbounded
-/// [`run_segment`]. Fails with [`NonFiniteLoss`] the moment a gradient
-/// step's differentiable loss (or a rounding's reference EDP) goes NaN,
-/// so a poisoned descent can never contribute a silently bogus best point
-/// to the merge.
-pub(crate) fn run_single_start<L: DiffLoss + ?Sized>(
-    loss: &L,
-    relaxed: Vec<RelaxedMapping>,
-    index: usize,
-    cfg: &GdConfig,
-    ctrl: StartControl<'_>,
-) -> Result<SearchResult, NonFiniteLoss> {
-    let mut state = DescentState::begin(loss, relaxed, index, cfg);
-    let finished = run_segment(loss, &mut state, cfg, ctrl, usize::MAX)?;
-    debug_assert!(finished, "an unbounded segment always finishes");
-    Ok(state.into_result())
 }
 
 /// Deterministic reduction of per-start results: best EDP wins (ties to

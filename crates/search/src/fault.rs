@@ -1,7 +1,7 @@
 //! Failure domains of the [`SearchService`](crate::SearchService): the
 //! typed [`JobError`] a failed job reports, the [`DeadlinePolicy`]
 //! deciding what happens when a job's deadline expires, the deterministic
-//! [`FaultPlan`] injection harness the robustness smokes drive the
+//! [`FaultPlan`] injection harness the robustness tests drive the
 //! service with, and the poison-recovering lock helpers that keep one
 //! panicking worker from wedging every other job.
 //!
@@ -158,8 +158,8 @@ pub enum FaultKind {
 
 /// A deterministic fault-injection plan, threaded through a request via
 /// [`SearchRequestBuilder::fault_plan`](crate::SearchRequestBuilder::fault_plan)
-/// — the service's **test-only chaos hook**, driving the `repro faults`
-/// robustness gates.
+/// — the service's **test-only chaos hook**, driving the robustness
+/// tests in `crates/search/tests/faults.rs`.
 ///
 /// Faults are keyed by *planned work-item position* (the same plan order
 /// the result cache and the merge use), so a plan is a pure function of

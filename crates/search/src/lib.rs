@@ -135,8 +135,8 @@
 //! ### Bayesian optimization (BB-BO)
 //!
 //! The Spotlight-style two-loop baseline: a sequential, seed-deterministic
-//! outer Gaussian-process loop whose inner random-mapper samples and
-//! expected-improvement candidate scores fan out across the fleet.
+//! outer Gaussian-process loop over an inner random mapper, run as one
+//! work item per network.
 //!
 //! ```
 //! use dosa_search::{BbboConfig, SearchRequest, SearchService, Strategy};
@@ -171,8 +171,7 @@
 //! * [`PredictedLatencyLoss`] — the §6.5 surrogate whose latency term runs
 //!   through an analytical, DNN-only, or DNN-corrected
 //!   [`LatencyPredictor`] ([`Surrogate::PredictedLatency`]),
-//! * anything else via [`CustomSurrogate`] ([`Surrogate::Custom`]) or, for
-//!   in-process blocking use, [`run_gd_search`] directly.
+//! * anything else via [`CustomSurrogate`] ([`Surrogate::Custom`]).
 //!
 //! ## Blocking shims
 //!
@@ -211,7 +210,7 @@ pub use adam::Adam;
 pub use bbbo::{bayesian_search, BbboConfig};
 pub use cache::{ResultCache, ResultCacheStats};
 pub use cosa::{cosa_mapping, cosa_mappings, cosa_order};
-pub use engine::{run_gd_search, DiffLoss, EdpLoss, PredictedLatencyLoss};
+pub use engine::{DiffLoss, EdpLoss, PredictedLatencyLoss};
 pub use fault::{DeadlinePolicy, FaultKind, FaultPlan, JobError};
 pub use gd::{
     choose_best_orderings, dosa_search, evaluate_rounded, GdConfig, LoopOrderStrategy, SearchPoint,

@@ -560,8 +560,8 @@ impl SearchRequestBuilder {
     }
 
     /// Attach a deterministic [`FaultPlan`] — the service's **test-only
-    /// chaos hook**, used by the `repro faults` robustness gates to
-    /// inject panics, delays, and non-finite losses at chosen work-item
+    /// chaos hook**, used by the robustness tests in
+    /// `crates/search/tests/faults.rs` to inject panics, delays, and non-finite losses at chosen work-item
     /// positions. An empty plan is a guaranteed bit-exact no-op; a plan
     /// only ever affects the job it is attached to.
     pub fn fault_plan(mut self, plan: FaultPlan) -> SearchRequestBuilder {

@@ -134,7 +134,7 @@
 use crate::bbbo::{run_bayesian_search, BbboConfig};
 use crate::cache::{self, ResultCache};
 use crate::engine::{
-    merge_start_results, run_segment, DescentState, DiffLoss, EdpLoss, Fleet, PredictedLatencyLoss,
+    merge_start_results, run_segment, DescentState, DiffLoss, EdpLoss, PredictedLatencyLoss,
     ProgressCounters, StartControl,
 };
 use crate::fault::{self, payload_string, DeadlinePolicy, FaultKind, JobError};
@@ -1291,9 +1291,7 @@ fn run_random_item(
 }
 
 /// One BB-BO work-item dispatch: the network's whole outer GP loop, run
-/// inline on this worker through a serial fleet (BB-BO results are
-/// thread-count-invariant, so inline execution is bit-identical to any
-/// pooled run — and the worker itself is the pool's unit of
+/// inline on this worker (the worker itself is the pool's unit of
 /// parallelism). A degrade deadline resolves a not-yet-started network
 /// as empty, exactly as the pre-pool sequential loop did.
 fn run_bayes_item(
@@ -1316,13 +1314,11 @@ fn run_bayes_item(
     job.stats.segments_run.fetch_add(1, Ordering::Relaxed);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         apply_fault(job, net_index);
-        let fleet = Fleet::serial();
         let net = &job.request.networks()[net_index];
         run_bayesian_search(
             &net.layers,
             &job.request.hier,
             &cfg,
-            &fleet,
             network_ctrl(job, net_index),
         )
     }));
@@ -1553,7 +1549,6 @@ fn network_ctrl(job: &JobShared, net_index: usize) -> StartControl<'_> {
     StartControl {
         cancel: Some(&job.cancel),
         progress: Some(&job.progress[net_index]),
-        inner_threads: 1,
         force_non_finite: false,
     }
 }
@@ -1755,7 +1750,7 @@ mod tests {
     /// `segments_run` per dispatch — `ceil(steps_per_start / k)` per
     /// start — and on a single worker a job's own items queue behind
     /// each other, so the deterministic dispatch order fixes
-    /// `max_queue_wait` exactly.
+    /// `max_queue_wait` exactly. A BB-BO network is exactly one dispatch.
     #[test]
     fn segment_and_queue_wait_counters_are_observable() {
         let layers = vec![Layer::once(Problem::matmul("m", 16, 32, 32).unwrap())];
@@ -1786,5 +1781,24 @@ mod tests {
         // longer.
         assert_eq!(stats.max_queue_wait, 3);
         assert_eq!(stats.cache_hits + stats.cache_misses, 0);
+
+        // A BB-BO network is one unsegmented item: one dispatch each.
+        let net = |name| vec![Layer::once(Problem::matmul(name, 16, 32, 32).unwrap())];
+        let bayes = SearchRequest::builder(Hierarchy::gemmini())
+            .network("m", net("m"))
+            .network("n", net("n"))
+            .strategy(Strategy::BayesOpt(BbboConfig {
+                num_hw: 3,
+                init_random: 2,
+                samples_per_hw: 4,
+                candidates: 5,
+                seed: 0,
+            }))
+            .build();
+        let job = service.submit(bayes).unwrap();
+        job.wait().unwrap();
+        let stats = job.stats();
+        assert_eq!(stats.work_items, 2);
+        assert_eq!(stats.segments_run, 2, "one dispatch per BB-BO network");
     }
 }

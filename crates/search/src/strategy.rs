@@ -37,9 +37,9 @@ pub enum Strategy {
     /// seed.
     Random(RandomSearchConfig),
     /// The two-loop Bayesian-optimization baseline (Spotlight-style
-    /// BB-BO, §6.1). The outer Gaussian-process loop stays sequential and
-    /// seed-deterministic; the inner random-mapper samples and the
-    /// expected-improvement candidate scoring fan out across the fleet.
+    /// BB-BO, §6.1). Each network's outer Gaussian-process loop, with
+    /// its inner random-mapper samples and expected-improvement scoring,
+    /// runs in order as one work item.
     BayesOpt(BbboConfig),
 }
 
@@ -157,10 +157,10 @@ impl BbboConfig {
 
 /// Derive the seed of an independent RNG stream from a base seed and a
 /// stream index (splitmix64-style finalizer). The black-box strategies
-/// hand each parallel work item — a hardware design in random search, a
-/// joint mapping sample in BB-BO's inner loop — its own stream, so fleet
-/// scheduling can never perturb the drawn values: results stay
-/// bit-identical for every worker count and batch composition.
+/// give each hardware design in random search and each joint mapping
+/// sample in BB-BO's inner loop its own stream, so scheduling can never
+/// perturb the drawn values: results stay bit-identical for every worker
+/// count and batch composition.
 pub(crate) fn stream_seed(seed: u64, stream: u64) -> u64 {
     let mut z = seed.wrapping_add(stream.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -5,11 +5,12 @@
 //! strictly increasing, best EDP non-increasing) and are **bitwise
 //! prefixes** of the same request's uninterrupted run. When the chaos is
 //! benign (delays only, nothing expired, nothing cancelled), the result
-//! must be bit-identical — the fault hook is a guaranteed no-op.
+//! must be bit-identical — the fault hook is a guaranteed no-op. A
+//! deterministic test pins each fault kind's exact typed outcome.
 
 use dosa_accel::Hierarchy;
 use dosa_search::{
-    DeadlinePolicy, FaultKind, FaultPlan, GdConfig, JobError, JobStatus, SearchPoint,
+    dosa_search, DeadlinePolicy, FaultKind, FaultPlan, GdConfig, JobError, JobStatus, SearchPoint,
     SearchRequest, SearchRequestBuilder, SearchResult, SearchService,
 };
 use dosa_workload::{Layer, Problem};
@@ -269,4 +270,100 @@ proptest! {
             }
         }
     }
+}
+
+fn gemm() -> Vec<Layer> {
+    networks().swap_remove(0).1
+}
+
+fn gemm_request(seed: u64) -> SearchRequestBuilder {
+    SearchRequest::builder(Hierarchy::gemmini())
+        .network("gemm", gemm())
+        .config(tiny_cfg(seed))
+}
+
+/// Bit-level equality against the blocking shim's result.
+fn assert_matches_solo(result: &SearchResult, seed: u64, what: &str) {
+    let solo = dosa_search(&gemm(), &Hierarchy::gemmini(), &tiny_cfg(seed));
+    assert_eq!(result.best_edp.to_bits(), solo.best_edp.to_bits(), "{what}");
+    assert_eq!(result.best_hw, solo.best_hw, "{what}");
+    assert_eq!(result.samples, solo.samples, "{what}");
+    assert_eq!(result.history, solo.history, "{what}");
+}
+
+/// The exact typed outcome of each fault kind, deterministically:
+///
+/// (a) a `Panic` at item 1 fails its job with exactly `WorkerPanic {
+///     item: 1 }`, payload intact, while a sibling job on the same
+///     2-slot service stays bit-identical to its solo run;
+/// (b) a `NonFiniteLoss` at item 0 fails with exactly `NonFiniteLoss {
+///     item: 0, step: 1 }`;
+/// (c) a default (`Kill`) deadline that expires while item 0 is held by
+///     a `Delay` fails with `DeadlineExceeded`, and a concurrent sibling
+///     stays bit-identical to its solo run;
+/// (d) an empty `FaultPlan` changes no result bit.
+#[test]
+fn each_fault_kind_fails_typed_and_spares_its_siblings() {
+    let service = SearchService::builder().threads(2).build();
+
+    // (a) Panic isolation.
+    let panicking = service
+        .submit(
+            gemm_request(11)
+                .fault_plan(FaultPlan::new().inject(1, FaultKind::Panic))
+                .build(),
+        )
+        .unwrap();
+    let sibling = service.submit(gemm_request(12).build()).unwrap();
+    let err = panicking.wait().unwrap_err();
+    assert_eq!(panicking.status(), JobStatus::Failed);
+    assert_eq!(panicking.error(), Some(err.clone()));
+    match &err {
+        JobError::WorkerPanic { item: 1, payload } => {
+            assert!(
+                payload.contains("injected fault"),
+                "payload lost: {payload}"
+            );
+        }
+        other => panic!("expected WorkerPanic at item 1, got {other}"),
+    }
+    let sibling = sibling.wait().unwrap().into_single();
+    assert_matches_solo(&sibling, 12, "sibling of a panicking job");
+
+    // (b) Typed non-finite failure, attributed to the poisoned step.
+    let err = service
+        .submit(
+            gemm_request(13)
+                .fault_plan(FaultPlan::new().inject(0, FaultKind::NonFiniteLoss))
+                .build(),
+        )
+        .unwrap()
+        .wait()
+        .unwrap_err();
+    assert_eq!(err, JobError::NonFiniteLoss { item: 0, step: 1 });
+
+    // (c) Kill deadline under load: item 0 sleeps far past the deadline,
+    // so the job cannot finish before the watchdog fires.
+    let killed = service
+        .submit(
+            gemm_request(14)
+                .fault_plan(FaultPlan::new().inject(0, FaultKind::Delay(1_000)))
+                .deadline(Duration::from_millis(200))
+                .build(),
+        )
+        .unwrap();
+    let sibling = service.submit(gemm_request(15).build()).unwrap();
+    assert_eq!(killed.wait().unwrap_err(), JobError::DeadlineExceeded);
+    assert_eq!(killed.status(), JobStatus::Failed);
+    let sibling = sibling.wait().unwrap().into_single();
+    assert_matches_solo(&sibling, 15, "sibling of a deadline-killed job");
+
+    // (d) An installed but empty plan is a bit-exact no-op.
+    let empty = service
+        .submit(gemm_request(16).fault_plan(FaultPlan::new()).build())
+        .unwrap()
+        .wait()
+        .unwrap()
+        .into_single();
+    assert_matches_solo(&empty, 16, "empty fault plan vs no plan");
 }

@@ -38,7 +38,7 @@ fn serial_guard() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// The live OS-thread count of this process, from the `Threads:` row of
-/// `/proc/self/status` — the same probe the `repro pool` gate uses.
+/// `/proc/self/status`.
 fn live_threads() -> usize {
     std::fs::read_to_string("/proc/self/status")
         .expect("/proc/self/status is readable on linux")

@@ -78,6 +78,15 @@ fn short_gd_job_completes_while_long_bayes_job_is_running() {
                 .build(),
         )
         .unwrap();
+    // Let the long job be admitted first. Otherwise `ShortestFirst` can
+    // legitimately run both short items ahead of the long job's planning
+    // dispatch, and the long job is still `Queued` (not overlapped) when
+    // the short one finishes.
+    let admitted_by = Instant::now() + Duration::from_secs(60);
+    while long.status() == JobStatus::Queued {
+        assert!(Instant::now() < admitted_by, "long job never admitted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let cfg = short_cfg(3);
     let short = service
         .submit(

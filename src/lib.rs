@@ -56,13 +56,12 @@
 //! * [`search::Strategy::GradientDescent`] — DOSA's differentiable
 //!   one-loop co-search (the default), descending a
 //!   [`search::Surrogate`] (plain EDP, the §6.5 predictor-adjusted
-//!   latency, or a custom [`search::CustomSurrogate`]); start points fan
-//!   out across the worker fleet,
-//! * [`search::Strategy::Random`] — the random-search baseline; hardware
-//!   designs fan out, each with a private RNG stream,
-//! * [`search::Strategy::BayesOpt`] — Spotlight-style BB-BO; the outer
-//!   GP loop stays sequential while its inner sampling and EI scoring
-//!   fan out.
+//!   latency, or a custom [`search::CustomSurrogate`]); each start point
+//!   is one work item,
+//! * [`search::Strategy::Random`] — the random-search baseline; each
+//!   hardware design is one work item with a private RNG stream,
+//! * [`search::Strategy::BayesOpt`] — Spotlight-style BB-BO; each
+//!   network's sequential GP loop is one work item.
 //!
 //! ```no_run
 //! use dosa::prelude::*;
@@ -88,7 +87,7 @@
 //! or `Strategy::BayesOpt(..)` reruns the same batch under a baseline
 //! searcher — the paper's Figure 7 comparison is three concurrent
 //! submissions to one service (see `examples/strategy_comparison.rs` and
-//! `repro strategies`). A runnable miniature:
+//! `repro fig7`). A runnable miniature:
 //!
 //! ```
 //! use dosa::prelude::*;
@@ -119,8 +118,8 @@
 //!   `ShortestFirst`, `Priority`) decides which queued work grabs freed
 //!   slots, and
 //!   [`search::SearchRequestBuilder::max_parallelism`] caps a long job
-//!   so it provably leaves capacity for short ones (enforced in CI via
-//!   `repro --smoke sched`).
+//!   so it provably leaves capacity for short ones (pinned by
+//!   `crates/search/tests/sched.rs`).
 //! * **Live observation** — [`search::JobHandle::progress`] reads
 //!   lock-free per-network counters (samples, best-so-far EDP) without
 //!   perturbing the workers; successive snapshots are monotone.
@@ -145,7 +144,7 @@
 //!   [`search::WarmStart::NearestNeighbor`] to seed one extra descent
 //!   from the best cached mapping of the same network shape
 //!   ([`search::JobHandle::stats`] counts hits/misses/warm starts;
-//!   enforced in CI via `repro --smoke cache`).
+//!   pinned by `crates/search/tests/result_cache.rs`).
 //!
 //! ```
 //! use dosa::prelude::*;
@@ -174,9 +173,9 @@
 //! [`search::dosa_search_rtl`], [`search::random_search`] and
 //! [`search::bayesian_search`] remain as thin shims that submit one job
 //! and wait (thread budget from the calling thread's rayon
-//! configuration, so `repro --threads N` still applies). In-process
-//! custom surrogates can also drive the engine directly via
-//! [`search::DiffLoss`] + [`search::run_gd_search`]; see
+//! configuration, so `repro --threads N` still applies). Custom
+//! surrogates implement [`search::DiffLoss`] and plug into the same
+//! engine through [`search::CustomSurrogate`]; see
 //! `examples/batched_service.rs` and `examples/strategy_comparison.rs`
 //! for the service lifecycle end to end.
 
@@ -199,11 +198,11 @@ pub mod prelude {
     pub use dosa_cache::{CacheKey, CacheStore, Fingerprinter, ShardedLru};
     pub use dosa_model::{build_loss, LossOptions, RelaxedMapping};
     pub use dosa_search::{
-        bayesian_search, cosa_mapping, dosa_search, dosa_search_rtl, random_search, run_gd_search,
-        BatchResult, BbboConfig, ConfigError, CustomSurrogate, DiffLoss, EdpLoss, GdConfig,
-        JobHandle, JobProgress, JobStats, JobStatus, LatencyModelKind, LatencyPredictor,
-        LoopOrderStrategy, PredictedLatencyLoss, RandomSearchConfig, ResultCache, ResultCacheStats,
-        SchedPolicy, SearchRequest, SearchService, Strategy, Surrogate, WarmStart,
+        bayesian_search, cosa_mapping, dosa_search, dosa_search_rtl, random_search, BatchResult,
+        BbboConfig, ConfigError, CustomSurrogate, DiffLoss, EdpLoss, GdConfig, JobHandle,
+        JobProgress, JobStats, JobStatus, LatencyModelKind, LatencyPredictor, LoopOrderStrategy,
+        PredictedLatencyLoss, RandomSearchConfig, ResultCache, ResultCacheStats, SchedPolicy,
+        SearchRequest, SearchService, Strategy, Surrogate, WarmStart,
     };
     pub use dosa_timeloop::{
         evaluate_layer, evaluate_model, min_hw, min_hw_for_all, Mapping, Stationarity,
