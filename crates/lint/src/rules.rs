@@ -6,11 +6,12 @@
 //!
 //! | rule | invariant |
 //! | --- | --- |
-//! | `raw-mutex-lock` | poisoning recovery: all locking goes through `fault::lock`/`wait`/`wait_timeout` or the `dosa-cache` shard-lock helper |
+//! | `raw-mutex-lock` | poisoning recovery: all locking goes through `fault::lock`/`wait` or the `dosa-cache` shard-lock helper |
 //! | `undocumented-unsafe` | unsafe audit: every `unsafe` block/fn carries a `// SAFETY:` comment |
 //! | `nondet-iteration` | bit-exact determinism: no `HashMap`/`HashSet` in deterministic crates' non-test code |
 //! | `panic-perimeter` | panic containment: no `.unwrap()`/`.expect(`/`panic!` in service-facing library code |
 //! | `float-eq` | bit-parity discipline: no `==`/`!=` against float literals outside tests |
+//! | `wall-clock` | time cannot feed results: no `Instant`/`SystemTime` in deterministic crates' non-test code |
 //!
 //! Suppression is explicit and auditable: a
 //! `// dosa-lint: allow(<rule>) — <justification>` comment suppresses that
@@ -35,18 +36,21 @@ pub enum Rule {
     PanicPerimeter,
     /// `==`/`!=` against a float literal or float constant.
     FloatEq,
+    /// `Instant`/`SystemTime` in a deterministic crate's non-test code.
+    WallClock,
     /// A malformed, unknown, or unjustified `dosa-lint:` pragma.
     InvalidPragma,
 }
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 6] = [
+    pub const ALL: [Rule; 7] = [
         Rule::RawMutexLock,
         Rule::UndocumentedUnsafe,
         Rule::NondetIteration,
         Rule::PanicPerimeter,
         Rule::FloatEq,
+        Rule::WallClock,
         Rule::InvalidPragma,
     ];
 
@@ -58,6 +62,7 @@ impl Rule {
             Rule::NondetIteration => "nondet-iteration",
             Rule::PanicPerimeter => "panic-perimeter",
             Rule::FloatEq => "float-eq",
+            Rule::WallClock => "wall-clock",
             Rule::InvalidPragma => "invalid-pragma",
         }
     }
@@ -71,6 +76,7 @@ impl Rule {
             "nondet-iteration" => Some(Rule::NondetIteration),
             "panic-perimeter" => Some(Rule::PanicPerimeter),
             "float-eq" => Some(Rule::FloatEq),
+            "wall-clock" => Some(Rule::WallClock),
             _ => None,
         }
     }
@@ -110,15 +116,16 @@ pub struct FileScope {
     /// `examples/` directories).
     pub test_file: bool,
     /// Library code of a crate whose results must be bit-exact
-    /// (`search`, `model`, `autodiff`, `cache`): `nondet-iteration`
-    /// applies.
+    /// (`search`, `model`, `autodiff`, `cache`): `nondet-iteration` and
+    /// `wall-clock` apply.
     pub deterministic_crate: bool,
     /// Library code of a service-facing crate (`search`, `cache`):
     /// `panic-perimeter` applies.
     pub service_crate: bool,
 }
 
-/// Crates whose non-test code must iterate deterministically.
+/// Crates whose non-test code must iterate deterministically and never
+/// read the clock.
 pub const DETERMINISTIC_CRATES: [&str; 4] = ["autodiff", "cache", "model", "search"];
 
 /// Crates whose library code faces the service and must stay panic-free
@@ -194,6 +201,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> FileLint {
     undocumented_unsafe(&tokens, &mut raw);
     if scope.deterministic_crate {
         nondet_iteration(&tokens, &code, &in_test, &mut raw);
+        wall_clock(&tokens, &code, &in_test, &mut raw);
     }
     if scope.service_crate {
         panic_perimeter(&tokens, &code, &in_test, &mut raw);
@@ -291,7 +299,7 @@ fn collect_pragmas(rel_path: &str, tokens: &[Token]) -> (Vec<Pragma>, Vec<Diagno
                         name.trim(),
                         Rule::ALL
                             .iter()
-                            .take(5)
+                            .filter(|r| **r != Rule::InvalidPragma)
                             .map(|r| r.name())
                             .collect::<Vec<_>>()
                             .join(", ")
@@ -416,8 +424,8 @@ fn raw_mutex_lock(tokens: &[Token], code: &[usize], out: &mut Vec<(Rule, u32, St
             out.push((
                 Rule::RawMutexLock,
                 b.line,
-                "raw `.lock()` bypasses poisoning recovery; use `fault::lock`/`wait`/\
-                 `wait_timeout` (crates/search/src/fault.rs) or the dosa-cache shard-lock helper"
+                "raw `.lock()` bypasses poisoning recovery; use `fault::lock`/`wait` \
+                 (crates/search/src/fault.rs) or the dosa-cache shard-lock helper"
                     .into(),
             ));
         }
@@ -503,6 +511,35 @@ fn nondet_iteration(
             format!(
                 "`{name}` iteration order is nondeterministic; deterministic crates must use \
                  `{replacement}` in non-test code"
+            ),
+        ));
+    }
+}
+
+/// `wall-clock`: `Instant`/`SystemTime` in deterministic crates' non-test
+/// code — a clock read that reached a result would make it vary run to
+/// run. The one sanctioned read, the service's deadline, carries a pragma.
+fn wall_clock(
+    tokens: &[Token],
+    code: &[usize],
+    in_test: &dyn Fn(u32) -> bool,
+    out: &mut Vec<(Rule, u32, String)>,
+) {
+    for &i in code {
+        let t = &tokens[i];
+        let name = match &t.kind {
+            TokenKind::Ident(n) if n == "Instant" || n == "SystemTime" => n,
+            _ => continue,
+        };
+        if in_test(t.line) {
+            continue;
+        }
+        out.push((
+            Rule::WallClock,
+            t.line,
+            format!(
+                "`{name}` reads the wall clock; deterministic crates must not let time reach \
+                 a result — keep timing out of non-test code or justify the perimeter with a pragma"
             ),
         ));
     }

@@ -218,6 +218,40 @@ fn float_eq_suppressed_by_pragma() {
     assert_eq!(lint.suppressed, 1);
 }
 
+// ------------------------------------------------------------------- wall-clock
+
+#[test]
+fn wall_clock_fires_on_instant_and_system_time_in_deterministic_crates() {
+    let src = "fn f() -> std::time::Instant {\n    std::time::Instant::now()\n}\n\
+               fn g() -> std::time::SystemTime {\n    std::time::SystemTime::now()\n}\n";
+    let fired = rules_fired(SEARCH, src);
+    assert_eq!(
+        fired.iter().filter(|r| **r == Rule::WallClock).count(),
+        4,
+        "got {fired:?}"
+    );
+    assert!(rules_fired(MODEL, src).contains(&Rule::WallClock));
+}
+
+#[test]
+fn wall_clock_ignores_test_code_and_other_crates() {
+    let src = "use std::time::Instant;\nfn f() {\n    let _ = Instant::now();\n}\n";
+    assert!(rules_fired(NN, src).is_empty());
+    assert!(rules_fired(TEST_FILE, src).is_empty());
+    let in_mod = "#[cfg(test)]\nmod tests {\n    use std::time::Instant;\n    \
+                  #[test]\n    fn t() {\n        let _ = Instant::now();\n    }\n}\n";
+    assert!(rules_fired(SEARCH, in_mod).is_empty());
+}
+
+#[test]
+fn wall_clock_suppressed_by_pragma() {
+    let src = "// dosa-lint: allow(wall-clock) — the deadline perimeter, never feeds a result.\n\
+               type Clock = std::time::Instant;\n";
+    let lint = lint_source(SEARCH, src);
+    assert!(lint.violations.is_empty(), "got {:?}", lint.violations);
+    assert_eq!(lint.suppressed, 1);
+}
+
 // ---------------------------------------------------------------- invalid-pragma
 
 #[test]

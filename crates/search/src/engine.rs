@@ -37,6 +37,7 @@
 //! the regular ones, so they never perturb a cold run's RNG streams.
 
 use crate::adam::Adam;
+use crate::fault::StopWord;
 use crate::gd::{
     choose_best_orderings, evaluate_rounded, GdConfig, LoopOrderStrategy, SearchPoint, SearchResult,
 };
@@ -51,7 +52,7 @@ use dosa_timeloop::{evaluate_layer, min_hw_for_all, LoopOrder, Mapping, Stationa
 use dosa_workload::{Layer, Problem};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Record a best-so-far history point every this many gradient steps (in
 /// addition to every rounding).
@@ -355,14 +356,15 @@ impl ProgressCounters {
     }
 }
 
-/// Control surface handed to every start-point descent: an optional
-/// cooperative-cancellation flag (checked once per gradient step) and an
-/// optional progress sink.
+/// Control surface handed to every work item: the job's stop word
+/// (checked once per gradient step or black-box sample) and an optional
+/// progress sink.
 #[derive(Clone, Copy)]
 pub(crate) struct StartControl<'a> {
-    /// When set, descents return their partial result at the next step
-    /// boundary, and not-yet-started work items return empty results.
-    pub(crate) cancel: Option<&'a AtomicBool>,
+    /// Once it reports stopping (a cancel or a `Kill` deadline), descents
+    /// return their partial result at the next step boundary, and
+    /// not-yet-started work items return empty results.
+    pub(crate) stop: &'a StopWord,
     /// Live observation counters for the network this start belongs to.
     pub(crate) progress: Option<&'a ProgressCounters>,
     /// Fault injection ([`FaultKind::NonFiniteLoss`](crate::FaultKind)):
@@ -375,7 +377,7 @@ pub(crate) struct StartControl<'a> {
 
 impl StartControl<'_> {
     pub(crate) fn cancelled(&self) -> bool {
-        self.cancel.is_some_and(|c| c.load(Ordering::Relaxed))
+        self.stop.stopping()
     }
 
     pub(crate) fn count_samples(&self, n: usize) {

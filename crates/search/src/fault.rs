@@ -1,6 +1,7 @@
 //! Failure domains of the [`SearchService`](crate::SearchService): the
 //! typed [`JobError`] a failed job reports, the [`DeadlinePolicy`]
-//! deciding what happens when a job's deadline expires, the deterministic
+//! deciding what happens when a job's deadline expires, the per-job stop
+//! word that cancellation and deadlines share, the deterministic
 //! [`FaultPlan`] injection harness the robustness tests drive the
 //! service with, and the poison-recovering lock helpers that keep one
 //! panicking worker from wedging every other job.
@@ -17,16 +18,22 @@
 //! never silently loses capacity. Service-wide state (the ready queue,
 //! the per-job execution ledgers, the warm-start index) is never left
 //! poisoned: the handful of mutexes guarding it are locked through this
-//! module's `lock`/`wait`/`wait_timeout` helpers, which recover a
-//! poisoned guard instead of propagating the panic. That recovery is
-//! sound because every panic that could occur while those locks are
-//! held is contained *before* it reaches them: work items (including
+//! module's `lock`/`wait` helpers, which recover a poisoned guard instead
+//! of propagating the panic. That recovery is sound because every panic
+//! that could occur while those locks are held is contained *before* it
+//! reaches them: work items (including
 //! job planning and the final merge) run inside per-dispatch
 //! `catch_unwind` boundaries on the workers — the critical sections
 //! themselves only move plain values and never unwind mid-update.
+//!
+//! A user cancel, a [`DeadlinePolicy::Kill`] expiry and a
+//! [`DeadlinePolicy::Degrade`] expiry all land in one per-job `StopWord`;
+//! no thread watches the clock (see the service docs for where the
+//! deadline is checked). `Deadline` holds the service's only clock read.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -119,9 +126,9 @@ impl std::error::Error for JobError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum DeadlinePolicy {
-    /// Terminate the job: the cancel flag flips (in-flight items stop at
-    /// their next step boundary, waiting items stop competing for slots
-    /// immediately) and the job ends
+    /// Terminate the job: in-flight items stop at their next step or
+    /// sample boundary, queued items resolve as no-ops — exactly as
+    /// promptly as a user cancel — and the job ends
     /// [`Failed`](crate::JobStatus::Failed) with
     /// [`JobError::DeadlineExceeded`]. The default.
     #[default]
@@ -135,6 +142,110 @@ pub enum DeadlinePolicy {
     /// the uninterrupted run's history; completed items still journal to
     /// the result cache, so an identical resubmit resumes from them.
     Degrade,
+}
+
+// dosa-lint: allow(wall-clock) — the deadline perimeter: a private alias
+// so the clock is reachable only through `Deadline`, which never feeds a result.
+type Clock = std::time::Instant;
+
+/// When a job's deadline expires: its submission instant plus the
+/// request's [`deadline`](crate::SearchRequestBuilder::deadline), or never.
+/// A request without a deadline never reads the clock, and a budget too
+/// large for the clock to represent (e.g. `Duration::MAX`) means never.
+#[derive(Debug, Clone, Copy)]
+struct Deadline(Option<Clock>);
+
+impl Deadline {
+    /// The deadline `budget` after now (`None`: no deadline).
+    fn after(budget: Option<Duration>) -> Deadline {
+        Deadline(budget.and_then(|d| Clock::now().checked_add(d)))
+    }
+
+    /// Whether the deadline has passed; `false` without a clock read
+    /// when there is none.
+    fn expired(&self) -> bool {
+        self.0.is_some_and(|due| Clock::now() >= due)
+    }
+}
+
+/// [`StopWord`] bits: a user cancel, a `Kill` expiry that beat any
+/// cancel, and a `Degrade` expiry (never-started items are skipped).
+const CANCELLED: u8 = 1;
+const KILLED: u8 = 1 << 1;
+const HALTED: u8 = 1 << 2;
+
+/// One job's stop state: a word of monotone flags — bits are only ever
+/// set — plus the deadline that may set them. Because the word only
+/// grows, a reader that saw a bit keeps seeing it, and the first of a
+/// user cancel and a `Kill` expiry to land decides the terminal state.
+#[derive(Debug)]
+pub(crate) struct StopWord {
+    bits: AtomicU8,
+    deadline: Deadline,
+    policy: DeadlinePolicy,
+}
+
+impl StopWord {
+    /// A job's stop word, built at submission: the deadline is measured
+    /// from now, so queue time counts.
+    pub(crate) fn new(deadline: Option<Duration>, policy: DeadlinePolicy) -> StopWord {
+        StopWord {
+            bits: AtomicU8::new(0),
+            deadline: Deadline::after(deadline),
+            policy,
+        }
+    }
+
+    /// Record a user cancel.
+    pub(crate) fn cancel(&self) {
+        self.bits.fetch_or(CANCELLED, Ordering::Relaxed);
+    }
+
+    /// Apply the deadline policy if the deadline has passed. A `Kill`
+    /// expiry only lands on a job nobody cancelled yet, so a user cancel
+    /// that won the race stays a cancel.
+    pub(crate) fn poll_deadline(&self) {
+        if !self.deadline.expired() {
+            return;
+        }
+        match self.policy {
+            DeadlinePolicy::Kill => {
+                let _ = self
+                    .bits
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                        (bits & CANCELLED == 0).then_some(bits | KILLED)
+                    });
+            }
+            DeadlinePolicy::Degrade => {
+                self.bits.fetch_or(HALTED, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The per-step / per-sample check: whether running work should stop
+    /// at this boundary. Only a `Kill` deadline is evaluated here; a
+    /// `Degrade` deadline lets running work finish bit-exactly.
+    pub(crate) fn stopping(&self) -> bool {
+        if self.policy == DeadlinePolicy::Kill {
+            self.poll_deadline();
+        }
+        self.bits.load(Ordering::Relaxed) & (CANCELLED | KILLED) != 0
+    }
+
+    /// Whether a user cancel landed (as opposed to a `Kill` expiry).
+    pub(crate) fn user_cancelled(&self) -> bool {
+        self.bits.load(Ordering::Relaxed) & CANCELLED != 0
+    }
+
+    /// Whether a `Kill` deadline ended the job.
+    pub(crate) fn killed(&self) -> bool {
+        self.bits.load(Ordering::Relaxed) & KILLED != 0
+    }
+
+    /// Whether a `Degrade` deadline stopped admitting new work items.
+    pub(crate) fn halted(&self) -> bool {
+        self.bits.load(Ordering::Relaxed) & HALTED != 0
+    }
 }
 
 /// One injected fault of a [`FaultPlan`].
@@ -259,17 +370,6 @@ pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
-/// [`Condvar::wait_timeout`] with the same poison recovery as [`lock`].
-pub(crate) fn wait_timeout<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: Duration,
-) -> MutexGuard<'a, T> {
-    cv.wait_timeout(guard, dur)
-        .unwrap_or_else(PoisonError::into_inner)
-        .0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,16 +401,49 @@ mod tests {
     }
 
     #[test]
+    fn stop_word_transitions_are_monotone_and_the_first_stop_wins() {
+        // A zero budget has expired by the first poll.
+        let expired = Some(Duration::ZERO);
+
+        let kill = StopWord::new(expired, DeadlinePolicy::Kill);
+        assert!(
+            kill.stopping(),
+            "the per-step check evaluates a Kill deadline"
+        );
+        assert!(kill.killed() && !kill.user_cancelled());
+        kill.cancel();
+        assert!(kill.killed(), "a later cancel cannot undo a kill");
+
+        let cancelled = StopWord::new(expired, DeadlinePolicy::Kill);
+        cancelled.cancel();
+        cancelled.poll_deadline();
+        assert!(cancelled.user_cancelled() && !cancelled.killed());
+
+        let degrade = StopWord::new(expired, DeadlinePolicy::Degrade);
+        assert!(!degrade.stopping(), "Degrade never stops running work");
+        assert!(!degrade.halted(), "the per-step check leaves Degrade alone");
+        degrade.poll_deadline();
+        assert!(degrade.halted() && !degrade.killed());
+
+        // No deadline, and one past the clock's range, never expire.
+        for budget in [None, Some(Duration::MAX)] {
+            for policy in [DeadlinePolicy::Kill, DeadlinePolicy::Degrade] {
+                let never = StopWord::new(budget, policy);
+                never.poll_deadline();
+                assert!(!never.stopping() && !never.halted() && !never.killed());
+            }
+        }
+    }
+
+    #[test]
     fn lock_recovers_a_poisoned_mutex() {
-        let m = std::sync::Arc::new(Mutex::new(5u32));
-        let m2 = std::sync::Arc::clone(&m);
-        let _ = std::thread::spawn(move || {
+        let m = Mutex::new(5u32);
+        let _ = std::panic::catch_unwind(|| {
             // dosa-lint: allow(raw-mutex-lock) — deliberately poisons a raw guard to
             // prove the helper under test recovers it; fault::lock here would be circular.
-            let _guard = m2.lock().unwrap();
+            let _guard = m.lock().unwrap();
             panic!("poison it");
-        })
-        .join();
+        });
         assert!(m.is_poisoned());
         assert_eq!(*lock(&m), 5);
     }

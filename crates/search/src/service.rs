@@ -11,9 +11,8 @@
 //! The service spawns exactly one long-lived worker thread per slot
 //! ([`SearchServiceBuilder::threads`], default: all cores) **at
 //! construction, and never again** — submitting, running, and retiring
-//! jobs spawns no threads (one optional deadline watchdog per job with a
-//! deadline is the only exception). Workers loop over a shared ready
-//! queue (see the [`SchedPolicy`] docs and `ARCHITECTURE.md` at the
+//! jobs spawns no threads, deadlines included. Workers loop over a shared
+//! ready queue (see the [`SchedPolicy`] docs and `ARCHITECTURE.md` at the
 //! repository root): submitting a job enqueues a single *planning* item;
 //! planning enqueues the job's executable work items, which interleave
 //! with every other job's on the same pool. At most `threads` items
@@ -75,14 +74,14 @@
 //!
 //! ## Cancellation
 //!
-//! [`JobHandle::cancel`] sets a flag every work item checks once per
-//! gradient step (GD) or joint mapping sample (black-box strategies):
-//! running items return their partial results at the next boundary,
-//! queued items resolve as fast no-ops the moment a worker picks them up
-//! (freeing capacity for the other jobs on the service), and the merged
-//! best-so-far histories stay monotone non-increasing with strictly
-//! increasing sample counts. A job cancelled while still queued
-//! completes immediately with empty results.
+//! [`JobHandle::cancel`] sets a bit of the job's stop word, which every
+//! work item checks once per gradient step (GD) or joint mapping sample
+//! (black-box strategies): running items return their partial results at
+//! the next boundary, queued items resolve as fast no-ops the moment a
+//! worker picks them up (freeing capacity for the other jobs on the
+//! service), and the merged best-so-far histories stay monotone
+//! non-increasing with strictly increasing sample counts. A job cancelled
+//! while still queued completes immediately with empty results.
 //!
 //! ## Result cache, checkpoint/resume, warm starts
 //!
@@ -120,7 +119,10 @@
 //!
 //! A request may carry a [`deadline`](crate::SearchRequestBuilder::deadline)
 //! (measured from submission, so queue time counts) with a
-//! [`DeadlinePolicy`]: `Kill` terminates the job with
+//! [`DeadlinePolicy`]. No thread watches the clock: the deadline is
+//! evaluated where the service already decides whether to stop — at every
+//! work-item dispatch, in the per-step cancel check (`Kill` only), and
+//! when the job finishes. `Kill` terminates the job with
 //! [`JobError::DeadlineExceeded`]; `Degrade` stops admitting new work
 //! items at the deadline and completes with the deterministic merge of
 //! every item finished so far, flagged [`BatchResult::degraded`] — a
@@ -137,7 +139,9 @@ use crate::engine::{
     merge_start_results, run_segment, DescentState, DiffLoss, EdpLoss, PredictedLatencyLoss,
     ProgressCounters, StartControl,
 };
-use crate::fault::{self, payload_string, DeadlinePolicy, FaultKind, JobError};
+#[cfg(doc)]
+use crate::fault::DeadlinePolicy;
+use crate::fault::{self, payload_string, FaultKind, JobError, StopWord};
 use crate::gd::{GdConfig, LoopOrderStrategy, SearchResult};
 use crate::random_search::{
     plan_random_designs, run_random_design, RandomDesign, RandomSearchConfig,
@@ -155,10 +159,9 @@ use dosa_workload::Layer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Lifecycle state of a submitted job.
 ///
@@ -384,22 +387,11 @@ struct JobShared {
     /// Work items of this job currently executing on workers; entries of
     /// a job at its `max_par` are ineligible for dispatch.
     inflight: AtomicUsize,
-    /// Cooperative cancellation flag, checked by every running item once
-    /// per step/sample and by queued items the moment they dispatch.
-    cancel: AtomicBool,
-    /// Degrade flag ([`DeadlinePolicy::Degrade`]): set at the deadline so
-    /// work items that have not taken a single step yet are skipped,
-    /// while items with a segment checkpoint (and running items) finish
-    /// bit-exactly. Deliberately **not** observed by the per-step cancel
-    /// check.
-    halt: AtomicBool,
-    /// Set by the deadline watchdog under [`DeadlinePolicy::Kill`] just
-    /// before it flips `cancel`, so the finish can tell a deadline kill
-    /// (→ [`JobStatus::Failed`]) from a user cancel (→
-    /// [`JobStatus::Cancelled`]).
-    deadline_hit: AtomicBool,
-    /// Submission instant the deadline is measured from.
-    submitted: Instant,
+    /// User cancel and deadline expiry, checked by every running item
+    /// once per step/sample, at every dispatch, and at the finish, which
+    /// tells a deadline kill (→ [`JobStatus::Failed`]) from a user cancel
+    /// (→ [`JobStatus::Cancelled`]).
+    stop: StopWord,
     /// The service's ready queue, for re-enqueueing segment checkpoints
     /// and waking poppers on cancel.
     queue: Arc<ReadyQueue<QueueEntry>>,
@@ -411,8 +403,6 @@ struct JobShared {
     stats: JobCounters,
     /// The execution ledger; populated by the planning item.
     exec: Mutex<ExecState>,
-    /// The deadline watchdog's handle, joined exactly once at retirement.
-    watchdog: Mutex<Option<JoinHandle<()>>>,
     state: Mutex<JobState>,
     done: Condvar,
 }
@@ -496,7 +486,7 @@ impl JobHandle {
     /// (still monotone) per-network results. Idempotent; never blocks on
     /// the descent itself.
     pub fn cancel(&self) {
-        self.job.cancel.store(true, Ordering::Relaxed);
+        self.job.stop.cancel();
         // Wake idle workers so the cancelled job's items drain promptly.
         self.job.queue.wake();
         let mut state = fault::lock(&self.job.state);
@@ -559,39 +549,45 @@ enum GdItemState {
     Resumed(Box<DescentState>),
 }
 
-/// What one dispatched queue entry does. `pos` is the item's planned
-/// position across the whole batch — the coordinate its result lands at,
-/// the index fault plans address, and the `item` a typed [`JobError`]
-/// reports.
+/// What one dispatched queue entry does.
 enum WorkItem {
     /// Plan the job on a worker: generate its per-network work items,
     /// consult the result cache, and enqueue the misses.
     Plan,
+    /// Run one planned work item (one segment of it, for a segmented
+    /// descent).
+    Run(Work),
+}
+
+/// One planned work item. `pos` is its planned position across the whole
+/// batch — the coordinate its result lands at, the index fault plans
+/// address, and the `item` a typed [`JobError`] reports.
+struct Work {
+    pos: usize,
+    net_index: usize,
+    /// Result-cache key, when the job has a cache and the item is
+    /// cacheable.
+    key: Option<CacheKey>,
+    task: Task,
+}
+
+/// The strategy-specific part of a [`Work`] item.
+enum Task {
     /// One (network, start point) gradient descent, run in bounded
     /// segments when [`GdConfig::segment_steps`] is set.
-    GdStart {
-        pos: usize,
-        net_index: usize,
+    Gd {
         start_index: usize,
         cfg: GdConfig,
         state: GdItemState,
-        key: Option<CacheKey>,
     },
     /// One (network, hardware design) random search.
-    RandomDesign {
-        pos: usize,
-        net_index: usize,
+    Random {
         design: RandomDesign,
         samples_per_hw: usize,
-        key: Option<CacheKey>,
     },
-    /// One network's whole BB-BO loop (`pos == net_index`: exactly one
-    /// item per network).
-    BayesNetwork {
-        net_index: usize,
-        cfg: BbboConfig,
-        key: Option<CacheKey>,
-    },
+    /// One network's whole BB-BO loop, run inline on its worker
+    /// (`pos == net_index`: exactly one item per network).
+    Bayes { cfg: BbboConfig },
 }
 
 /// One entry of the service's ready queue: the owning job plus what to do.
@@ -735,22 +731,19 @@ impl SearchService {
             .iter()
             .map(|_| ProgressCounters::new())
             .collect();
+        let stop = StopWord::new(request.deadline(), request.deadline_policy());
         let job = Arc::new(JobShared {
             id,
             request,
             rank,
             max_par,
             inflight: AtomicUsize::new(0),
-            cancel: AtomicBool::new(false),
-            halt: AtomicBool::new(false),
-            deadline_hit: AtomicBool::new(false),
-            submitted: Instant::now(),
+            stop,
             queue: Arc::clone(&self.shared.queue),
             progress,
             cache: self.shared.cache.clone(),
             stats: JobCounters::default(),
             exec: Mutex::new(ExecState::default()),
-            watchdog: Mutex::new(None),
             state: Mutex::new(JobState {
                 status: JobStatus::Queued,
                 results: None,
@@ -758,13 +751,6 @@ impl SearchService {
             }),
             done: Condvar::new(),
         });
-        // The deadline is measured from submission (queue time counts),
-        // so the watchdog starts now — the only per-job thread.
-        if let Some(deadline) = job.request.deadline() {
-            let watchdog_job = Arc::clone(&job);
-            let handle = std::thread::spawn(move || deadline_watchdog(&watchdog_job, deadline));
-            *fault::lock(&job.watchdog) = Some(handle);
-        }
         let handle = JobHandle {
             job: Arc::clone(&job),
         };
@@ -832,40 +818,15 @@ fn worker_loop(shared: Arc<ServiceShared>) {
     let _respawn = RespawnGuard {
         shared: Arc::clone(&shared),
     };
-    while let Some(entry) = shared.queue.pop() {
-        let QueueEntry { job, item } = entry;
-        run_item(&shared, &job, item);
+    while let Some(QueueEntry { job, item }) = shared.queue.pop() {
+        match item {
+            WorkItem::Plan => run_plan(&shared, &job),
+            WorkItem::Run(work) => run_work(&shared, &job, work),
+        }
         job.inflight.fetch_sub(1, Ordering::Relaxed);
         // The job dropped below its parallelism cap: its queued entries
         // may be eligible now.
         shared.queue.wake();
-    }
-}
-
-/// Execute one dispatched work item.
-fn run_item(shared: &Arc<ServiceShared>, job: &Arc<JobShared>, item: WorkItem) {
-    match item {
-        WorkItem::Plan => run_plan(shared, job),
-        WorkItem::GdStart {
-            pos,
-            net_index,
-            start_index,
-            cfg,
-            state,
-            key,
-        } => run_gd_item(shared, job, pos, net_index, start_index, cfg, state, key),
-        WorkItem::RandomDesign {
-            pos,
-            net_index,
-            design,
-            samples_per_hw,
-            key,
-        } => run_random_item(shared, job, pos, net_index, design, samples_per_hw, key),
-        WorkItem::BayesNetwork {
-            net_index,
-            cfg,
-            key,
-        } => run_bayes_item(shared, job, net_index, cfg, key),
     }
 }
 
@@ -874,7 +835,7 @@ fn run_item(shared: &Arc<ServiceShared>, job: &Arc<JobShared>, item: WorkItem) {
 struct JobPlan {
     slots: Vec<Option<(usize, Option<SearchResult>)>>,
     shapes: Vec<Option<CacheKey>>,
-    misses: Vec<WorkItem>,
+    misses: Vec<Work>,
 }
 
 /// The planning item: transition the job to `Running` (unless it was
@@ -914,39 +875,72 @@ fn run_plan(shared: &Arc<ServiceShared>, job: &Arc<JobShared>) {
             finish_job(shared, job);
         }
         Ok(plan) => {
-            let JobPlan {
-                slots,
-                shapes,
-                misses,
-            } = plan;
             // Commit the ledger before enqueueing anything: another
             // worker may pop and resolve a miss immediately.
             let fully_resolved = {
                 let mut exec = fault::lock(&job.exec);
-                exec.slots = slots;
-                exec.shapes = shapes;
-                exec.remaining = misses.len();
-                misses.is_empty()
+                exec.slots = plan.slots;
+                exec.shapes = plan.shapes;
+                exec.remaining = plan.misses.len();
+                plan.misses.is_empty()
             };
             if fully_resolved {
                 finish_job(shared, job);
             } else {
                 job.queue
-                    .push_all(misses.into_iter().map(|item| QueueEntry {
+                    .push_all(plan.misses.into_iter().map(|work| QueueEntry {
                         job: Arc::clone(job),
-                        item,
+                        item: WorkItem::Run(work),
                     }));
             }
         }
     }
 }
 
-/// Plan one job's work items according to its strategy.
+/// Plan one job: compute its per-network shape keys, let its strategy
+/// generate the work items in plan order, and consult the result cache
+/// per item. Hits land directly at their planned positions and never
+/// enter the queue; reassembling by position keeps the demultiplexed
+/// per-network order — and therefore every merged result bit — identical
+/// to a cold run regardless of which items hit.
 fn plan_job(job: &JobShared) -> JobPlan {
-    match job.request.strategy() {
-        Strategy::GradientDescent(cfg) => plan_gd(job, cfg),
+    let shapes: Vec<Option<CacheKey>> = job
+        .request
+        .networks()
+        .iter()
+        .map(|net| {
+            job.cache
+                .as_ref()
+                .map(|_| cache::network_shape_key(&job.request.hier, &net.layers))
+        })
+        .collect();
+    let items = match job.request.strategy() {
+        Strategy::GradientDescent(cfg) => plan_gd(job, cfg, &shapes),
         Strategy::Random(cfg) => plan_random(job, cfg),
         Strategy::BayesOpt(cfg) => plan_bayes(job, cfg),
+    };
+    job.stats
+        .work_items
+        .fetch_add(items.len(), Ordering::Relaxed);
+    let mut slots: Vec<Option<(usize, Option<SearchResult>)>> = Vec::with_capacity(items.len());
+    let mut misses: Vec<Work> = Vec::new();
+    for work in items {
+        debug_assert_eq!(work.pos, slots.len(), "items are planned in position order");
+        match consult_cache(job, work.key.as_ref()) {
+            Some(result) => {
+                replay_hit(job, work.net_index, &result);
+                slots.push(Some((work.net_index, Some((*result).clone()))));
+            }
+            None => {
+                slots.push(None);
+                misses.push(work);
+            }
+        }
+    }
+    JobPlan {
+        slots,
+        shapes,
+        misses,
     }
 }
 
@@ -954,15 +948,11 @@ fn plan_job(job: &JobShared) -> JobPlan {
 /// warm-start item) become independent work items. Start points are
 /// generated sequentially per network before any parallelism, exactly as
 /// the blocking path does — bit-parity with standalone runs hinges on
-/// it. Cache hits land directly at their planned positions and never
-/// enter the queue; reassembling by position keeps the demultiplexed
-/// per-network order — and therefore every merged result bit — identical
-/// to a cold run regardless of which items hit.
-fn plan_gd(job: &JobShared, cfg: &GdConfig) -> JobPlan {
+/// it.
+fn plan_gd(job: &JobShared, cfg: &GdConfig, shapes: &[Option<CacheKey>]) -> Vec<Work> {
     let request = &job.request;
     let hier = &request.hier;
     let mut items: Vec<(usize, usize, StartPoint, GdConfig, Option<CacheKey>)> = Vec::new();
-    let mut shapes: Vec<Option<CacheKey>> = Vec::new();
     for (net_index, net) in request.networks().iter().enumerate() {
         let mut net_cfg = *cfg;
         net_cfg.seed = request.network_seed(net_index);
@@ -982,17 +972,13 @@ fn plan_gd(job: &JobShared, cfg: &GdConfig) -> JobPlan {
             });
             items.push((net_index, start_index, start, net_cfg, key));
         }
-        let shape = job
-            .cache
-            .as_ref()
-            .map(|_| cache::network_shape_key(hier, &net.layers));
         // Warm start: seed one extra descent from the best cached
         // neighbor of this network's shape. The warm item is appended
         // *after* the regular starts at the first unused start index, so
         // every regular start's RNG stream and merge position is exactly
         // what a cold run produces.
         if request.warm_start() == WarmStart::NearestNeighbor {
-            if let (Some(cache), Some(shape)) = (&job.cache, &shape) {
+            if let (Some(cache), Some(shape)) = (&job.cache, &shapes[net_index]) {
                 if let Some(relaxed) = cache.warm_neighbor(shape, net.layers.len()) {
                     let key = cache::warm_item_key(
                         hier,
@@ -1008,90 +994,50 @@ fn plan_gd(job: &JobShared, cfg: &GdConfig) -> JobPlan {
                 }
             }
         }
-        shapes.push(shape);
     }
-    job.stats
-        .work_items
-        .fetch_add(items.len(), Ordering::Relaxed);
-
-    let mut slots: Vec<Option<(usize, Option<SearchResult>)>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    let mut misses: Vec<WorkItem> = Vec::new();
-    for (pos, (net_index, start_index, start, net_cfg, key)) in items.into_iter().enumerate() {
-        match consult_cache(job, key.as_ref()) {
-            Some(result) => {
-                replay_hit(job, net_index, &result);
-                slots[pos] = Some((net_index, Some((*result).clone())));
-            }
-            None => misses.push(WorkItem::GdStart {
+    items
+        .into_iter()
+        .enumerate()
+        .map(
+            |(pos, (net_index, start_index, start, net_cfg, key))| Work {
                 pos,
                 net_index,
-                start_index,
-                cfg: net_cfg,
-                state: GdItemState::Fresh(start),
                 key,
-            }),
-        }
-    }
-    JobPlan {
-        slots,
-        shapes,
-        misses,
-    }
+                task: Task::Gd {
+                    start_index,
+                    cfg: net_cfg,
+                    state: GdItemState::Fresh(start),
+                },
+            },
+        )
+        .collect()
 }
 
 /// Random-search planning: draw every network's hardware designs
 /// sequentially from its seed; each design is one work item searched by
-/// its own RNG stream. Cache consultation and positional reassembly
-/// mirror [`plan_gd`].
-fn plan_random(job: &JobShared, cfg: &RandomSearchConfig) -> JobPlan {
+/// its own RNG stream.
+fn plan_random(job: &JobShared, cfg: &RandomSearchConfig) -> Vec<Work> {
     let request = &job.request;
-    let hier = &request.hier;
-    let mut items: Vec<(usize, RandomDesign, Option<CacheKey>)> = Vec::new();
-    let mut shapes: Vec<Option<CacheKey>> = Vec::new();
+    let mut items: Vec<Work> = Vec::new();
     for (net_index, net) in request.networks().iter().enumerate() {
         let mut net_cfg = *cfg;
         net_cfg.seed = request.network_seed(net_index);
         for (design_index, design) in plan_random_designs(&net_cfg).into_iter().enumerate() {
-            let key = job
-                .cache
-                .as_ref()
-                .map(|_| cache::random_item_key(hier, &net.layers, &net_cfg, design_index));
-            items.push((net_index, design, key));
-        }
-        shapes.push(
-            job.cache
-                .as_ref()
-                .map(|_| cache::network_shape_key(hier, &net.layers)),
-        );
-    }
-    job.stats
-        .work_items
-        .fetch_add(items.len(), Ordering::Relaxed);
-
-    let mut slots: Vec<Option<(usize, Option<SearchResult>)>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    let mut misses: Vec<WorkItem> = Vec::new();
-    for (pos, (net_index, design, key)) in items.into_iter().enumerate() {
-        match consult_cache(job, key.as_ref()) {
-            Some(result) => {
-                replay_hit(job, net_index, &result);
-                slots[pos] = Some((net_index, Some((*result).clone())));
-            }
-            None => misses.push(WorkItem::RandomDesign {
-                pos,
+            let key = job.cache.as_ref().map(|_| {
+                cache::random_item_key(&request.hier, &net.layers, &net_cfg, design_index)
+            });
+            items.push(Work {
+                pos: items.len(),
                 net_index,
-                design,
-                samples_per_hw: cfg.samples_per_hw,
                 key,
-            }),
+                task: Task::Random {
+                    design,
+                    samples_per_hw: cfg.samples_per_hw,
+                },
+            });
         }
     }
-    JobPlan {
-        slots,
-        shapes,
-        misses,
-    }
+    items
 }
 
 /// BB-BO planning: the cacheable unit — and the work item — is the whole
@@ -1101,248 +1047,165 @@ fn plan_random(job: &JobShared, cfg: &RandomSearchConfig) -> JobPlan {
 /// every result is bit-identical to the sequential order the pre-pool
 /// service used); the GP loop *within* a network stays sequential on its
 /// worker.
-fn plan_bayes(job: &JobShared, cfg: &BbboConfig) -> JobPlan {
+fn plan_bayes(job: &JobShared, cfg: &BbboConfig) -> Vec<Work> {
     let request = &job.request;
-    let hier = &request.hier;
-    let networks = request.networks().len();
-    job.stats.work_items.fetch_add(networks, Ordering::Relaxed);
-    let mut slots: Vec<Option<(usize, Option<SearchResult>)>> = Vec::with_capacity(networks);
-    slots.resize_with(networks, || None);
-    let mut shapes: Vec<Option<CacheKey>> = Vec::new();
-    let mut misses: Vec<WorkItem> = Vec::new();
-    for (net_index, net) in request.networks().iter().enumerate() {
-        let mut net_cfg = *cfg;
-        net_cfg.seed = request.network_seed(net_index);
-        let key = job
-            .cache
-            .as_ref()
-            .map(|_| cache::bayes_network_key(hier, &net.layers, &net_cfg));
-        shapes.push(
-            job.cache
+    request
+        .networks()
+        .iter()
+        .enumerate()
+        .map(|(net_index, net)| {
+            let mut net_cfg = *cfg;
+            net_cfg.seed = request.network_seed(net_index);
+            let key = job
+                .cache
                 .as_ref()
-                .map(|_| cache::network_shape_key(hier, &net.layers)),
-        );
-        match consult_cache(job, key.as_ref()) {
-            Some(result) => {
-                replay_hit(job, net_index, &result);
-                slots[net_index] = Some((net_index, Some((*result).clone())));
-            }
-            None => misses.push(WorkItem::BayesNetwork {
+                .map(|_| cache::bayes_network_key(&request.hier, &net.layers, &net_cfg));
+            Work {
+                pos: net_index,
                 net_index,
-                cfg: net_cfg,
                 key,
-            }),
-        }
-    }
-    JobPlan {
-        slots,
-        shapes,
-        misses,
-    }
+                task: Task::Bayes { cfg: net_cfg },
+            }
+        })
+        .collect()
 }
 
-/// What one GD segment dispatch produced.
+/// What one work-item dispatch produced.
 enum SegmentOutcome {
-    /// The descent ran to its budget (or its cancel boundary).
+    /// The item ran to its budget (or its cancel boundary).
     Finished(SearchResult),
-    /// The segment budget expired with steps remaining: re-enqueue.
-    Yielded(Box<DescentState>),
+    /// A GD segment budget expired with steps remaining: re-enqueue the
+    /// task, which now carries the checkpoint.
+    Yielded(Task),
     /// A rounding checkpoint's reference EDP went NaN at this step.
     NonFinite(usize),
 }
 
-/// One GD work-item dispatch: run one segment (the whole descent when
-/// [`GdConfig::segment_steps`] is `None`) and either resolve the item,
-/// re-enqueue its checkpoint, or record its typed failure. The surrogate
-/// is rebuilt per dispatch from the request — cheap, and bit-exact
-/// because the checkpoint carries every stateful part of the descent.
-#[allow(clippy::too_many_arguments)]
-fn run_gd_item(
-    shared: &Arc<ServiceShared>,
-    job: &Arc<JobShared>,
-    pos: usize,
-    net_index: usize,
-    start_index: usize,
-    cfg: GdConfig,
-    state: GdItemState,
-    key: Option<CacheKey>,
-) {
+/// One work-item dispatch, whatever the strategy: evaluate the deadline,
+/// skip the item if a `Degrade` deadline halted the job before it took a
+/// step, otherwise run its task inside the item's unwind boundary and
+/// either resolve the item, re-enqueue its checkpoint, or record its
+/// typed failure.
+fn run_work(shared: &Arc<ServiceShared>, job: &Arc<JobShared>, work: Work) {
+    let Work {
+        pos,
+        net_index,
+        key,
+        task,
+    } = work;
+    job.stop.poll_deadline();
     // Degrade skips only items that have not taken a single step; a
     // checkpointed item is in flight and finishes bit-exactly, which is
     // what keeps the merged history a bitwise prefix of the full run.
-    if job.halt.load(Ordering::Relaxed) && matches!(state, GdItemState::Fresh(_)) {
+    let started = matches!(
+        task,
+        Task::Gd {
+            state: GdItemState::Resumed(_),
+            ..
+        }
+    );
+    if job.stop.halted() && !started {
         resolve_item(shared, job, pos, net_index, None);
         return;
     }
     job.stats.segments_run.fetch_add(1, Ordering::Relaxed);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let net = &job.request.networks()[net_index];
-        let (loss, _) =
-            build_surrogate(&job.request.surrogate, &net.layers, &job.request.hier, &cfg);
-        let mut ctrl = network_ctrl(job, net_index);
-        ctrl.force_non_finite = apply_fault(job, pos);
-        let mut descent = match state {
-            GdItemState::Fresh(start) => Box::new(DescentState::begin(
-                &*loss,
-                start.relaxed,
-                start_index,
-                &cfg,
-            )),
-            GdItemState::Resumed(checkpoint) => checkpoint,
-        };
-        let budget = cfg.segment_steps.unwrap_or(usize::MAX);
-        match run_segment(&*loss, &mut descent, &cfg, ctrl, budget) {
-            Ok(true) => SegmentOutcome::Finished(descent.into_result()),
-            Ok(false) => SegmentOutcome::Yielded(descent),
-            Err(nf) => SegmentOutcome::NonFinite(nf.step),
-        }
-    }));
-    match outcome {
+    let err = match catch_unwind(AssertUnwindSafe(|| run_task(job, pos, net_index, task))) {
         Ok(SegmentOutcome::Finished(result)) => {
-            // Journal only a descent that completed un-cancelled: a
-            // partial result must never be replayable.
-            if !job.cancel.load(Ordering::Relaxed) {
+            // Journal only an item that completed un-cancelled: a partial
+            // result must never be replayable.
+            if !job.stop.stopping() {
                 if let (Some(cache), Some(key)) = (&job.cache, key) {
                     let shape = fault::lock(&job.exec).shapes[net_index].clone();
                     cache.journal(key, shape.as_ref(), &result);
                 }
             }
             resolve_item(shared, job, pos, net_index, Some(result));
+            return;
         }
-        Ok(SegmentOutcome::Yielded(checkpoint)) => {
+        Ok(SegmentOutcome::Yielded(task)) => {
+            let work = Work {
+                pos,
+                net_index,
+                key,
+                task,
+            };
             job.queue.push(QueueEntry {
                 job: Arc::clone(job),
-                item: WorkItem::GdStart {
-                    pos,
-                    net_index,
-                    start_index,
-                    cfg,
-                    state: GdItemState::Resumed(checkpoint),
-                    key,
-                },
+                item: WorkItem::Run(work),
             });
+            return;
         }
-        Ok(SegmentOutcome::NonFinite(step)) => {
-            record_item_error(job, pos, JobError::NonFiniteLoss { item: pos, step });
-            resolve_item(shared, job, pos, net_index, None);
-        }
-        Err(payload) => {
-            record_item_error(
-                job,
-                pos,
-                JobError::WorkerPanic {
-                    item: pos,
-                    payload: payload_string(payload),
-                },
-            );
-            resolve_item(shared, job, pos, net_index, None);
-        }
-    }
+        Ok(SegmentOutcome::NonFinite(step)) => JobError::NonFiniteLoss { item: pos, step },
+        Err(payload) => JobError::WorkerPanic {
+            item: pos,
+            payload: payload_string(payload),
+        },
+    };
+    record_item_error(job, pos, err);
+    resolve_item(shared, job, pos, net_index, None);
 }
 
-/// One random-search work-item dispatch.
-fn run_random_item(
-    shared: &Arc<ServiceShared>,
-    job: &Arc<JobShared>,
-    pos: usize,
-    net_index: usize,
-    design: RandomDesign,
-    samples_per_hw: usize,
-    key: Option<CacheKey>,
-) {
-    if job.halt.load(Ordering::Relaxed) {
-        resolve_item(shared, job, pos, net_index, None);
-        return;
-    }
-    job.stats.segments_run.fetch_add(1, Ordering::Relaxed);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        apply_fault(job, pos);
-        let net = &job.request.networks()[net_index];
-        run_random_design(
-            &net.layers,
-            &job.request.hier,
+/// Run one task on this worker: apply the item's injected fault, then the
+/// strategy's body. Random designs and BB-BO networks always finish in
+/// one dispatch.
+fn run_task(job: &JobShared, pos: usize, net_index: usize, task: Task) -> SegmentOutcome {
+    let mut ctrl = network_ctrl(job, net_index);
+    ctrl.force_non_finite = apply_fault(job, pos);
+    let layers = &job.request.networks()[net_index].layers;
+    let hier = &job.request.hier;
+    match task {
+        Task::Gd {
+            start_index,
+            cfg,
+            state,
+        } => run_gd_segment(job, layers, start_index, cfg, state, ctrl),
+        Task::Random {
+            design,
+            samples_per_hw,
+        } => SegmentOutcome::Finished(run_random_design(
+            layers,
+            hier,
             &design,
             samples_per_hw,
-            network_ctrl(job, net_index),
-        )
-    }));
-    match outcome {
-        Ok(result) => {
-            if !job.cancel.load(Ordering::Relaxed) {
-                if let (Some(cache), Some(key)) = (&job.cache, key) {
-                    let shape = fault::lock(&job.exec).shapes[net_index].clone();
-                    cache.journal(key, shape.as_ref(), &result);
-                }
-            }
-            resolve_item(shared, job, pos, net_index, Some(result));
-        }
-        Err(payload) => {
-            record_item_error(
-                job,
-                pos,
-                JobError::WorkerPanic {
-                    item: pos,
-                    payload: payload_string(payload),
-                },
-            );
-            resolve_item(shared, job, pos, net_index, None);
+            ctrl,
+        )),
+        Task::Bayes { cfg } => {
+            SegmentOutcome::Finished(run_bayesian_search(layers, hier, &cfg, ctrl))
         }
     }
 }
 
-/// One BB-BO work-item dispatch: the network's whole outer GP loop, run
-/// inline on this worker (the worker itself is the pool's unit of
-/// parallelism). A degrade deadline resolves a not-yet-started network
-/// as empty, exactly as the pre-pool sequential loop did.
-fn run_bayes_item(
-    shared: &Arc<ServiceShared>,
-    job: &Arc<JobShared>,
-    net_index: usize,
-    cfg: BbboConfig,
-    key: Option<CacheKey>,
-) {
-    if job.halt.load(Ordering::Relaxed) {
-        resolve_item(
-            shared,
-            job,
-            net_index,
-            net_index,
-            Some(SearchResult::empty()),
-        );
-        return;
-    }
-    job.stats.segments_run.fetch_add(1, Ordering::Relaxed);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        apply_fault(job, net_index);
-        let net = &job.request.networks()[net_index];
-        run_bayesian_search(
-            &net.layers,
-            &job.request.hier,
+/// One GD dispatch: run one segment (the whole descent when
+/// [`GdConfig::segment_steps`] is `None`). The surrogate is rebuilt per
+/// dispatch from the request — cheap, and bit-exact because the
+/// checkpoint carries every stateful part of the descent.
+fn run_gd_segment(
+    job: &JobShared,
+    layers: &[Layer],
+    start_index: usize,
+    cfg: GdConfig,
+    state: GdItemState,
+    ctrl: StartControl<'_>,
+) -> SegmentOutcome {
+    let (loss, _) = build_surrogate(&job.request.surrogate, layers, &job.request.hier, &cfg);
+    let mut descent = match state {
+        GdItemState::Fresh(start) => Box::new(DescentState::begin(
+            &*loss,
+            start.relaxed,
+            start_index,
             &cfg,
-            network_ctrl(job, net_index),
-        )
-    }));
-    match outcome {
-        Ok(result) => {
-            if !job.cancel.load(Ordering::Relaxed) {
-                if let (Some(cache), Some(key)) = (&job.cache, key) {
-                    let shape = fault::lock(&job.exec).shapes[net_index].clone();
-                    cache.journal(key, shape.as_ref(), &result);
-                }
-            }
-            resolve_item(shared, job, net_index, net_index, Some(result));
-        }
-        Err(payload) => {
-            record_item_error(
-                job,
-                net_index,
-                JobError::WorkerPanic {
-                    item: net_index,
-                    payload: payload_string(payload),
-                },
-            );
-            resolve_item(shared, job, net_index, net_index, None);
-        }
+        )),
+        GdItemState::Resumed(checkpoint) => checkpoint,
+    };
+    let budget = cfg.segment_steps.unwrap_or(usize::MAX);
+    match run_segment(&*loss, &mut descent, &cfg, ctrl, budget) {
+        Ok(true) => SegmentOutcome::Finished(descent.into_result()),
+        Ok(false) => SegmentOutcome::Yielded(Task::Gd {
+            start_index,
+            cfg,
+            state: GdItemState::Resumed(descent),
+        }),
+        Err(nf) => SegmentOutcome::NonFinite(nf.step),
     }
 }
 
@@ -1384,6 +1247,9 @@ fn resolve_item(
 /// boundary so a defect there fails this job typed instead of hanging
 /// its waiters.
 fn finish_job(shared: &Arc<ServiceShared>, job: &Arc<JobShared>) {
+    // The deadline's last check point: a job still running when it passed
+    // ends as its policy says, as if an item had caught it.
+    job.stop.poll_deadline();
     let (slots, first_error) = {
         let mut exec = fault::lock(&job.exec);
         (std::mem::take(&mut exec.slots), exec.first_error.take())
@@ -1416,7 +1282,7 @@ fn finish_job(shared: &Arc<ServiceShared>, job: &Arc<JobShared>) {
                 .collect();
             BatchResult {
                 networks,
-                degraded: job.halt.load(Ordering::Relaxed),
+                degraded: job.stop.halted(),
             }
         }))
         .map_err(|payload| JobError::RunnerPanic {
@@ -1428,17 +1294,13 @@ fn finish_job(shared: &Arc<ServiceShared>, job: &Arc<JobShared>) {
         if !state.status.is_terminal() {
             let (status, results, error) = match outcome {
                 Err(err) => (JobStatus::Failed, None, Some(err)),
-                Ok(results) => {
-                    if job.cancel.load(Ordering::Relaxed) {
-                        if job.deadline_hit.load(Ordering::Relaxed) {
-                            (JobStatus::Failed, None, Some(JobError::DeadlineExceeded))
-                        } else {
-                            (JobStatus::Cancelled, Some(results), None)
-                        }
-                    } else {
-                        (JobStatus::Completed, Some(results), None)
-                    }
+                Ok(_) if job.stop.killed() => {
+                    (JobStatus::Failed, None, Some(JobError::DeadlineExceeded))
                 }
+                Ok(results) if job.stop.user_cancelled() => {
+                    (JobStatus::Cancelled, Some(results), None)
+                }
+                Ok(results) => (JobStatus::Completed, Some(results), None),
             };
             state.status = status;
             state.results = results;
@@ -1449,56 +1311,12 @@ fn finish_job(shared: &Arc<ServiceShared>, job: &Arc<JobShared>) {
     retire_job(shared, job);
 }
 
-/// Post-terminal bookkeeping: join the deadline watchdog (it wakes on
-/// the terminal notification) and drop the job from the service's live
-/// list.
+/// Post-terminal bookkeeping: drop the job from the service's live list.
 fn retire_job(shared: &Arc<ServiceShared>, job: &Arc<JobShared>) {
-    let watchdog = fault::lock(&job.watchdog).take();
-    if let Some(watchdog) = watchdog {
-        let _ = watchdog.join();
-    }
     fault::lock(&shared.live).retain(|j| j.id != job.id);
 }
 
-/// The per-job deadline watchdog: sleeps on the job's `done` condvar
-/// until the deadline (measured from **submission**, so queue time
-/// counts) or the job's terminal state, whichever comes first. At the
-/// deadline it applies the request's [`DeadlinePolicy`] *while holding
-/// the state lock*, so it can never race the terminal transition: a job
-/// already terminal is left untouched, and a job the watchdog flags
-/// observes those flags when the finishing worker takes the same lock to
-/// decide its terminal state.
-fn deadline_watchdog(job: &JobShared, deadline: std::time::Duration) {
-    let due = job.submitted + deadline;
-    let mut state = fault::lock(&job.state);
-    loop {
-        if state.status.is_terminal() {
-            return;
-        }
-        let now = Instant::now();
-        if now >= due {
-            break;
-        }
-        state = fault::wait_timeout(&job.done, state, due - now);
-    }
-    match job.request.deadline_policy() {
-        DeadlinePolicy::Kill => {
-            // A user cancel that already won stays a cancel; otherwise
-            // `deadline_hit` is published before `cancel` so the finish
-            // can only ever observe them together.
-            if !job.cancel.load(Ordering::Relaxed) {
-                job.deadline_hit.store(true, Ordering::Relaxed);
-                job.cancel.store(true, Ordering::Relaxed);
-            }
-        }
-        DeadlinePolicy::Degrade => job.halt.store(true, Ordering::Relaxed),
-    }
-    drop(state);
-    // Wake idle workers so the expired job's queued items drain promptly.
-    job.queue.wake();
-}
-
-/// Instantiate the surrogate for one network, returning the loss the
+/// Build the surrogate for one network, returning the loss the
 /// descents run on and the [`LossOptions`] its start-point generation
 /// predicts with. The `Edp` and `PredictedLatency` arms mirror what the
 /// blocking shims have always done, which is what keeps a batched
@@ -1547,7 +1365,7 @@ fn build_surrogate<'a>(
 /// The per-network cancellation/progress control surface of `job`.
 fn network_ctrl(job: &JobShared, net_index: usize) -> StartControl<'_> {
     StartControl {
-        cancel: Some(&job.cancel),
+        stop: &job.stop,
         progress: Some(&job.progress[net_index]),
         force_non_finite: false,
     }
@@ -1735,6 +1553,37 @@ mod tests {
             let result = h.wait().unwrap(); // must not hang
             assert!(h.status().is_terminal());
             assert_eq!(result.networks.len(), 1);
+        }
+    }
+
+    /// A deadline past the clock's range (`submitted + Duration::MAX`
+    /// overflows) means "never": `submit()` neither panics nor rejects,
+    /// and under either policy the job completes bit-identically to the
+    /// same request without a deadline.
+    #[test]
+    fn a_duration_max_deadline_never_expires_and_changes_no_bit() {
+        use crate::fault::DeadlinePolicy;
+        use std::time::Duration;
+        let service = SearchService::builder().threads(2).build();
+        let plain = service
+            .submit(tiny_request(3))
+            .unwrap()
+            .wait()
+            .unwrap()
+            .into_single();
+        for policy in [DeadlinePolicy::Kill, DeadlinePolicy::Degrade] {
+            let mut request = tiny_request(3);
+            request.deadline = Some(Duration::MAX);
+            request.deadline_policy = policy;
+            let job = service.submit(request).unwrap();
+            let batch = job.wait().unwrap();
+            assert_eq!(job.status(), JobStatus::Completed, "{policy:?}");
+            assert!(!batch.degraded, "{policy:?}");
+            let result = batch.into_single();
+            assert_eq!(result.best_edp.to_bits(), plain.best_edp.to_bits());
+            assert_eq!(result.best_hw, plain.best_hw);
+            assert_eq!(result.history, plain.history);
+            assert_eq!(result.samples, plain.samples);
         }
     }
 

@@ -2,16 +2,18 @@
 //! interleaving of cancellation, deadlines (both policies), and injected
 //! faults, a job must either fail with a typed [`JobError`] or return
 //! per-network histories that stay strictly monotone (sample counts
-//! strictly increasing, best EDP non-increasing) and are **bitwise
-//! prefixes** of the same request's uninterrupted run. When the chaos is
+//! strictly increasing, best EDP non-increasing) and, unless a user
+//! cancel cut items short, are **bitwise prefixes** of the same request's
+//! uninterrupted run. When the chaos is
 //! benign (delays only, nothing expired, nothing cancelled), the result
 //! must be bit-identical — the fault hook is a guaranteed no-op. A
 //! deterministic test pins each fault kind's exact typed outcome.
 
 use dosa_accel::Hierarchy;
 use dosa_search::{
-    dosa_search, DeadlinePolicy, FaultKind, FaultPlan, GdConfig, JobError, JobStatus, SearchPoint,
-    SearchRequest, SearchRequestBuilder, SearchResult, SearchService,
+    bayesian_search, dosa_search, random_search, BbboConfig, DeadlinePolicy, FaultKind, FaultPlan,
+    GdConfig, JobError, JobStatus, RandomSearchConfig, SearchPoint, SearchRequest,
+    SearchRequestBuilder, SearchResult, SearchService, Strategy,
 };
 use dosa_workload::{Layer, Problem};
 use proptest::prelude::*;
@@ -107,7 +109,8 @@ proptest! {
     /// deadline, and cancellation the case throws at a job, the outcome
     /// is either a typed failure (with `status() == Failed` and the error
     /// retrievable) or a batch whose surviving per-network histories are
-    /// strictly monotone bitwise prefixes of the uninterrupted run.
+    /// strictly monotone and, unless the job was cancelled, bitwise
+    /// prefixes of the uninterrupted run.
     #[test]
     fn chaos_outcomes_are_typed_or_bitwise_prefixes(
         seed in 0u64..64,
@@ -180,7 +183,7 @@ proptest! {
             }
             Ok(batch) => {
                 // No fatal fault fired before the job wrapped up: every
-                // network survives with a monotone bitwise prefix.
+                // network survives with a monotone history.
                 prop_assert!(chaos.error().is_none());
                 if cancel_kind == 0 {
                     // Nobody cancelled: only a Degrade expiry may stop a
@@ -191,7 +194,15 @@ proptest! {
                     let survivor = batch.get(name).expect("every network reports a result");
                     let full = reference.get(name).expect("reference has every network");
                     assert_strictly_monotone(&survivor.history, name);
-                    assert_bitwise_prefix(survivor, full, name);
+                    if chaos.status() == JobStatus::Cancelled {
+                        // A cancel stops items mid-descent: later items'
+                        // sample offsets shift and the final record lands
+                        // at a partial count, so the contract is partial
+                        // and monotone, not a prefix.
+                        prop_assert!(survivor.samples <= full.samples);
+                    } else {
+                        assert_bitwise_prefix(survivor, full, name);
+                    }
                 }
                 // Benign chaos (delays at most, nothing truncated the
                 // run): the fault hook must have been a bit-exact no-op.
@@ -282,9 +293,33 @@ fn gemm_request(seed: u64) -> SearchRequestBuilder {
         .config(tiny_cfg(seed))
 }
 
+/// A single-design random search: its one work item is the one a fault
+/// plan holds at position 0.
+fn tiny_random(seed: u64) -> RandomSearchConfig {
+    RandomSearchConfig {
+        num_hw: 1,
+        samples_per_hw: 30,
+        seed,
+    }
+}
+
+fn tiny_bayes(seed: u64) -> BbboConfig {
+    BbboConfig {
+        num_hw: 3,
+        init_random: 2,
+        samples_per_hw: 6,
+        candidates: 10,
+        seed,
+    }
+}
+
 /// Bit-level equality against the blocking shim's result.
 fn assert_matches_solo(result: &SearchResult, seed: u64, what: &str) {
     let solo = dosa_search(&gemm(), &Hierarchy::gemmini(), &tiny_cfg(seed));
+    assert_bits_eq(result, &solo, what);
+}
+
+fn assert_bits_eq(result: &SearchResult, solo: &SearchResult, what: &str) {
     assert_eq!(result.best_edp.to_bits(), solo.best_edp.to_bits(), "{what}");
     assert_eq!(result.best_hw, solo.best_hw, "{what}");
     assert_eq!(result.samples, solo.samples, "{what}");
@@ -300,7 +335,9 @@ fn assert_matches_solo(result: &SearchResult, seed: u64, what: &str) {
 ///     item: 0, step: 1 }`;
 /// (c) a default (`Kill`) deadline that expires while item 0 is held by
 ///     a `Delay` fails with `DeadlineExceeded`, and a concurrent sibling
-///     stays bit-identical to its solo run;
+///     stays bit-identical to its solo run — for a GD job, and for a
+///     random-search and a BB-BO job, whose per-sample check must stop
+///     their one held item before it draws a single sample;
 /// (d) an empty `FaultPlan` changes no result bit.
 #[test]
 fn each_fault_kind_fails_typed_and_spares_its_siblings() {
@@ -343,7 +380,7 @@ fn each_fault_kind_fails_typed_and_spares_its_siblings() {
     assert_eq!(err, JobError::NonFiniteLoss { item: 0, step: 1 });
 
     // (c) Kill deadline under load: item 0 sleeps far past the deadline,
-    // so the job cannot finish before the watchdog fires.
+    // so the job cannot finish before its deadline passes.
     let killed = service
         .submit(
             gemm_request(14)
@@ -357,6 +394,60 @@ fn each_fault_kind_fails_typed_and_spares_its_siblings() {
     assert_eq!(killed.status(), JobStatus::Failed);
     let sibling = sibling.wait().unwrap().into_single();
     assert_matches_solo(&sibling, 15, "sibling of a deadline-killed job");
+
+    // ... and the black-box strategies, where the held item's per-sample
+    // check is what notices the deadline once the delay ends.
+    let hier = Hierarchy::gemmini();
+    let black_box = [
+        (
+            Strategy::Random(tiny_random(17)),
+            Strategy::Random(tiny_random(18)),
+            random_search(&gemm(), &hier, &tiny_random(18)),
+        ),
+        (
+            Strategy::BayesOpt(tiny_bayes(19)),
+            Strategy::BayesOpt(tiny_bayes(20)),
+            bayesian_search(&gemm(), &hier, &tiny_bayes(20)),
+        ),
+    ];
+    for (strategy, sibling_strategy, solo) in black_box {
+        let what = format!("{strategy:?}");
+        let killed = service
+            .submit(
+                SearchRequest::builder(hier.clone())
+                    .network("gemm", gemm())
+                    .strategy(strategy)
+                    .fault_plan(FaultPlan::new().inject(0, FaultKind::Delay(1_000)))
+                    .deadline(Duration::from_millis(200))
+                    .build(),
+            )
+            .unwrap();
+        let sibling = service
+            .submit(
+                SearchRequest::builder(hier.clone())
+                    .network("gemm", gemm())
+                    .strategy(sibling_strategy)
+                    .build(),
+            )
+            .unwrap();
+        assert_eq!(
+            killed.wait().unwrap_err(),
+            JobError::DeadlineExceeded,
+            "{what}"
+        );
+        assert_eq!(killed.status(), JobStatus::Failed, "{what}");
+        assert_eq!(
+            killed.progress().total_samples(),
+            0,
+            "{what}: the per-sample check must stop the held item before its first sample"
+        );
+        let sibling = sibling.wait().unwrap().into_single();
+        assert_bits_eq(
+            &sibling,
+            &solo,
+            &format!("sibling of a deadline-killed {what}"),
+        );
+    }
 
     // (d) An installed but empty plan is a bit-exact no-op.
     let empty = service

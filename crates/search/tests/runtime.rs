@@ -1,13 +1,14 @@
 //! Stress tests of the persistent worker runtime: randomized job mixes
 //! on 1/2/4/8-slot pools must hold the three pool invariants — the live
-//! OS-thread count never exceeds `slots + jobs-with-watchdogs + const`
-//! (workers are spawned once per service, never per job or per fan-out),
-//! every uninterrupted job's per-network result stays bit-identical to
-//! its standalone run, and no admitted entry waits more dispatches than
-//! the computable aging budget. Plus the starvation regression the aging
-//! rank rule exists for: a `Fifo` job survives a continuous stream of
-//! `Priority(0)` traffic that would park it forever under the pre-aging
-//! rule.
+//! OS-thread count never exceeds `slots + const` (workers are spawned
+//! once per service, never per job, per deadline, or per fan-out), every
+//! uninterrupted job's per-network result stays bit-identical to its
+//! standalone run, and no admitted entry waits more dispatches than the
+//! computable aging budget. A deterministic test holds the same ceiling
+//! under 100 deadline-armed jobs. Plus the starvation regression the
+//! aging rank rule exists for: a `Fifo` job survives a continuous stream
+//! of `Priority(0)` traffic that would park it forever under the
+//! pre-aging rule.
 //!
 //! The thread-count probes read the process-wide `Threads:` line of
 //! `/proc/self/status`, so every test in this binary serializes on one
@@ -49,6 +50,11 @@ fn live_threads() -> usize {
         .parse()
         .expect("Threads: row is a count")
 }
+
+/// Threads a probe may see beyond `baseline + slots`: the cargo-test
+/// harness's own bookkeeping threads and a worker respawn transiently
+/// overlapping the thread it replaces — never per-job or per-item growth.
+const SLACK: usize = 4;
 
 fn matmul_net() -> Vec<Layer> {
     vec![Layer::once(Problem::matmul("gemm", 64, 256, 256).unwrap())]
@@ -144,15 +150,11 @@ impl JobSpec {
     }
 
     /// Chaos decode, weighted toward "none" so most jobs stay eligible
-    /// for the bit-parity assertion: 0–5 none, 6 a watchdog-armed but
-    /// never-firing Degrade deadline, 7 a mid-run cancel, 8–9 benign
-    /// injected delays (the fault hook must be a bit-exact no-op).
+    /// for the bit-parity assertion: 0–5 none, 6 a never-firing Degrade
+    /// deadline, 7 a mid-run cancel, 8–9 benign injected delays (the
+    /// fault hook must be a bit-exact no-op).
     fn cancels(&self) -> bool {
         self.chaos == 7
-    }
-
-    fn has_watchdog(&self) -> bool {
-        self.chaos == 6
     }
 
     fn build(&self, hier: &Hierarchy) -> SearchRequest {
@@ -162,10 +164,10 @@ impl JobSpec {
             .policy(self.policy());
         match self.chaos {
             6 => {
-                // Watchdog coverage without truncation: a Degrade
-                // deadline far beyond the job's runtime arms the
-                // watchdog thread (counted by the ceiling) but never
-                // fires, so bit-parity still applies.
+                // Deadline coverage without truncation: a Degrade
+                // deadline far beyond the job's runtime is checked at
+                // every dispatch but never fires, so bit-parity still
+                // applies.
                 builder = builder
                     .deadline(Duration::from_secs(300))
                     .deadline_policy(DeadlinePolicy::Degrade);
@@ -188,15 +190,15 @@ proptest! {
 
     /// The three pool invariants under randomized load. For every drawn
     /// mix of strategies (GD at every segment length, random, BB-BO),
-    /// policies (`Fifo`/`ShortestFirst`/`Priority(p)`), watchdog-armed
+    /// policies (`Fifo`/`ShortestFirst`/`Priority(p)`), never-firing
     /// deadlines, cancels, and benign injected delays, on a 1/2/4/8-slot
     /// pool:
     ///
     /// 1. **Thread ceiling** — at every sample the process grew by at
-    ///    most `slots + jobs-with-watchdogs + SLACK` threads over the
-    ///    pre-service baseline. Workers are spawned once at construction;
-    ///    admitting a job, fanning out its items, or resuming a segment
-    ///    spawns nothing (vs. O(jobs × starts) under spawn-per-fan-out).
+    ///    most `slots + SLACK` threads over the pre-service baseline.
+    ///    Workers are spawned once at construction; admitting a job,
+    ///    arming its deadline, fanning out its items, or resuming a
+    ///    segment spawns nothing.
     /// 2. **Bit-parity** — every job nobody cancelled returns results
     ///    bit-identical to its standalone run, whatever interleaving,
     ///    policy mix, segment length, or benign delay the case drew.
@@ -233,12 +235,7 @@ proptest! {
             .collect();
 
         let baseline = live_threads();
-        let watchdogs = jobs.iter().filter(|s| s.has_watchdog()).count();
-        // SLACK covers the cargo-test harness's own bookkeeping threads
-        // and a worker respawn transiently overlapping the thread it
-        // replaces — never per-job or per-item growth.
-        const SLACK: usize = 4;
-        let ceiling = baseline + slots + watchdogs + SLACK;
+        let ceiling = baseline + slots + SLACK;
 
         let service = SearchService::builder().threads(slots).build();
         let handles: Vec<_> = jobs
@@ -259,7 +256,7 @@ proptest! {
             prop_assert!(
                 now <= ceiling,
                 "{now} live threads > ceiling {ceiling} (baseline {baseline}, \
-                 {slots} slots, {watchdogs} watchdogs)"
+                 {slots} slots)"
             );
             if handles.iter().all(|h| h.status().is_terminal()) {
                 break;
@@ -304,6 +301,74 @@ proptest! {
                 "job {i} waited {wait} dispatches > aging budget {budget}"
             );
         }
+    }
+}
+
+/// Deadlines cost no threads: 100 jobs with far-future deadlines (half
+/// `Kill`, half `Degrade`) on a 2-slot service never push the process
+/// past `baseline + 2 + SLACK` live threads, and every job — its deadline
+/// checked at each dispatch and, under `Kill`, at each gradient step —
+/// completes bit-identically to its standalone run. A thread per
+/// deadline-armed job would put ~100 threads over that ceiling.
+#[test]
+fn a_hundred_deadline_armed_jobs_add_no_threads() {
+    let _guard = serial_guard();
+    let hier = Hierarchy::gemmini();
+    const JOBS: u64 = 100;
+    const SLOTS: usize = 2;
+    let cfg = |seed: u64| GdConfig {
+        start_points: 1,
+        steps_per_start: 10,
+        round_every: 5,
+        seed,
+        ..GdConfig::default()
+    };
+    // Standalone references first, so their transient service threads
+    // are gone before the baseline is captured.
+    let references: Vec<SearchResult> = (0..JOBS)
+        .map(|seed| dosa_search(&matmul_net(), &hier, &cfg(seed)))
+        .collect();
+
+    let baseline = live_threads();
+    let ceiling = baseline + SLOTS + SLACK;
+    let service = SearchService::builder().threads(SLOTS).build();
+    let handles: Vec<_> = (0..JOBS)
+        .map(|seed| {
+            let policy = if seed % 2 == 0 {
+                DeadlinePolicy::Kill
+            } else {
+                DeadlinePolicy::Degrade
+            };
+            let request = SearchRequest::builder(hier.clone())
+                .network("gemm", matmul_net())
+                .config(cfg(seed))
+                .deadline(Duration::from_secs(3_600))
+                .deadline_policy(policy)
+                .build();
+            service.submit(request).expect("request validates")
+        })
+        .collect();
+
+    let mut peak = live_threads();
+    while !handles.iter().all(|h| h.status().is_terminal()) {
+        peak = peak.max(live_threads());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        peak <= ceiling,
+        "{peak} live threads > ceiling {ceiling} (baseline {baseline}, {SLOTS} slots) \
+         with {JOBS} deadline-armed jobs"
+    );
+
+    for (seed, (handle, reference)) in handles.iter().zip(&references).enumerate() {
+        let batch = handle.wait().expect("a far-future deadline never fires");
+        assert_eq!(handle.status(), JobStatus::Completed);
+        assert!(!batch.degraded, "job {seed}: the deadline must never fire");
+        assert_bit_identical(
+            batch.get("gemm").expect("network present"),
+            reference,
+            &format!("deadline-armed job {seed}"),
+        );
     }
 }
 
