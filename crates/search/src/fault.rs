@@ -196,8 +196,11 @@ impl StopWord {
         }
     }
 
-    /// Record a user cancel.
+    /// Record a user cancel. A deadline that has already passed lands
+    /// first, so wall-clock order — not whether a check point happened to
+    /// run in between — decides a race between a cancel and a `Kill`.
     pub(crate) fn cancel(&self) {
+        self.poll_deadline();
         self.bits.fetch_or(CANCELLED, Ordering::Relaxed);
     }
 
@@ -414,8 +417,17 @@ mod tests {
         kill.cancel();
         assert!(kill.killed(), "a later cancel cannot undo a kill");
 
-        let cancelled = StopWord::new(expired, DeadlinePolicy::Kill);
+        let late = StopWord::new(expired, DeadlinePolicy::Kill);
+        late.cancel();
+        assert!(
+            late.killed(),
+            "a cancel after the deadline passed loses, even with no check point in between"
+        );
+
+        // A cancel that lands before the deadline passes stays a cancel.
+        let mut cancelled = StopWord::new(Some(Duration::from_secs(3600)), DeadlinePolicy::Kill);
         cancelled.cancel();
+        cancelled.deadline = Deadline::after(expired);
         cancelled.poll_deadline();
         assert!(cancelled.user_cancelled() && !cancelled.killed());
 

@@ -483,8 +483,11 @@ impl JobHandle {
     /// gradient steps at the next step boundary, its queued work items
     /// resolve as fast no-ops as workers pick them up (freeing capacity
     /// for the other jobs on the service), and it keeps its partial
-    /// (still monotone) per-network results. Idempotent; never blocks on
-    /// the descent itself.
+    /// (still monotone) per-network results. On a running job, a cancel
+    /// that arrives after a [`DeadlinePolicy::Kill`] deadline has passed
+    /// does not override it: the job still fails with
+    /// [`JobError::DeadlineExceeded`]. Idempotent;
+    /// never blocks on the descent itself.
     pub fn cancel(&self) {
         self.job.stop.cancel();
         // Wake idle workers so the cancelled job's items drain promptly.
@@ -570,6 +573,10 @@ struct Work {
     key: Option<CacheKey>,
     task: Task,
 }
+
+/// What a strategy's planner emits per item, in plan order: `(net_index,
+/// key, task)`. `plan_job` numbers the items into [`Work`] positions.
+type Planned = (usize, Option<CacheKey>, Task);
 
 /// The strategy-specific part of a [`Work`] item.
 enum Task {
@@ -924,16 +931,20 @@ fn plan_job(job: &JobShared) -> JobPlan {
         .fetch_add(items.len(), Ordering::Relaxed);
     let mut slots: Vec<Option<(usize, Option<SearchResult>)>> = Vec::with_capacity(items.len());
     let mut misses: Vec<Work> = Vec::new();
-    for work in items {
-        debug_assert_eq!(work.pos, slots.len(), "items are planned in position order");
-        match consult_cache(job, work.key.as_ref()) {
+    for (pos, (net_index, key, task)) in items.into_iter().enumerate() {
+        match consult_cache(job, key.as_ref()) {
             Some(result) => {
-                replay_hit(job, work.net_index, &result);
-                slots.push(Some((work.net_index, Some((*result).clone()))));
+                replay_hit(job, net_index, &result);
+                slots.push(Some((net_index, Some((*result).clone()))));
             }
             None => {
                 slots.push(None);
-                misses.push(work);
+                misses.push(Work {
+                    pos,
+                    net_index,
+                    key,
+                    task,
+                });
             }
         }
     }
@@ -949,10 +960,10 @@ fn plan_job(job: &JobShared) -> JobPlan {
 /// generated sequentially per network before any parallelism, exactly as
 /// the blocking path does — bit-parity with standalone runs hinges on
 /// it.
-fn plan_gd(job: &JobShared, cfg: &GdConfig, shapes: &[Option<CacheKey>]) -> Vec<Work> {
+fn plan_gd(job: &JobShared, cfg: &GdConfig, shapes: &[Option<CacheKey>]) -> Vec<Planned> {
     let request = &job.request;
     let hier = &request.hier;
-    let mut items: Vec<(usize, usize, StartPoint, GdConfig, Option<CacheKey>)> = Vec::new();
+    let mut items: Vec<Planned> = Vec::new();
     for (net_index, net) in request.networks().iter().enumerate() {
         let mut net_cfg = *cfg;
         net_cfg.seed = request.network_seed(net_index);
@@ -970,7 +981,7 @@ fn plan_gd(job: &JobShared, cfg: &GdConfig, shapes: &[Option<CacheKey>]) -> Vec<
             let key = job.cache.as_ref().and_then(|_| {
                 cache::gd_item_key(hier, &net.layers, &request.surrogate, &net_cfg, start_index)
             });
-            items.push((net_index, start_index, start, net_cfg, key));
+            items.push((net_index, key, gd_task(start_index, start, net_cfg)));
         }
         // Warm start: seed one extra descent from the best cached
         // neighbor of this network's shape. The warm item is appended
@@ -989,36 +1000,31 @@ fn plan_gd(job: &JobShared, cfg: &GdConfig, shapes: &[Option<CacheKey>]) -> Vec<
                         &relaxed,
                     );
                     let start = warm_start_point(&net.layers, hier, &opts, relaxed);
-                    items.push((net_index, net_cfg.start_points, start, net_cfg, key));
+                    let task = gd_task(net_cfg.start_points, start, net_cfg);
+                    items.push((net_index, key, task));
                     job.stats.warm_starts.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
     }
     items
-        .into_iter()
-        .enumerate()
-        .map(
-            |(pos, (net_index, start_index, start, net_cfg, key))| Work {
-                pos,
-                net_index,
-                key,
-                task: Task::Gd {
-                    start_index,
-                    cfg: net_cfg,
-                    state: GdItemState::Fresh(start),
-                },
-            },
-        )
-        .collect()
+}
+
+/// A not-yet-started descent from start point `start_index`.
+fn gd_task(start_index: usize, start: StartPoint, cfg: GdConfig) -> Task {
+    Task::Gd {
+        start_index,
+        cfg,
+        state: GdItemState::Fresh(start),
+    }
 }
 
 /// Random-search planning: draw every network's hardware designs
 /// sequentially from its seed; each design is one work item searched by
 /// its own RNG stream.
-fn plan_random(job: &JobShared, cfg: &RandomSearchConfig) -> Vec<Work> {
+fn plan_random(job: &JobShared, cfg: &RandomSearchConfig) -> Vec<Planned> {
     let request = &job.request;
-    let mut items: Vec<Work> = Vec::new();
+    let mut items: Vec<Planned> = Vec::new();
     for (net_index, net) in request.networks().iter().enumerate() {
         let mut net_cfg = *cfg;
         net_cfg.seed = request.network_seed(net_index);
@@ -1026,15 +1032,11 @@ fn plan_random(job: &JobShared, cfg: &RandomSearchConfig) -> Vec<Work> {
             let key = job.cache.as_ref().map(|_| {
                 cache::random_item_key(&request.hier, &net.layers, &net_cfg, design_index)
             });
-            items.push(Work {
-                pos: items.len(),
-                net_index,
-                key,
-                task: Task::Random {
-                    design,
-                    samples_per_hw: cfg.samples_per_hw,
-                },
-            });
+            let task = Task::Random {
+                design,
+                samples_per_hw: cfg.samples_per_hw,
+            };
+            items.push((net_index, key, task));
         }
     }
     items
@@ -1047,7 +1049,7 @@ fn plan_random(job: &JobShared, cfg: &RandomSearchConfig) -> Vec<Work> {
 /// every result is bit-identical to the sequential order the pre-pool
 /// service used); the GP loop *within* a network stays sequential on its
 /// worker.
-fn plan_bayes(job: &JobShared, cfg: &BbboConfig) -> Vec<Work> {
+fn plan_bayes(job: &JobShared, cfg: &BbboConfig) -> Vec<Planned> {
     let request = &job.request;
     request
         .networks()
@@ -1060,12 +1062,7 @@ fn plan_bayes(job: &JobShared, cfg: &BbboConfig) -> Vec<Work> {
                 .cache
                 .as_ref()
                 .map(|_| cache::bayes_network_key(&request.hier, &net.layers, &net_cfg));
-            Work {
-                pos: net_index,
-                net_index,
-                key,
-                task: Task::Bayes { cfg: net_cfg },
-            }
+            (net_index, key, Task::Bayes { cfg: net_cfg })
         })
         .collect()
 }

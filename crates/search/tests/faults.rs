@@ -2,21 +2,25 @@
 //! interleaving of cancellation, deadlines (both policies), and injected
 //! faults, a job must either fail with a typed [`JobError`] or return
 //! per-network histories that stay strictly monotone (sample counts
-//! strictly increasing, best EDP non-increasing) and, unless a user
-//! cancel cut items short, are **bitwise prefixes** of the same request's
-//! uninterrupted run. When the chaos is
-//! benign (delays only, nothing expired, nothing cancelled), the result
+//! strictly increasing, best EDP non-increasing) and are **bitwise
+//! prefixes** of the same request's uninterrupted run — per network, or,
+//! when a user cancel cut work items short, per work item. When the chaos
+//! is benign (delays only, nothing expired, nothing cancelled), the result
 //! must be bit-identical — the fault hook is a guaranteed no-op. A
 //! deterministic test pins each fault kind's exact typed outcome.
 
 use dosa_accel::Hierarchy;
+use dosa_cache::{CacheStore, ShardedLru};
+use dosa_search::cache::gd_item_key;
 use dosa_search::{
-    bayesian_search, dosa_search, random_search, BbboConfig, DeadlinePolicy, FaultKind, FaultPlan,
-    GdConfig, JobError, JobStatus, RandomSearchConfig, SearchPoint, SearchRequest,
-    SearchRequestBuilder, SearchResult, SearchService, Strategy,
+    bayesian_search, dosa_search, random_search, BatchResult, BbboConfig, DeadlinePolicy,
+    FaultKind, FaultPlan, GdConfig, JobError, JobStatus, RandomSearchConfig, ResultCache,
+    SearchPoint, SearchRequest, SearchRequestBuilder, SearchResult, SearchService, Strategy,
+    Surrogate,
 };
 use dosa_workload::{Layer, Problem};
 use proptest::prelude::*;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn networks() -> Vec<(&'static str, Vec<Layer>)> {
@@ -102,6 +106,103 @@ fn assert_bitwise_prefix(survivor: &SearchResult, full: &SearchResult, what: &st
     );
 }
 
+/// The uninterrupted run of `request(seed)` on `threads` workers, plus
+/// each network's per-item (start point) results in start order, read
+/// back from the cold cache the run journaled every item into. A cold
+/// cache changes no result bit.
+fn uninterrupted(seed: u64, threads: usize) -> (BatchResult, Vec<Vec<Arc<SearchResult>>>) {
+    let store = Arc::new(ShardedLru::new(64));
+    // The service must outlive the wait — dropping it cancels in-flight
+    // jobs.
+    let service = SearchService::builder()
+        .threads(threads)
+        .cache(ResultCache::with_store(store.clone()))
+        .build();
+    let job = service
+        .submit(request(seed).build())
+        .expect("request validates");
+    let batch = job.wait().expect("uninterrupted run cannot fail");
+    assert!(!batch.degraded);
+    assert_eq!(job.status(), JobStatus::Completed);
+    let hier = Hierarchy::gemmini();
+    let items = networks()
+        .into_iter()
+        .enumerate()
+        .map(|(i, (_, layers))| {
+            let cfg = GdConfig {
+                seed: seed + i as u64,
+                ..tiny_cfg(seed)
+            };
+            (0..cfg.start_points)
+                .map(|start| {
+                    let key = gd_item_key(&hier, &layers, &Surrogate::Edp, &cfg, start)
+                        .expect("the EDP surrogate is cacheable");
+                    store.get(&key).expect("every completed item is journaled")
+                })
+                .collect()
+        })
+        .collect();
+    (batch, items)
+}
+
+/// What the service reports for a network whose items stopped after
+/// `cuts[i]` samples each: every item's uninterrupted history truncated
+/// at its cut, merged as the service merges (sample offsets, running
+/// minimum, final record). Returns `(samples, best_edp, history)`.
+fn merge_item_prefixes(
+    items: &[Arc<SearchResult>],
+    cuts: &[usize],
+) -> (usize, f64, Vec<SearchPoint>) {
+    let mut samples = 0;
+    let mut best = f64::INFINITY;
+    let mut history = Vec::new();
+    for (item, &cut) in items.iter().zip(cuts) {
+        for p in item.history.iter().take_while(|p| p.samples <= cut) {
+            best = best.min(p.best_edp);
+            history.push(SearchPoint {
+                samples: samples + p.samples,
+                best_edp: best,
+            });
+        }
+        samples += cut;
+    }
+    if samples > 0 && history.last().is_none_or(|p| p.samples < samples) {
+        history.push(SearchPoint {
+            samples,
+            best_edp: best,
+        });
+    }
+    (samples, best, history)
+}
+
+/// Whether some split of `survivor.samples` into per-item cuts (each at
+/// most the item's uninterrupted budget) reproduces `survivor` bit for
+/// bit — i.e. every item contributed a bitwise prefix of its own
+/// uninterrupted descent.
+fn is_merge_of_item_prefixes(survivor: &SearchResult, items: &[Arc<SearchResult>]) -> bool {
+    fn split(
+        survivor: &SearchResult,
+        items: &[Arc<SearchResult>],
+        cuts: &mut Vec<usize>,
+        left: usize,
+    ) -> bool {
+        let Some(item) = items.get(cuts.len()) else {
+            let (samples, best, history) = merge_item_prefixes(items, cuts);
+            return left == 0
+                && samples == survivor.samples
+                && best.to_bits() == survivor.best_edp.to_bits()
+                && history == survivor.history;
+        };
+        (0..=item.samples.min(left)).any(|cut| {
+            cuts.push(cut);
+            let found = split(survivor, items, cuts, left - cut);
+            cuts.pop();
+            found
+        })
+    }
+    split(survivor, items, &mut Vec::new(), survivor.samples)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -109,8 +210,8 @@ proptest! {
     /// deadline, and cancellation the case throws at a job, the outcome
     /// is either a typed failure (with `status() == Failed` and the error
     /// retrievable) or a batch whose surviving per-network histories are
-    /// strictly monotone and, unless the job was cancelled, bitwise
-    /// prefixes of the uninterrupted run.
+    /// strictly monotone bitwise prefixes of the uninterrupted run — item
+    /// by item when a cancel cut items short.
     #[test]
     fn chaos_outcomes_are_typed_or_bitwise_prefixes(
         seed in 0u64..64,
@@ -123,15 +224,8 @@ proptest! {
         cancel_kind in 0u8..2,
         cancel_ms in 0u64..30,
     ) {
-        // Uninterrupted reference: same request, no chaos. The service
-        // must outlive the wait — dropping it cancels in-flight jobs.
-        let plain = SearchService::builder().threads(threads).build();
-        let reference_job = plain
-            .submit(request(seed).build())
-            .expect("request validates");
-        let reference = reference_job.wait().expect("uninterrupted run cannot fail");
-        prop_assert!(!reference.degraded);
-        prop_assert_eq!(reference_job.status(), JobStatus::Completed);
+        // Uninterrupted reference: same request, no chaos.
+        let (reference, items) = uninterrupted(seed, threads);
 
         let faults: Vec<Option<FaultKind>> =
             raw_faults.into_iter().map(decode_fault).collect();
@@ -190,16 +284,22 @@ proptest! {
                     // job short of Completed, and it reports Completed too.
                     prop_assert_eq!(chaos.status(), JobStatus::Completed);
                 }
-                for (name, _) in networks() {
+                for (i, (name, _)) in networks().into_iter().enumerate() {
                     let survivor = batch.get(name).expect("every network reports a result");
                     let full = reference.get(name).expect("reference has every network");
                     assert_strictly_monotone(&survivor.history, name);
                     if chaos.status() == JobStatus::Cancelled {
-                        // A cancel stops items mid-descent: later items'
-                        // sample offsets shift and the final record lands
-                        // at a partial count, so the contract is partial
-                        // and monotone, not a prefix.
-                        prop_assert!(survivor.samples <= full.samples);
+                        // A cancel can stop several items mid-descent, and
+                        // each cut shifts the sample offsets of the items
+                        // merged after it, so the network is a prefix of
+                        // the uninterrupted run only item by item (a run
+                        // nobody cut short is the full run itself).
+                        prop_assert!(survivor.best_edp >= full.best_edp);
+                        prop_assert!(
+                            is_merge_of_item_prefixes(survivor, &items[i]),
+                            "{}: cancelled result is not a merge of per-item prefixes",
+                            name
+                        );
                     } else {
                         assert_bitwise_prefix(survivor, full, name);
                     }
@@ -457,4 +557,73 @@ fn each_fault_kind_fails_typed_and_spares_its_siblings() {
         .unwrap()
         .into_single();
     assert_matches_solo(&empty, 16, "empty fault plan vs no plan");
+}
+
+/// A cancel that arrives after a `Kill` deadline has passed does not turn
+/// the kill into a cancel, even when nothing checked the deadline in
+/// between: on a single-slot service, item 0 of a one-item job sleeps in
+/// its injected `Delay`, so no dispatch, sample, or finish runs from just
+/// after submission until well past both the deadline and the cancel.
+#[test]
+fn a_cancel_after_the_kill_deadline_passed_still_fails_typed() {
+    let service = SearchService::builder().threads(1).build();
+    let job = service
+        .submit(
+            SearchRequest::builder(Hierarchy::gemmini())
+                .network("gemm", gemm())
+                .strategy(Strategy::Random(tiny_random(21)))
+                .fault_plan(FaultPlan::new().inject(0, FaultKind::Delay(600)))
+                .deadline(Duration::from_millis(100))
+                .build(),
+        )
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    job.cancel();
+    assert_eq!(job.wait().unwrap_err(), JobError::DeadlineExceeded);
+    assert_eq!(job.status(), JobStatus::Failed);
+}
+
+/// A cancel that stops several GD items mid-descent keeps every item's
+/// contribution a bitwise prefix of its uninterrupted descent. On one
+/// worker with 25-step segments, items 0–2 each checkpoint one segment
+/// (past their first rounding) before item 3's `Delay` holds the worker
+/// through the cancel; the resumed items then stop at their next step, so
+/// item 1's history lands at sample offsets the uninterrupted run never
+/// used.
+#[test]
+fn a_mid_run_cancel_keeps_every_item_a_bitwise_prefix() {
+    let seed = 5;
+    let (reference, items) = uninterrupted(seed, 1);
+    let service = SearchService::builder().threads(1).build();
+    let job = service
+        .submit(
+            request(seed)
+                .config(GdConfig {
+                    segment_steps: Some(25),
+                    ..tiny_cfg(seed)
+                })
+                .fault_plan(FaultPlan::new().inject(3, FaultKind::Delay(1_000)))
+                .build(),
+        )
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(500));
+    job.cancel();
+    let batch = job
+        .wait()
+        .expect("a cancelled job keeps its partial results");
+    assert_eq!(job.status(), JobStatus::Cancelled);
+    for (i, (name, _)) in networks().into_iter().enumerate() {
+        let survivor = batch.get(name).unwrap();
+        let full = reference.get(name).unwrap();
+        assert_strictly_monotone(&survivor.history, name);
+        assert!(
+            survivor.samples < full.samples,
+            "{name}: the cancel cut it short"
+        );
+        assert!(survivor.best_edp >= full.best_edp, "{name}");
+        assert!(
+            is_merge_of_item_prefixes(survivor, &items[i]),
+            "{name}: cancelled result is not a merge of per-item prefixes"
+        );
+    }
 }
