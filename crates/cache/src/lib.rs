@@ -26,8 +26,8 @@
 //!   [`ShardedLru`] and designed so a persistent backend (disk, redis,
 //!   ...) can slot in behind the same service wiring later.
 //!
-//! The search-facing wrapper — which inputs go into a key, journaling,
-//! warm-start neighbor lookup — lives in `dosa-search`'s `cache` module;
+//! The search-facing wrapper — which inputs go into a key, lookup and
+//! journaling — lives in `dosa-search`'s `cache` module;
 //! the end-to-end contract ("a cached result is bit-identical to a cold
 //! run") is documented in the repository's `ARCHITECTURE.md`.
 

@@ -1,6 +1,5 @@
 //! The service-level result cache: content-addressed replay of completed
-//! work items, checkpoint/resume journaling, and the warm-start neighbor
-//! index.
+//! work items and checkpoint/resume journaling.
 //!
 //! ## Why work items are cacheable at all
 //!
@@ -26,7 +25,6 @@
 //! | [`gd_item_key`] | `gd-item-v1` | hierarchy, layer shapes, surrogate id, every **result-affecting** `GdConfig` field, effective seed, start index |
 //! | [`random_item_key`] | `random-item-v1` | hierarchy, layer shapes, `samples_per_hw`, effective seed, design index |
 //! | [`bayes_network_key`] | `bayes-net-v1` | hierarchy, layer shapes, every `BbboConfig` field, effective seed |
-//! | [`network_shape_key`] | `net-shape-v1` | hierarchy + layer shapes only (the warm-start neighborhood) |
 //!
 //! Layer *names* are deliberately excluded — two networks with identical
 //! shapes share results. `GdConfig::start_points` and `rejection_factor`
@@ -44,21 +42,18 @@
 //!
 //! Not everything has a stable canonical identity: a learned
 //! [`LatencyPredictor`](crate::LatencyPredictor) (its MLP weights live
-//! only in memory) and [`Surrogate::Custom`](crate::Surrogate) losses
-//! yield `None` keys, and their work items simply bypass the cache.
+//! only in memory) yields a `None` key, and its work items simply bypass
+//! the cache.
 //!
-//! ## Replay, journaling, and warm starts
+//! ## Replay and journaling
 //!
 //! [`ResultCache`] wraps any [`CacheStore`] (the in-memory
 //! [`ShardedLru`] by default). The service
 //! consults it per work item *before* the item competes for a worker
-//! slot, journals each item's result the moment the item completes
-//! (never on cancellation, so partial results are never replayed), and
-//! maintains a secondary **warm index** from [`network_shape_key`] to the
-//! best relaxed mapping seen for that shape — the neighbor a
-//! [`WarmStart::NearestNeighbor`](crate::WarmStart) request seeds an
-//! extra descent from. See `ARCHITECTURE.md` ("Result cache & resume")
-//! for the lifecycle diagram and the determinism argument.
+//! slot, and journals each item's result the moment the item completes
+//! (never on cancellation, so partial results are never replayed). See
+//! `ARCHITECTURE.md` ("Result cache & resume") for the lifecycle diagram
+//! and the determinism argument.
 
 use crate::bbbo::BbboConfig;
 use crate::gd::SearchResult;
@@ -68,12 +63,9 @@ use crate::random_search::RandomSearchConfig;
 use crate::request::Surrogate;
 use dosa_accel::Hierarchy;
 use dosa_cache::{CacheKey, CacheStore, Fingerprinter, ShardedLru};
-use dosa_model::RelaxedMapping;
-use dosa_timeloop::Stationarity;
 use dosa_workload::Layer;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Default entry capacity of [`ResultCache::in_memory`].
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
@@ -109,8 +101,8 @@ fn fingerprint_layers(mut fp: Fingerprinter, layers: &[Layer]) -> Fingerprinter 
 }
 
 /// The surrogate's stable identity, or `None` if it has none (learned
-/// predictor weights and custom losses live only in memory, so their
-/// items must bypass the cache rather than risk aliasing).
+/// predictor weights live only in memory, so their items must bypass the
+/// cache rather than risk aliasing).
 fn surrogate_id(surrogate: &Surrogate) -> Option<&'static str> {
     match surrogate {
         Surrogate::Edp => Some("edp"),
@@ -118,7 +110,6 @@ fn surrogate_id(surrogate: &Surrogate) -> Option<&'static str> {
             Some("latency-analytical")
         }
         Surrogate::PredictedLatency(_) => None,
-        Surrogate::Custom(_) => None,
     }
 }
 
@@ -130,28 +121,16 @@ fn loop_order_name(strategy: LoopOrderStrategy) -> &'static str {
     }
 }
 
-/// Append every result-affecting [`GdConfig`] field plus the effective
-/// seed — including `start_points`/`rejection_factor`, which shape the
-/// §5.3.1 start-point sequence itself, but **not** `segment_steps`,
-/// which only re-buckets the same gradient steps into worker dispatches
-/// and is bit-invisible in results (see the module docs).
-fn fingerprint_gd_config(fp: Fingerprinter, cfg: &GdConfig) -> Fingerprinter {
-    fp.field("gd-config")
-        .u64(cfg.start_points as u64)
-        .u64(cfg.steps_per_start as u64)
-        .u64(cfg.round_every as u64)
-        .f64(cfg.learning_rate)
-        .str(loop_order_name(cfg.strategy))
-        .i64(cfg.fixed_pe_side.map_or(-1, |s| s as i64))
-        .f64(cfg.rejection_factor)
-        .field("seed")
-        .u64(cfg.seed)
-}
-
 /// Content-address of one `(network, start point)` gradient-descent work
 /// item, or `None` when the surrogate has no stable identity. `cfg` must
 /// be the **network-effective** config (its `seed` already resolved via
 /// `SearchRequest::network_seed`).
+///
+/// Every result-affecting [`GdConfig`] field enters the key — including
+/// `start_points`/`rejection_factor`, which shape the §5.3.1 start-point
+/// sequence itself, but **not** `segment_steps`, which only re-buckets
+/// the same gradient steps into worker dispatches and is bit-invisible
+/// in results (see the module docs).
 pub fn gd_item_key(
     hier: &Hierarchy,
     layers: &[Layer],
@@ -163,47 +142,23 @@ pub fn gd_item_key(
     let mut fp = Fingerprinter::new("gd-item-v1");
     fp = fingerprint_hierarchy(fp, hier);
     fp = fingerprint_layers(fp, layers);
-    fp = fp.field("surrogate").str(surrogate);
-    fp = fingerprint_gd_config(fp, cfg);
-    Some(fp.field("start").u64(start_index as u64).finish())
-}
-
-/// Content-address of one warm-started descent: the regular GD fields
-/// plus the seeding relaxed mappings **by content** (every log-space
-/// parameter bit and loop ordering), since a warm start's inputs come
-/// from the cache rather than the RNG stream.
-pub(crate) fn warm_item_key(
-    hier: &Hierarchy,
-    layers: &[Layer],
-    surrogate: &Surrogate,
-    cfg: &GdConfig,
-    start_index: usize,
-    relaxed: &[RelaxedMapping],
-) -> Option<CacheKey> {
-    let surrogate = surrogate_id(surrogate)?;
-    let mut fp = Fingerprinter::new("gd-warm-item-v1");
-    fp = fingerprint_hierarchy(fp, hier);
-    fp = fingerprint_layers(fp, layers);
-    fp = fp.field("surrogate").str(surrogate);
-    fp = fingerprint_gd_config(fp, cfg);
-    fp = fp.field("start").u64(start_index as u64).field("warm-seed");
-    for r in relaxed {
-        for p in r.params() {
-            fp = fp.f64(p);
-        }
-        for &order in &r.orders {
-            fp = fp.u64(stationarity_index(order));
-        }
-    }
-    Some(fp.finish())
-}
-
-fn stationarity_index(s: Stationarity) -> u64 {
-    match s {
-        Stationarity::WeightStationary => 0,
-        Stationarity::InputStationary => 1,
-        Stationarity::OutputStationary => 2,
-    }
+    let key = fp
+        .field("surrogate")
+        .str(surrogate)
+        .field("gd-config")
+        .u64(cfg.start_points as u64)
+        .u64(cfg.steps_per_start as u64)
+        .u64(cfg.round_every as u64)
+        .f64(cfg.learning_rate)
+        .str(loop_order_name(cfg.strategy))
+        .i64(cfg.fixed_pe_side.map_or(-1, |s| s as i64))
+        .f64(cfg.rejection_factor)
+        .field("seed")
+        .u64(cfg.seed)
+        .field("start")
+        .u64(start_index as u64)
+        .finish();
+    Some(key)
 }
 
 /// Content-address of one `(network, hardware design)` random-search work
@@ -247,15 +202,6 @@ pub fn bayes_network_key(hier: &Hierarchy, layers: &[Layer], cfg: &BbboConfig) -
         .finish()
 }
 
-/// The warm-start neighborhood key: hierarchy and layer shapes only, with
-/// seed, strategy, config, and surrogate all ignored — any search that
-/// ever optimized this shape is a neighbor worth seeding a descent from.
-pub fn network_shape_key(hier: &Hierarchy, layers: &[Layer]) -> CacheKey {
-    let mut fp = Fingerprinter::new("net-shape-v1");
-    fp = fingerprint_hierarchy(fp, hier);
-    fingerprint_layers(fp, layers).finish()
-}
-
 /// Observability counters of one [`ResultCache`] (service-wide, across
 /// all jobs; per-job counters live on
 /// [`JobHandle::stats`](crate::JobHandle::stats)).
@@ -269,19 +215,11 @@ pub struct ResultCacheStats {
     pub journaled: u64,
 }
 
-/// Best relaxed mapping seen for one network shape — the warm-start
-/// neighbor.
-struct WarmEntry {
-    best_edp: f64,
-    relaxed: Vec<RelaxedMapping>,
-}
-
 /// The search-facing result cache a
 /// [`SearchService`](crate::SearchService) consults per work item (see
 /// [`SearchServiceBuilder::cache`](crate::SearchServiceBuilder::cache)):
-/// a content-addressed [`CacheStore`] of completed work-item results,
-/// plus the warm-start neighbor index and lock-free hit/miss/journal
-/// counters.
+/// a content-addressed [`CacheStore`] of completed work-item results
+/// plus lock-free hit/miss/journal counters.
 ///
 /// One `ResultCache` may back any number of services; sharing one is how
 /// a resubmitted (e.g. previously cancelled) job replays its completed
@@ -289,11 +227,6 @@ struct WarmEntry {
 /// for a hash lookup instead of a descent.
 pub struct ResultCache {
     store: Arc<dyn CacheStore<Arc<SearchResult>>>,
-    /// Keyed by [`network_shape_key`]. A `BTreeMap`, not a `HashMap`: any
-    /// scan over warm candidates (e.g. future nearest-neighbor widening)
-    /// must visit entries in deterministic key order, so that candidates
-    /// tying on distance resolve to the same winner every run.
-    warm: Mutex<BTreeMap<CacheKey, WarmEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     journaled: AtomicU64,
@@ -312,7 +245,6 @@ impl ResultCache {
     pub fn with_store(store: Arc<dyn CacheStore<Arc<SearchResult>>>) -> Arc<ResultCache> {
         Arc::new(ResultCache {
             store,
-            warm: Mutex::new(BTreeMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             journaled: AtomicU64::new(0),
@@ -350,54 +282,12 @@ impl ResultCache {
         found
     }
 
-    /// Journal one **completed** work item: store it under its content
-    /// address and offer its best mapping to the warm index under the
-    /// network's shape key. Callers must never journal a cancelled
-    /// (partial) result — a replayed partial would break the bit-parity
-    /// contract.
-    pub(crate) fn journal(&self, key: CacheKey, shape: Option<&CacheKey>, result: &SearchResult) {
+    /// Journal one **completed** work item under its content address.
+    /// Callers must never journal a cancelled (partial) result — a
+    /// replayed partial would break the bit-parity contract.
+    pub(crate) fn journal(&self, key: CacheKey, result: &SearchResult) {
         self.store.put(key, Arc::new(result.clone()));
         self.journaled.fetch_add(1, Ordering::Relaxed);
-        if let Some(shape) = shape {
-            self.offer_warm(shape, result);
-        }
-    }
-
-    /// Offer `result` as the warm-start neighbor for `shape` if it beats
-    /// the current entry (any strategy's best mappings qualify — they are
-    /// lifted to relaxed log-space form on the way in).
-    fn offer_warm(&self, shape: &CacheKey, result: &SearchResult) {
-        if !result.best_edp.is_finite() || result.best_mappings.is_empty() {
-            return;
-        }
-        let mut warm = crate::fault::lock(&self.warm);
-        let entry = warm.get(shape);
-        if entry.is_none_or(|e| result.best_edp < e.best_edp) {
-            warm.insert(
-                shape.clone(),
-                WarmEntry {
-                    best_edp: result.best_edp,
-                    relaxed: result
-                        .best_mappings
-                        .iter()
-                        .map(RelaxedMapping::from_mapping)
-                        .collect(),
-                },
-            );
-        }
-    }
-
-    /// The best relaxed mappings seen for `shape`, if any neighbor with
-    /// the expected layer count has been journaled.
-    pub(crate) fn warm_neighbor(
-        &self,
-        shape: &CacheKey,
-        layers: usize,
-    ) -> Option<Vec<RelaxedMapping>> {
-        let warm = crate::fault::lock(&self.warm);
-        warm.get(shape)
-            .filter(|e| e.relaxed.len() == layers)
-            .map(|e| e.relaxed.clone())
     }
 }
 
@@ -432,9 +322,10 @@ mod tests {
             Layer::repeated(Problem::conv("z", 3, 3, 28, 28, 64, 64, 1).unwrap(), 2),
             Layer::once(Problem::matmul("y", 64, 256, 256).unwrap()),
         ];
+        let cfg = RandomSearchConfig::default();
         assert_eq!(
-            network_shape_key(&hier, &layers()),
-            network_shape_key(&hier, &renamed)
+            random_item_key(&hier, &layers(), &cfg, 0),
+            random_item_key(&hier, &renamed, &cfg, 0)
         );
     }
 
@@ -449,9 +340,11 @@ mod tests {
             Layer::repeated(Problem::conv("a", 3, 3, 28, 28, 64, 64, 1).unwrap(), 3),
             Layer::once(Problem::matmul("b", 64, 256, 256).unwrap()),
         ];
-        let base = network_shape_key(&hier, &layers());
-        assert_ne!(base, network_shape_key(&hier, &wider));
-        assert_ne!(base, network_shape_key(&hier, &recount));
+        let cfg = RandomSearchConfig::default();
+        let key = |layers: &[Layer]| random_item_key(&hier, layers, &cfg, 0);
+        let base = key(&layers());
+        assert_ne!(base, key(&wider));
+        assert_ne!(base, key(&recount));
     }
 
     #[test]
@@ -485,83 +378,5 @@ mod tests {
             random_item_key(&hier, &layers(), &cfg, 2),
             random_item_key(&hier, &layers(), &cfg, 3)
         );
-    }
-
-    #[test]
-    fn warm_index_keeps_the_best_neighbor() {
-        use dosa_accel::HardwareConfig;
-        let hier = Hierarchy::gemmini();
-        let cache = ResultCache::in_memory(64);
-        let shape = network_shape_key(&hier, &layers());
-        assert!(cache.warm_neighbor(&shape, 2).is_none());
-
-        let mappings: Vec<_> = layers()
-            .iter()
-            .map(|l| crate::cosa_mapping(&l.problem, &HardwareConfig::gemmini_default(), &hier))
-            .collect();
-        let mut good = SearchResult::empty();
-        good.consider(10.0, &HardwareConfig::gemmini_default(), &mappings);
-        let key_a = random_item_key(&hier, &layers(), &RandomSearchConfig::default(), 0);
-        cache.journal(key_a, Some(&shape), &good);
-        assert_eq!(cache.warm_neighbor(&shape, 2).map(|r| r.len()), Some(2));
-        // Wrong layer count → no neighbor.
-        assert!(cache.warm_neighbor(&shape, 3).is_none());
-
-        // A worse result must not displace the entry.
-        let mut worse = SearchResult::empty();
-        worse.consider(20.0, &HardwareConfig::gemmini_default(), &mappings);
-        let key_b = random_item_key(&hier, &layers(), &RandomSearchConfig::default(), 1);
-        cache.journal(key_b, Some(&shape), &worse);
-        let warm = crate::fault::lock(&cache.warm);
-        assert_eq!(warm.get(&shape).unwrap().best_edp, 10.0);
-    }
-
-    /// Two journaled results that tie on `best_edp` for the same shape:
-    /// the first-journaled entry must win (`offer_warm` is strict `<`),
-    /// and the winner must be bitwise identical across independent runs
-    /// of the same journaling sequence — warm-start seeding is part of
-    /// the determinism surface.
-    #[test]
-    fn warm_tie_breaks_are_stable_across_runs() {
-        use dosa_accel::HardwareConfig;
-        let hier = Hierarchy::gemmini();
-        let run = || {
-            let cache = ResultCache::in_memory(64);
-            let shape = network_shape_key(&hier, &layers());
-            // Two distinct mapping sets with the SAME best EDP.
-            let hw_a = HardwareConfig::gemmini_default();
-            let hw_b = HardwareConfig::new(hw_a.pe_side() * 2, 128.0, 512.0)
-                .expect("valid tie-test hardware config");
-            let map_a: Vec<_> = layers()
-                .iter()
-                .map(|l| crate::cosa_mapping(&l.problem, &hw_a, &hier))
-                .collect();
-            let map_b: Vec<_> = layers()
-                .iter()
-                .map(|l| crate::cosa_mapping(&l.problem, &hw_b, &hier))
-                .collect();
-            let mut first = SearchResult::empty();
-            first.consider(10.0, &hw_a, &map_a);
-            let mut tied = SearchResult::empty();
-            tied.consider(10.0, &hw_b, &map_b);
-            let ka = random_item_key(&hier, &layers(), &RandomSearchConfig::default(), 0);
-            let kb = random_item_key(&hier, &layers(), &RandomSearchConfig::default(), 1);
-            cache.journal(ka, Some(&shape), &first);
-            cache.journal(kb, Some(&shape), &tied);
-            cache
-                .warm_neighbor(&shape, layers().len())
-                .expect("a neighbor was journaled")
-        };
-        let one = run();
-        let two = run();
-        assert_eq!(one.len(), two.len());
-        for (a, b) in one.iter().zip(&two) {
-            // Bitwise, not approximate: the seeded descent replays the
-            // exact parameters, so any wobble here is a determinism bug.
-            let pa: Vec<u64> = a.params().iter().map(|p| p.to_bits()).collect();
-            let pb: Vec<u64> = b.params().iter().map(|p| p.to_bits()).collect();
-            assert_eq!(pa, pb, "tied warm-neighbor winner drifted between runs");
-            assert_eq!(a.orders, b.orders);
-        }
     }
 }

@@ -31,10 +31,7 @@
 //! cfg, seed, start_index)` alone — is also what makes per-start results
 //! content-addressable: the service's result cache
 //! ([`crate::cache`]) fingerprints exactly these inputs and replays a
-//! finished descent's output bit for bit. Warm-started descents
-//! (seeded from a cached neighbor rather than the RNG) are keyed by the
-//! seeding mappings' content and always use the first start index past
-//! the regular ones, so they never perturb a cold run's RNG streams.
+//! finished descent's output bit for bit.
 
 use crate::adam::Adam;
 use crate::fault::StopWord;
@@ -294,9 +291,10 @@ impl DiffLoss for PredictedLatencyLoss<'_> {
             .collect();
         let min = min_hw_for_all(pairs, self.hier);
         let hw =
-            // dosa-lint: allow(panic-perimeter) — `pe_side` was validated when
-            // the engine was built and `min_hw_for_all` returns in-range SRAM
-            // sizes, so this constructor cannot fail; an `Err` here is a bug.
+            // dosa-lint: allow(panic-perimeter) — `pe_side` is the default 16
+            // or a `fixed_pe_side` that `GdConfig::validate` kept in range, and
+            // `min_hw_for_all` returns in-range SRAM sizes, so this
+            // constructor cannot fail; an `Err` here is a bug.
             HardwareConfig::new(self.pe_side, min.acc_kb(), min.spad_kb()).expect("valid pe side");
         let chosen = choose_best_orderings(self.layers, mappings, &hw, self.hier);
         for (r, s) in relaxed.iter_mut().zip(chosen) {

@@ -16,8 +16,8 @@
 //! ever escape an item's unwind boundary and kill a worker thread, the
 //! dying worker respawns a replacement on its way down, so the pool
 //! never silently loses capacity. Service-wide state (the ready queue,
-//! the per-job execution ledgers, the warm-start index) is never left
-//! poisoned: the handful of mutexes guarding it are locked through this
+//! the per-job execution ledgers) is never left poisoned: the handful
+//! of mutexes guarding it are locked through this
 //! module's `lock`/`wait` helpers, which recover a poisoned guard instead
 //! of propagating the panic. That recovery is sound because every panic
 //! that could occur while those locks are held is contained *before* it

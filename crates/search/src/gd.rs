@@ -12,7 +12,7 @@
 //! comparable to the black-box baselines (§6.3).
 
 use crate::request::SearchRequest;
-use crate::service::SearchService;
+use crate::service::run_blocking;
 use dosa_accel::{HardwareConfig, Hierarchy};
 use dosa_timeloop::{
     evaluate_layer, evaluate_model, min_hw_for_all, LoopOrder, Mapping, ModelPerf, Stationarity,
@@ -43,7 +43,8 @@ pub struct GdConfig {
     pub learning_rate: f64,
     /// Loop-ordering strategy.
     pub strategy: LoopOrderStrategy,
-    /// Pin the PE array side (Fig. 12); `None` derives it from mappings.
+    /// Pin the PE array side (Fig. 12), in `1..=MAX_PE_SIDE`; `None`
+    /// derives it from mappings.
     pub fixed_pe_side: Option<u64>,
     /// Start-point rejection factor (§5.3.1; the paper uses 10).
     pub rejection_factor: f64,
@@ -163,9 +164,9 @@ pub fn evaluate_rounded(
         .collect();
     let mut hw = min_hw_for_all(pairs, hier);
     if let Some(side) = fixed_pe_side {
-        // dosa-lint: allow(panic-perimeter) — `side` comes from a validated
-        // config and the SRAM sizes from `min_hw_for_all` are in range, so
-        // the constructor cannot fail; an `Err` here is a bug.
+        // dosa-lint: allow(panic-perimeter) — `GdConfig::validate` keeps
+        // `side` in 1..=MAX_PE_SIDE and the SRAM sizes from `min_hw_for_all`
+        // are in range, so the constructor cannot fail; an `Err` is a bug.
         hw = HardwareConfig::new(side, hw.acc_kb(), hw.spad_kb()).expect("valid pe side");
     }
     let paired: Vec<(Layer, Mapping)> = layers
@@ -269,27 +270,11 @@ pub fn choose_best_orderings(
 /// Panics if `layers` is empty or `cfg` fails
 /// [`GdConfig::validate`](GdConfig::validate).
 pub fn dosa_search(layers: &[Layer], hier: &Hierarchy, cfg: &GdConfig) -> SearchResult {
-    assert!(!layers.is_empty(), "need at least one layer");
-    let service = SearchService::builder()
-        .threads(rayon::current_num_threads())
-        .build();
     let request = SearchRequest::builder(hier.clone())
         .network("network", layers.to_vec())
         .config(*cfg)
         .build();
-    let handle = match service.submit(request) {
-        Ok(handle) => handle,
-        // dosa-lint: allow(panic-perimeter) — documented perimeter of the
-        // one-call convenience entrypoint; callers wanting typed errors use
-        // `SearchService::submit` + `wait` directly.
-        Err(e) => panic!("invalid GdConfig: {e}"),
-    };
-    handle
-        .wait()
-        // dosa-lint: allow(panic-perimeter) — same convenience-entrypoint
-        // perimeter: the service path surfaces this as a typed JobError.
-        .unwrap_or_else(|err| panic!("search job failed: {err}"))
-        .into_single()
+    run_blocking(request, "GdConfig")
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 
 use crate::gd::{GdConfig, SearchResult};
 use crate::request::{SearchRequest, Surrogate};
-use crate::service::SearchService;
+use crate::service::run_blocking;
 use dosa_accel::{HardwareConfig, Hierarchy, ACC_WORD_BYTES};
 use dosa_autodiff::{Tape, Var};
 use dosa_model::{HwVars, RelaxedMapping, PARAMS_PER_LAYER};
@@ -314,28 +314,12 @@ pub fn dosa_search_rtl(
     cfg: &GdConfig,
     predictor: &LatencyPredictor,
 ) -> SearchResult {
-    assert!(!layers.is_empty(), "need at least one layer");
-    let service = SearchService::builder()
-        .threads(rayon::current_num_threads())
-        .build();
     let request = SearchRequest::builder(hier.clone())
         .network("network", layers.to_vec())
         .surrogate(Surrogate::PredictedLatency(predictor.clone()))
         .config(*cfg)
         .build();
-    let handle = match service.submit(request) {
-        Ok(handle) => handle,
-        // dosa-lint: allow(panic-perimeter) — documented perimeter of the
-        // one-call convenience entrypoint; callers wanting typed errors use
-        // `SearchService::submit` + `wait` directly.
-        Err(e) => panic!("invalid GdConfig: {e}"),
-    };
-    handle
-        .wait()
-        // dosa-lint: allow(panic-perimeter) — same convenience-entrypoint
-        // perimeter: the service path surfaces this as a typed JobError.
-        .unwrap_or_else(|err| panic!("search job failed: {err}"))
-        .into_single()
+    run_blocking(request, "GdConfig")
 }
 
 #[cfg(test)]

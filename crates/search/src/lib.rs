@@ -68,11 +68,8 @@
 //! under fingerprints of everything their results depend on, identical
 //! work later replays from the store instead of re-running (including
 //! the remainder-only re-run of a cancelled job resubmitted identically
-//! — checkpoint/resume), and a request can opt into seeding one extra
-//! descent from the best cached neighbor of its network shape
-//! ([`SearchRequestBuilder::warm_start`]). With the default
-//! [`WarmStart::Off`], results with the cache enabled are bit-identical
-//! to a cold run; see the [`cache`] module docs.
+//! — checkpoint/resume). Results with the cache enabled are
+//! bit-identical to a cold run; see the [`cache`] module docs.
 //!
 //! ## Search strategies
 //!
@@ -170,8 +167,7 @@
 //!   ([`Surrogate::Edp`]),
 //! * [`PredictedLatencyLoss`] — the §6.5 surrogate whose latency term runs
 //!   through an analytical, DNN-only, or DNN-corrected
-//!   [`LatencyPredictor`] ([`Surrogate::PredictedLatency`]),
-//! * anything else via [`CustomSurrogate`] ([`Surrogate::Custom`]).
+//!   [`LatencyPredictor`] ([`Surrogate::PredictedLatency`]).
 //!
 //! ## Blocking shims
 //!
@@ -224,10 +220,7 @@ pub use latency_model::{
 pub use random_search::{
     evaluate_with_cosa, evaluate_with_random_mapper, random_search, RandomSearchConfig,
 };
-pub use request::{
-    ConfigError, CustomSurrogate, NetworkSpec, SearchRequest, SearchRequestBuilder, Surrogate,
-    WarmStart,
-};
+pub use request::{ConfigError, NetworkSpec, SearchRequest, SearchRequestBuilder, Surrogate};
 pub use sched::{SchedPolicy, AGE_DISPATCH_PERIOD};
 pub use service::{
     BatchResult, JobHandle, JobProgress, JobStats, JobStatus, NetworkProgress, NetworkResult,

@@ -14,7 +14,7 @@ use crate::cosa::cosa_mapping;
 use crate::engine::StartControl;
 use crate::gd::SearchResult;
 use crate::request::SearchRequest;
-use crate::service::SearchService;
+use crate::service::run_blocking;
 use crate::startpoints::random_hw;
 use crate::strategy::{stream_seed, Strategy};
 use dosa_accel::{HardwareConfig, Hierarchy};
@@ -177,25 +177,11 @@ pub(crate) fn run_random_design(
 /// Panics if `layers` is empty or `cfg` fails
 /// [`RandomSearchConfig::validate`].
 pub fn random_search(layers: &[Layer], hier: &Hierarchy, cfg: &RandomSearchConfig) -> SearchResult {
-    let service = SearchService::builder()
-        .threads(rayon::current_num_threads())
-        .build();
     let request = SearchRequest::builder(hier.clone())
         .network("network", layers.to_vec())
         .strategy(Strategy::Random(*cfg))
         .build();
-    match service.submit(request) {
-        Ok(handle) => handle
-            .wait()
-            // dosa-lint: allow(panic-perimeter) — documented perimeter of the
-            // one-call convenience entrypoint; callers wanting typed errors
-            // use `SearchService::submit` + `wait` directly.
-            .unwrap_or_else(|err| panic!("search job failed: {err}"))
-            .into_single(),
-        // dosa-lint: allow(panic-perimeter) — same convenience-entrypoint
-        // perimeter: an invalid request here is a caller bug, not a job fault.
-        Err(e) => panic!("invalid random-search request: {e}"),
-    }
+    run_blocking(request, "random-search request")
 }
 
 /// Evaluate `layers` on fixed hardware with CoSA as a constant mapper

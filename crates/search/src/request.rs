@@ -11,14 +11,12 @@
 //! the same seed (see [`SearchService`](crate::SearchService) for the
 //! guarantee).
 
-use crate::engine::DiffLoss;
 use crate::fault::{DeadlinePolicy, FaultPlan};
 use crate::gd::GdConfig;
 use crate::latency_model::LatencyPredictor;
 use crate::sched::SchedPolicy;
 use crate::strategy::Strategy;
-use dosa_accel::Hierarchy;
-use dosa_model::LossOptions;
+use dosa_accel::{Hierarchy, MAX_PE_SIDE};
 use dosa_workload::Layer;
 use std::fmt;
 use std::sync::Arc;
@@ -76,16 +74,15 @@ pub enum ConfigError {
     /// `max_parallelism` was set to zero: the job could never hold a
     /// worker slot and would sit admitted-but-idle forever.
     ZeroParallelism,
-    /// Warm starting was requested with a strategy (named by the payload)
-    /// that has no descent to seed; [`WarmStart`] applies to
-    /// [`Strategy::GradientDescent`] only.
-    WarmStartNotApplicable(&'static str),
     /// A deadline of zero duration was set: the job would expire before
     /// its first work item could start.
     ZeroDeadline,
     /// `segment_steps` was `Some(0)`: a zero-step segment would re-enqueue
     /// forever without ever advancing the descent.
     ZeroSegmentSteps,
+    /// `fixed_pe_side` was outside `1..=MAX_PE_SIDE`: no hardware
+    /// configuration has that PE array side.
+    BadPeSide(u64),
 }
 
 impl fmt::Display for ConfigError {
@@ -137,13 +134,6 @@ impl fmt::Display for ConfigError {
                      never hold a worker slot)"
                 )
             }
-            ConfigError::WarmStartNotApplicable(strategy) => {
-                write!(
-                    f,
-                    "warm starting was requested but the {strategy} strategy has no \
-                     descent to seed (warm starts apply to gradient descent only)"
-                )
-            }
             ConfigError::ZeroDeadline => {
                 write!(
                     f,
@@ -157,6 +147,9 @@ impl fmt::Display for ConfigError {
                     "segment_steps must be at least 1 when set (a zero-step segment \
                      would re-enqueue forever without advancing)"
                 )
+            }
+            ConfigError::BadPeSide(side) => {
+                write!(f, "fixed_pe_side must be in 1..={MAX_PE_SIDE}, got {side}")
             }
         }
     }
@@ -189,35 +182,13 @@ impl GdConfig {
         if self.segment_steps == Some(0) {
             return Err(ConfigError::ZeroSegmentSteps);
         }
+        if let Some(side) = self.fixed_pe_side {
+            if !(1..=MAX_PE_SIDE).contains(&side) {
+                return Err(ConfigError::BadPeSide(side));
+            }
+        }
         Ok(())
     }
-}
-
-/// A user-supplied differentiable surrogate, pluggable into the service
-/// where the built-in [`Surrogate`] variants do not fit (area-constrained
-/// EDP, energy-delay², latency-SLO losses, ...).
-///
-/// The factory borrows the job's owned layers and hierarchy for the
-/// duration of one network's descent; the loss it returns must satisfy
-/// the same determinism contract as every [`DiffLoss`].
-pub trait CustomSurrogate: Send + Sync {
-    /// Loss options used when generating this surrogate's start points
-    /// (the §5.3.1 rejection rule predicts with these). The default pins
-    /// the PE side iff the config does.
-    fn loss_options(&self, cfg: &GdConfig) -> LossOptions {
-        LossOptions {
-            fixed_pe_side: cfg.fixed_pe_side,
-            ..LossOptions::default()
-        }
-    }
-
-    /// Build the loss one network descends on.
-    fn make<'a>(
-        &'a self,
-        layers: &'a [Layer],
-        hier: &'a Hierarchy,
-        cfg: &GdConfig,
-    ) -> Box<dyn DiffLoss + 'a>;
 }
 
 /// Which differentiable loss a job descends on.
@@ -234,8 +205,6 @@ pub enum Surrogate {
     /// side pinned to `GdConfig::fixed_pe_side` (default 16) — the
     /// surrogate behind [`dosa_search_rtl`](crate::dosa_search_rtl).
     PredictedLatency(LatencyPredictor),
-    /// A user-supplied [`CustomSurrogate`].
-    Custom(Arc<dyn CustomSurrogate>),
 }
 
 impl fmt::Debug for Surrogate {
@@ -245,33 +214,8 @@ impl fmt::Debug for Surrogate {
             Surrogate::PredictedLatency(p) => {
                 write!(f, "Surrogate::PredictedLatency({:?})", p.kind)
             }
-            Surrogate::Custom(_) => f.write_str("Surrogate::Custom(..)"),
         }
     }
-}
-
-/// Whether a gradient-descent job seeds an extra descent from the best
-/// cached result for its network shape.
-///
-/// Warm starting is **opt-in by design**: a warm-started result depends
-/// on whatever the service's [`ResultCache`](crate::ResultCache) happens
-/// to hold, so it trades the bit-identical-to-a-cold-run guarantee for a
-/// (monotone — the extra start can only match or improve the best) head
-/// start. With the default [`WarmStart::Off`], enabling the cache never
-/// changes any result bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum WarmStart {
-    /// No warm start; results are bit-identical to a cold run even with
-    /// a cache attached. The default.
-    #[default]
-    Off,
-    /// Seed one extra descent per network from the best relaxed mapping
-    /// any previous job journaled for the same network shape (same
-    /// hierarchy and layer shapes; seed, budget, and surrogate may all
-    /// differ). Silently skipped when the service has no cache or the
-    /// cache has no neighbor yet.
-    NearestNeighbor,
 }
 
 /// One named network inside a (possibly batched) request.
@@ -282,7 +226,7 @@ pub struct NetworkSpec {
     /// The layers being co-optimized (one entry per unique layer).
     pub layers: Vec<Layer>,
     /// Seed for this network's start points and descents; `None` inherits
-    /// `GdConfig::seed`. A network's result is bit-identical to a
+    /// the strategy's seed. A network's result is bit-identical to a
     /// standalone submission with the same effective seed.
     pub seed: Option<u64>,
 }
@@ -301,7 +245,6 @@ pub struct SearchRequest {
     pub(crate) strategy: Strategy,
     pub(crate) policy: SchedPolicy,
     pub(crate) max_parallelism: Option<usize>,
-    pub(crate) warm_start: WarmStart,
     pub(crate) deadline: Option<Duration>,
     pub(crate) deadline_policy: DeadlinePolicy,
     pub(crate) fault_plan: Option<Arc<FaultPlan>>,
@@ -318,7 +261,6 @@ impl SearchRequest {
                 strategy: Strategy::default(),
                 policy: SchedPolicy::default(),
                 max_parallelism: None,
-                warm_start: WarmStart::Off,
                 deadline: None,
                 deadline_policy: DeadlinePolicy::default(),
                 fault_plan: None,
@@ -329,15 +271,6 @@ impl SearchRequest {
     /// The search strategy this job runs.
     pub fn strategy(&self) -> &Strategy {
         &self.strategy
-    }
-
-    /// The gradient-descent budget, if this is a
-    /// [`Strategy::GradientDescent`] request.
-    pub fn gd_config(&self) -> Option<&GdConfig> {
-        match &self.strategy {
-            Strategy::GradientDescent(cfg) => Some(cfg),
-            _ => None,
-        }
     }
 
     /// The networks in submission order.
@@ -362,13 +295,6 @@ impl SearchRequest {
     /// use the service's whole budget when nothing else is running.
     pub fn max_parallelism(&self) -> Option<usize> {
         self.max_parallelism
-    }
-
-    /// Whether this job seeds an extra descent from a cached neighbor
-    /// ([`WarmStart::Off`] unless set via
-    /// [`SearchRequestBuilder::warm_start`]).
-    pub fn warm_start(&self) -> WarmStart {
-        self.warm_start
     }
 
     /// The job's deadline, if it declared one
@@ -421,11 +347,6 @@ impl SearchRequest {
         {
             return Err(ConfigError::SurrogateNotApplicable(self.strategy.name()));
         }
-        if !matches!(self.strategy, Strategy::GradientDescent(_))
-            && self.warm_start != WarmStart::Off
-        {
-            return Err(ConfigError::WarmStartNotApplicable(self.strategy.name()));
-        }
         if self.networks.is_empty() {
             return Err(ConfigError::EmptyBatch);
         }
@@ -454,8 +375,7 @@ pub struct SearchRequestBuilder {
 }
 
 impl SearchRequestBuilder {
-    /// Add a network to the batch, seeded by the request's
-    /// `GdConfig::seed`.
+    /// Add a network to the batch, seeded by the strategy's seed.
     pub fn network(self, name: impl Into<String>, layers: Vec<Layer>) -> SearchRequestBuilder {
         self.push_network(name.into(), layers, None)
     }
@@ -523,17 +443,6 @@ impl SearchRequestBuilder {
     /// service budget at submission.
     pub fn max_parallelism(mut self, n: usize) -> SearchRequestBuilder {
         self.request.max_parallelism = Some(n);
-        self
-    }
-
-    /// Opt into seeding one extra descent per network from the best
-    /// cached neighbor of its shape (default: [`WarmStart::Off`]). Does
-    /// nothing unless the service carries a
-    /// [`ResultCache`](crate::ResultCache); rejected at validation for
-    /// non-gradient-descent strategies. See [`WarmStart`] for the
-    /// determinism tradeoff.
-    pub fn warm_start(mut self, warm: WarmStart) -> SearchRequestBuilder {
-        self.request.warm_start = warm;
         self
     }
 
@@ -636,6 +545,20 @@ mod tests {
                 },
                 ConfigError::ZeroSegmentSteps,
             ),
+            (
+                GdConfig {
+                    fixed_pe_side: Some(0),
+                    ..GdConfig::default()
+                },
+                ConfigError::BadPeSide(0),
+            ),
+            (
+                GdConfig {
+                    fixed_pe_side: Some(MAX_PE_SIDE + 1),
+                    ..GdConfig::default()
+                },
+                ConfigError::BadPeSide(MAX_PE_SIDE + 1),
+            ),
         ];
         for (cfg, expected) in cases {
             let err = cfg.validate().unwrap_err();
@@ -709,7 +632,6 @@ mod tests {
             .strategy(Strategy::Random(RandomSearchConfig::default()))
             .build();
         ok.validate().unwrap();
-        assert!(ok.gd_config().is_none());
     }
 
     #[test]
@@ -725,28 +647,6 @@ mod tests {
             mixed.validate(),
             Err(ConfigError::SurrogateNotApplicable("random"))
         );
-    }
-
-    #[test]
-    fn warm_start_requires_gradient_descent() {
-        use crate::RandomSearchConfig;
-        let hier = Hierarchy::gemmini();
-        let mixed = SearchRequest::builder(hier.clone())
-            .network("a", vec![layer()])
-            .warm_start(WarmStart::NearestNeighbor)
-            .strategy(Strategy::Random(RandomSearchConfig::default()))
-            .build();
-        assert_eq!(
-            mixed.validate(),
-            Err(ConfigError::WarmStartNotApplicable("random"))
-        );
-
-        let gd = SearchRequest::builder(hier)
-            .network("a", vec![layer()])
-            .warm_start(WarmStart::NearestNeighbor)
-            .build();
-        gd.validate().unwrap();
-        assert_eq!(gd.warm_start(), WarmStart::NearestNeighbor);
     }
 
     #[test]

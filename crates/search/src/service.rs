@@ -83,7 +83,7 @@
 //! non-increasing with strictly increasing sample counts. A job cancelled
 //! while still queued completes immediately with empty results.
 //!
-//! ## Result cache, checkpoint/resume, warm starts
+//! ## Result cache, checkpoint/resume
 //!
 //! A service built with [`SearchServiceBuilder::cache`] consults a
 //! content-addressed [`ResultCache`] per work item during planning,
@@ -96,12 +96,9 @@
 //! cancelled (partial) item, a cancelled job resubmitted identically
 //! replays its completed items from the cache and re-runs only the
 //! remainder — checkpoint/resume without any explicit checkpoint format.
-//! With the default [`WarmStart::Off`] the cache is invisible in
-//! results: every [`BatchResult`] is bit-identical to a cold run. A
-//! request may also opt into [`WarmStart::NearestNeighbor`], seeding one
-//! extra descent per network from the best cached mapping of the same
-//! network shape; [`JobHandle::stats`] reports per-job hits, misses, and
-//! warm starts. See the [`cache`] module for the key schema.
+//! The cache is invisible in results: every [`BatchResult`] is
+//! bit-identical to a cold run. [`JobHandle::stats`] reports per-job
+//! hits and misses. See the [`cache`] module for the key schema.
 //!
 //! ## Failure domains, deadlines & degradation
 //!
@@ -146,11 +143,11 @@ use crate::gd::{GdConfig, LoopOrderStrategy, SearchResult};
 use crate::random_search::{
     plan_random_designs, run_random_design, RandomDesign, RandomSearchConfig,
 };
-use crate::request::{ConfigError, SearchRequest, Surrogate, WarmStart};
+use crate::request::{ConfigError, SearchRequest, Surrogate};
 #[cfg(doc)]
 use crate::sched::SchedPolicy;
 use crate::sched::{JobRank, ReadyQueue, Schedulable};
-use crate::startpoints::{generate_start_points, warm_start_point, StartPoint};
+use crate::startpoints::{generate_start_points, StartPoint};
 use crate::strategy::Strategy;
 use dosa_accel::{Hierarchy, MAX_PE_SIDE};
 use dosa_cache::CacheKey;
@@ -297,20 +294,17 @@ impl JobProgress {
 ///
 /// On a service without a cache the cache counters stay zero. With a
 /// cache, `cache_hits + cache_misses == work_items` once the job is
-/// terminal (uncacheable items — e.g. a custom surrogate's — count as
+/// terminal (uncacheable items — e.g. a learned predictor's — count as
 /// misses: they ran on the pool).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JobStats {
-    /// Work items this job planned (including any warm-start items).
+    /// Work items this job planned.
     pub work_items: usize,
     /// Work items replayed from the service's [`ResultCache`].
     pub cache_hits: usize,
     /// Work items that ran on the pool (cache absent, item uncacheable,
     /// or a genuine miss).
     pub cache_misses: usize,
-    /// Extra descents seeded from a cached neighbor
-    /// ([`WarmStart::NearestNeighbor`]).
-    pub warm_starts: usize,
     /// Executable dispatches that actually ran on a worker: every GD
     /// segment (a start resumed `n` times counts `n` dispatches), random
     /// design, and BB-BO network. Planning dispatches and cache replays
@@ -331,7 +325,6 @@ struct JobCounters {
     work_items: AtomicUsize,
     cache_hits: AtomicUsize,
     cache_misses: AtomicUsize,
-    warm_starts: AtomicUsize,
     segments_run: AtomicUsize,
     max_queue_wait: AtomicU64,
 }
@@ -342,7 +335,6 @@ impl JobCounters {
             work_items: self.work_items.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            warm_starts: self.warm_starts.load(Ordering::Relaxed),
             segments_run: self.segments_run.load(Ordering::Relaxed),
             max_queue_wait: self.max_queue_wait.load(Ordering::Relaxed),
         }
@@ -365,8 +357,6 @@ struct ExecState {
     /// resolves, then `(net_index, outcome)` where a `None` outcome marks
     /// an item a [`DeadlinePolicy::Degrade`] deadline skipped.
     slots: Vec<Option<(usize, Option<SearchResult>)>>,
-    /// Per-network shape keys for cache journaling.
-    shapes: Vec<Option<CacheKey>>,
     /// Planned items not yet resolved.
     remaining: usize,
     /// Lowest-positioned item failure, if any — the typed error the whole
@@ -502,10 +492,9 @@ impl JobHandle {
 
     /// Per-job scheduler and cache counters (non-blocking): how many work
     /// items this job planned, how many were replayed from the service's
-    /// [`ResultCache`] versus run on the pool, how many extra warm-start
-    /// descents were seeded, how many executable dispatches (GD segments,
-    /// random designs, BB-BO networks) actually ran, and the longest any
-    /// of its queue entries waited for a worker. Counters are final once
+    /// [`ResultCache`] versus run on the pool, how many executable
+    /// dispatches (GD segments, random designs, BB-BO networks) actually
+    /// ran, and the longest any of its queue entries waited for a worker. Counters are final once
     /// [`status()`](JobHandle::status) is terminal.
     pub fn stats(&self) -> JobStats {
         self.job.stats.snapshot()
@@ -656,12 +645,11 @@ impl SearchServiceBuilder {
     }
 
     /// Attach a content-addressed [`ResultCache`] (default: none). The
-    /// service consults it per work item during planning, journals
-    /// completed items into it, and draws warm-start neighbors from it;
-    /// sharing one cache across services (or across a service's lifetime)
-    /// is what makes checkpoint/resume and warm starts work. With the
-    /// default [`WarmStart::Off`] on every request, attaching a cache
-    /// never changes any result bit — see the module docs.
+    /// service consults it per work item during planning and journals
+    /// completed items into it; sharing one cache across services (or
+    /// across a service's lifetime) is what makes checkpoint/resume work.
+    /// Attaching a cache never changes any result bit — see the module
+    /// docs.
     pub fn cache(mut self, cache: Arc<ResultCache>) -> SearchServiceBuilder {
         self.cache = Some(cache);
         self
@@ -770,6 +758,33 @@ impl SearchService {
     }
 }
 
+/// The body of every blocking shim ([`dosa_search`](crate::dosa_search),
+/// [`dosa_search_rtl`](crate::dosa_search_rtl),
+/// [`random_search`](crate::random_search),
+/// [`bayesian_search`](crate::bayesian_search)): submit one
+/// single-network `request` to a throwaway service sized by the calling
+/// thread's rayon configuration, and wait. Panics with
+/// `"invalid {label}: …"` on a rejected request and
+/// `"search job failed: …"` on a failed job.
+pub(crate) fn run_blocking(request: SearchRequest, label: &str) -> SearchResult {
+    let service = SearchService::builder()
+        .threads(rayon::current_num_threads())
+        .build();
+    let handle = match service.submit(request) {
+        Ok(handle) => handle,
+        // dosa-lint: allow(panic-perimeter) — documented perimeter of the
+        // one-call convenience entrypoints; callers wanting typed errors use
+        // `SearchService::submit` + `wait` directly.
+        Err(e) => panic!("invalid {label}: {e}"),
+    };
+    handle
+        .wait()
+        // dosa-lint: allow(panic-perimeter) — same convenience-entrypoint
+        // perimeter: the service path surfaces this as a typed JobError.
+        .unwrap_or_else(|err| panic!("search job failed: {err}"))
+        .into_single()
+}
+
 impl Drop for SearchService {
     fn drop(&mut self) {
         // Cancel every live job first: queued jobs retire immediately
@@ -837,11 +852,10 @@ fn worker_loop(shared: Arc<ServiceShared>) {
     }
 }
 
-/// The plan of one job: pre-resolved (cache-replayed) item slots, the
-/// per-network shape keys, and the miss items to enqueue.
+/// The plan of one job: pre-resolved (cache-replayed) item slots and the
+/// miss items to enqueue.
 struct JobPlan {
     slots: Vec<Option<(usize, Option<SearchResult>)>>,
-    shapes: Vec<Option<CacheKey>>,
     misses: Vec<Work>,
 }
 
@@ -868,8 +882,8 @@ fn run_plan(shared: &Arc<ServiceShared>, job: &Arc<JobShared>) {
         return;
     }
     // Planning runs arbitrary strategy code (start-point generation, the
-    // cache, a custom surrogate): contain it so a defect fails only this
-    // job, typed, instead of killing the worker.
+    // cache): contain it so a defect fails only this job, typed, instead
+    // of killing the worker.
     match catch_unwind(AssertUnwindSafe(|| plan_job(job))) {
         Err(payload) => {
             record_item_error(
@@ -887,7 +901,6 @@ fn run_plan(shared: &Arc<ServiceShared>, job: &Arc<JobShared>) {
             let fully_resolved = {
                 let mut exec = fault::lock(&job.exec);
                 exec.slots = plan.slots;
-                exec.shapes = plan.shapes;
                 exec.remaining = plan.misses.len();
                 plan.misses.is_empty()
             };
@@ -904,25 +917,14 @@ fn run_plan(shared: &Arc<ServiceShared>, job: &Arc<JobShared>) {
     }
 }
 
-/// Plan one job: compute its per-network shape keys, let its strategy
-/// generate the work items in plan order, and consult the result cache
-/// per item. Hits land directly at their planned positions and never
-/// enter the queue; reassembling by position keeps the demultiplexed
-/// per-network order — and therefore every merged result bit — identical
-/// to a cold run regardless of which items hit.
+/// Plan one job: let its strategy generate the work items in plan order,
+/// and consult the result cache per item. Hits land directly at their
+/// planned positions and never enter the queue; reassembling by position
+/// keeps the demultiplexed per-network order — and therefore every merged
+/// result bit — identical to a cold run regardless of which items hit.
 fn plan_job(job: &JobShared) -> JobPlan {
-    let shapes: Vec<Option<CacheKey>> = job
-        .request
-        .networks()
-        .iter()
-        .map(|net| {
-            job.cache
-                .as_ref()
-                .map(|_| cache::network_shape_key(&job.request.hier, &net.layers))
-        })
-        .collect();
     let items = match job.request.strategy() {
-        Strategy::GradientDescent(cfg) => plan_gd(job, cfg, &shapes),
+        Strategy::GradientDescent(cfg) => plan_gd(job, cfg),
         Strategy::Random(cfg) => plan_random(job, cfg),
         Strategy::BayesOpt(cfg) => plan_bayes(job, cfg),
     };
@@ -948,19 +950,14 @@ fn plan_job(job: &JobShared) -> JobPlan {
             }
         }
     }
-    JobPlan {
-        slots,
-        shapes,
-        misses,
-    }
+    JobPlan { slots, misses }
 }
 
-/// Gradient-descent planning: every network's start points (plus any
-/// warm-start item) become independent work items. Start points are
-/// generated sequentially per network before any parallelism, exactly as
-/// the blocking path does — bit-parity with standalone runs hinges on
-/// it.
-fn plan_gd(job: &JobShared, cfg: &GdConfig, shapes: &[Option<CacheKey>]) -> Vec<Planned> {
+/// Gradient-descent planning: every network's start points become
+/// independent work items. Start points are generated sequentially per
+/// network before any parallelism, exactly as the blocking path does —
+/// bit-parity with standalone runs hinges on it.
+fn plan_gd(job: &JobShared, cfg: &GdConfig) -> Vec<Planned> {
     let request = &job.request;
     let hier = &request.hier;
     let mut items: Vec<Planned> = Vec::new();
@@ -982,29 +979,6 @@ fn plan_gd(job: &JobShared, cfg: &GdConfig, shapes: &[Option<CacheKey>]) -> Vec<
                 cache::gd_item_key(hier, &net.layers, &request.surrogate, &net_cfg, start_index)
             });
             items.push((net_index, key, gd_task(start_index, start, net_cfg)));
-        }
-        // Warm start: seed one extra descent from the best cached
-        // neighbor of this network's shape. The warm item is appended
-        // *after* the regular starts at the first unused start index, so
-        // every regular start's RNG stream and merge position is exactly
-        // what a cold run produces.
-        if request.warm_start() == WarmStart::NearestNeighbor {
-            if let (Some(cache), Some(shape)) = (&job.cache, &shapes[net_index]) {
-                if let Some(relaxed) = cache.warm_neighbor(shape, net.layers.len()) {
-                    let key = cache::warm_item_key(
-                        hier,
-                        &net.layers,
-                        &request.surrogate,
-                        &net_cfg,
-                        net_cfg.start_points,
-                        &relaxed,
-                    );
-                    let start = warm_start_point(&net.layers, hier, &opts, relaxed);
-                    let task = gd_task(net_cfg.start_points, start, net_cfg);
-                    items.push((net_index, key, task));
-                    job.stats.warm_starts.fetch_add(1, Ordering::Relaxed);
-                }
-            }
         }
     }
     items
@@ -1112,8 +1086,7 @@ fn run_work(shared: &Arc<ServiceShared>, job: &Arc<JobShared>, work: Work) {
             // result must never be replayable.
             if !job.stop.stopping() {
                 if let (Some(cache), Some(key)) = (&job.cache, key) {
-                    let shape = fault::lock(&job.exec).shapes[net_index].clone();
-                    cache.journal(key, shape.as_ref(), &result);
+                    cache.journal(key, &result);
                 }
             }
             resolve_item(shared, job, pos, net_index, Some(result));
@@ -1355,7 +1328,6 @@ fn build_surrogate<'a>(
             };
             (Box::new(loss), opts)
         }
-        Surrogate::Custom(custom) => (custom.make(layers, hier, cfg), custom.loss_options(cfg)),
     }
 }
 
@@ -1464,9 +1436,21 @@ mod tests {
             ..GdConfig::default()
         });
         assert_eq!(
-            service.submit(request).unwrap_err(),
+            service.submit(request.clone()).unwrap_err(),
             ConfigError::ZeroRoundEvery
         );
+        // An out-of-range pinned PE side is rejected here instead of
+        // panicking a worker at its first rounding.
+        for side in [0, MAX_PE_SIDE + 1] {
+            request.strategy = Strategy::GradientDescent(GdConfig {
+                fixed_pe_side: Some(side),
+                ..GdConfig::default()
+            });
+            assert_eq!(
+                service.submit(request.clone()).unwrap_err(),
+                ConfigError::BadPeSide(side)
+            );
+        }
     }
 
     #[test]

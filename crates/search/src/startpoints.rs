@@ -53,26 +53,6 @@ pub fn generate_start_point(
     }
 }
 
-/// Build the warm start point a cached neighbor seeds
-/// ([`WarmStart::NearestNeighbor`](crate::WarmStart)): the neighbor's
-/// best relaxed mappings, re-predicted under this request's loss options.
-/// Unlike [`generate_start_point`] it draws nothing from the RNG, so
-/// appending it leaves every regular start's stream untouched; `seed_hw`
-/// is nominal (the descent reads only the relaxed mappings).
-pub(crate) fn warm_start_point(
-    layers: &[Layer],
-    hier: &Hierarchy,
-    opts: &LossOptions,
-    relaxed: Vec<RelaxedMapping>,
-) -> StartPoint {
-    let (_, _, edp) = predict(layers, &relaxed, hier, opts);
-    StartPoint {
-        seed_hw: HardwareConfig::gemmini_default(),
-        relaxed,
-        predicted_edp: edp,
-    }
-}
-
 /// Generate `n` start points applying the rejection rule of §5.3.1: a start
 /// point whose predicted EDP exceeds `rejection_factor ×` the best seen so
 /// far is discarded and redrawn (bounded retries keep this total).

@@ -70,21 +70,6 @@ impl Strategy {
         }
     }
 
-    /// The work-item granularity this strategy caches and replays at
-    /// when the service carries a
-    /// [`ResultCache`](crate::ResultCache): `(network, start point)`
-    /// descents for gradient descent, `(network, hardware design)`
-    /// evaluations for random search, and whole networks for BB-BO
-    /// (every outer GP step conditions on all previous observations, so
-    /// nothing finer is pure). Used in cache reports.
-    pub fn cache_granularity(&self) -> &'static str {
-        match self {
-            Strategy::GradientDescent(_) => "start-point",
-            Strategy::Random(_) => "hardware-design",
-            Strategy::BayesOpt(_) => "network",
-        }
-    }
-
     /// Validate this strategy's configuration, dispatching to the
     /// per-config `validate` method. Called on every request at
     /// [`SearchService::submit`](crate::SearchService::submit).

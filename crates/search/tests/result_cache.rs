@@ -1,15 +1,14 @@
 //! Integration tests of the content-addressed result cache: enabling the
 //! cache must never change a result bit, a repeated identical batch must
 //! replay entirely from the cache, a cancelled job resubmitted
-//! identically must re-run only its remainder, warm starting must stay
-//! opt-in, and request-level fingerprints must be injective field by
-//! field.
+//! identically must re-run only its remainder, and request-level
+//! fingerprints must be injective field by field.
 
 use dosa_accel::Hierarchy;
-use dosa_search::cache::{gd_item_key, network_shape_key};
+use dosa_search::cache::gd_item_key;
 use dosa_search::{
     dosa_search, GdConfig, JobStats, RandomSearchConfig, ResultCache, SearchRequest, SearchResult,
-    SearchService, Strategy, Surrogate, WarmStart,
+    SearchService, Strategy, Surrogate,
 };
 use dosa_workload::{Layer, Problem};
 use proptest::prelude::*;
@@ -79,7 +78,6 @@ fn cache_on_equals_cache_off_and_repeat_hits_fully() {
     assert_eq!(stats.work_items, 4, "2 networks x 2 start points");
     assert_eq!(stats.cache_hits, 0);
     assert_eq!(stats.cache_misses, stats.work_items);
-    assert_eq!(stats.warm_starts, 0);
     for net in ["gemm", "conv"] {
         assert_bit_identical(
             first_results.get(net).unwrap(),
@@ -188,76 +186,6 @@ fn resume_after_cancel_reruns_only_the_remainder() {
         stats.cache_misses
     );
     assert_bit_identical(&resumed_result, &reference, "resumed vs uninterrupted");
-}
-
-#[test]
-fn warm_start_is_opt_in_and_counted() {
-    let hier = Hierarchy::gemmini();
-    let cache = ResultCache::in_memory(256);
-    let service = SearchService::builder()
-        .threads(2)
-        .cache(Arc::clone(&cache))
-        .build();
-
-    // Nothing journaled yet: a warm-started request finds no neighbor.
-    let cold_warm = service
-        .submit(
-            SearchRequest::builder(hier.clone())
-                .network("gemm", matmul_net())
-                .config(tiny_cfg(21))
-                .warm_start(WarmStart::NearestNeighbor)
-                .build(),
-        )
-        .unwrap();
-    let cold_result = cold_warm.wait().unwrap().into_single();
-    assert_eq!(cold_warm.stats().warm_starts, 0);
-    assert_eq!(cold_warm.stats().work_items, 2);
-
-    // Same shape, different seed: the journaled neighbor seeds one extra
-    // descent, which can only match or improve the merged best.
-    let warmed = service
-        .submit(
-            SearchRequest::builder(hier.clone())
-                .network("gemm", matmul_net())
-                .config(tiny_cfg(22))
-                .warm_start(WarmStart::NearestNeighbor)
-                .build(),
-        )
-        .unwrap();
-    let warmed_result = warmed.wait().unwrap().into_single();
-    let stats = warmed.stats();
-    assert_eq!(stats.warm_starts, 1);
-    assert_eq!(stats.work_items, 3, "2 regular starts + 1 warm start");
-    assert!(warmed_result.samples > 0);
-    assert!(warmed_result.best_edp.is_finite());
-
-    // Off by default: the same request without warm_start plans only the
-    // regular starts and stays bit-identical to a cold run, cache or not.
-    let off = service
-        .submit(
-            SearchRequest::builder(hier.clone())
-                .network("gemm", matmul_net())
-                .config(tiny_cfg(23))
-                .build(),
-        )
-        .unwrap();
-    let off_result = off.wait().unwrap().into_single();
-    assert_eq!(off.stats().warm_starts, 0);
-    assert_eq!(off.stats().work_items, 2);
-    let plain = SearchService::builder().threads(2).build();
-    let cold = plain
-        .submit(
-            SearchRequest::builder(hier)
-                .network("gemm", matmul_net())
-                .config(tiny_cfg(23))
-                .build(),
-        )
-        .unwrap()
-        .wait()
-        .unwrap()
-        .into_single();
-    assert_bit_identical(&off_result, &cold, "warm-start-off vs no cache");
-    drop(cold_result);
 }
 
 /// Segment-resume parity: a GD start split into bounded segments of any
@@ -436,8 +364,7 @@ proptest! {
     }
 
     /// `-0.0` and `0.0` learning rates canonicalize to one key (the only
-    /// f64 pair IEEE `==` conflates), and the shape key ignores every
-    /// config field.
+    /// f64 pair IEEE `==` conflates).
     #[test]
     fn float_zero_canonicalization_and_shape_keys(seed in 0u64..u64::MAX) {
         let hier = Hierarchy::gemmini();
@@ -447,11 +374,6 @@ proptest! {
         prop_assert_eq!(
             gd_item_key(&hier, &layers, &Surrogate::Edp, &pos, 0).unwrap(),
             gd_item_key(&hier, &layers, &Surrogate::Edp, &neg, 0).unwrap()
-        );
-        // The warm-start neighborhood is identical across seeds/configs.
-        prop_assert_eq!(
-            network_shape_key(&hier, &layers),
-            network_shape_key(&hier, &layers)
         );
     }
 }

@@ -55,9 +55,8 @@
 //!
 //! * [`search::Strategy::GradientDescent`] — DOSA's differentiable
 //!   one-loop co-search (the default), descending a
-//!   [`search::Surrogate`] (plain EDP, the §6.5 predictor-adjusted
-//!   latency, or a custom [`search::CustomSurrogate`]); each start point
-//!   is one work item,
+//!   [`search::Surrogate`] (plain EDP or the §6.5 predictor-adjusted
+//!   latency); each start point is one work item,
 //! * [`search::Strategy::Random`] — the random-search baseline; each
 //!   hardware design is one work item with a private RNG stream,
 //! * [`search::Strategy::BayesOpt`] — Spotlight-style BB-BO; each
@@ -139,12 +138,9 @@
 //!   replays identical work instead of re-running it: a repeated
 //!   identical request completes with 100% work-item hits, a cancelled
 //!   job resubmitted identically re-runs only its remainder, and either
-//!   way the [`search::BatchResult`] stays bit-identical to a cold run.
-//!   Requests can additionally opt into
-//!   [`search::WarmStart::NearestNeighbor`] to seed one extra descent
-//!   from the best cached mapping of the same network shape
-//!   ([`search::JobHandle::stats`] counts hits/misses/warm starts;
-//!   pinned by `crates/search/tests/result_cache.rs`).
+//!   way the [`search::BatchResult`] stays bit-identical to a cold run
+//!   ([`search::JobHandle::stats`] counts hits and misses; pinned by
+//!   `crates/search/tests/result_cache.rs`).
 //!
 //! ```
 //! use dosa::prelude::*;
@@ -173,9 +169,7 @@
 //! [`search::dosa_search_rtl`], [`search::random_search`] and
 //! [`search::bayesian_search`] remain as thin shims that submit one job
 //! and wait (thread budget from the calling thread's rayon
-//! configuration, so `repro --threads N` still applies). Custom
-//! surrogates implement [`search::DiffLoss`] and plug into the same
-//! engine through [`search::CustomSurrogate`]; see
+//! configuration, so `repro --threads N` still applies). See
 //! `examples/batched_service.rs` and `examples/strategy_comparison.rs`
 //! for the service lifecycle end to end.
 
@@ -199,10 +193,10 @@ pub mod prelude {
     pub use dosa_model::{build_loss, LossOptions, RelaxedMapping};
     pub use dosa_search::{
         bayesian_search, cosa_mapping, dosa_search, dosa_search_rtl, random_search, BatchResult,
-        BbboConfig, ConfigError, CustomSurrogate, DiffLoss, EdpLoss, GdConfig, JobHandle,
-        JobProgress, JobStats, JobStatus, LatencyModelKind, LatencyPredictor, LoopOrderStrategy,
-        PredictedLatencyLoss, RandomSearchConfig, ResultCache, ResultCacheStats, SchedPolicy,
-        SearchRequest, SearchService, Strategy, Surrogate, WarmStart,
+        BbboConfig, ConfigError, DiffLoss, EdpLoss, GdConfig, JobHandle, JobProgress, JobStats,
+        JobStatus, LatencyModelKind, LatencyPredictor, LoopOrderStrategy, PredictedLatencyLoss,
+        RandomSearchConfig, ResultCache, ResultCacheStats, SchedPolicy, SearchRequest,
+        SearchService, Strategy, Surrogate,
     };
     pub use dosa_timeloop::{
         evaluate_layer, evaluate_model, min_hw, min_hw_for_all, Mapping, Stationarity,
