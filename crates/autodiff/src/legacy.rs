@@ -1,4 +1,4 @@
-//! The pre-SoA tape, preserved verbatim in spirit as a measured baseline.
+//! The pre-rewrite tape, preserved verbatim in spirit as a measured baseline.
 //!
 //! This is the recording scheme the crate used before the hot-path
 //! rewrite: an array-of-structs `Vec<Node>` plus a separate values vector,

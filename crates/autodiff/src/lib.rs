@@ -11,13 +11,16 @@
 //!
 //! ## Hot-path layout
 //!
-//! The tape stores nodes struct-of-arrays (`parents` / `grads` / `arity`
-//! in parallel vectors) behind a single-owner arena, so recording is one
-//! bump-allocation per op — no `RefCell` borrows, no per-op bounds assert
-//! (the overflow check lives on the amortized growth path) — and the
-//! backward sweep walks contiguous arrays. `Var ⊕ f64` operations are
-//! fused into single unary nodes. Forward values live on the [`Var`]
-//! itself, not the tape.
+//! The tape stores one node record (`parents`, `grads`, `arity`) per op
+//! in a single vector behind a single-owner arena, so recording is one
+//! capacity check and one store per op — no `RefCell` borrows, no per-op
+//! bounds assert (the overflow check lives on the amortized growth path)
+//! — and the backward sweep walks one contiguous array. The record
+//! replaced a structure-of-arrays layout whose three parallel vectors
+//! cost three pushes per op. The recording ops are `#[inline]`, so model
+//! crates record without a call per op. `Var ⊕ f64` operations are fused
+//! into single unary nodes. Forward values live on the [`Var`] itself,
+//! not the tape.
 //!
 //! Three more pieces round out the hot path:
 //!
@@ -30,7 +33,7 @@
 //!   preserved pre-rewrite baseline ([`LegacyTape`]) used by parity tests
 //!   and the `BENCH_*.json` speedup measurements.
 //! * [`Gradients::wrt_into`] — gather leaf gradients into a caller-owned
-//!   buffer, so optimizer steps allocate nothing.
+//!   buffer, so a step's leaf-gradient gather allocates nothing.
 //!
 //! ## Example
 //!

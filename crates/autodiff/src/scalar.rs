@@ -1,11 +1,11 @@
 //! The [`Scalar`] / [`Ctx`] abstraction: write a differentiable model
 //! once, instantiate it three ways.
 //!
-//! * `Ctx = &Tape` → `N = Var`: records onto the SoA tape for gradients.
+//! * `Ctx = &Tape` → `N = Var`: records onto the node-record tape for gradients.
 //! * `Ctx = Values` → `N = f64`: the eval-only path — same arithmetic,
 //!   same tie-breaking, zero tape overhead. Used for value-only
 //!   re-evaluations (e.g. scoring rounded candidates).
-//! * `Ctx = &LegacyTape` → `N = LegacyVar`: the pre-SoA baseline kept for
+//! * `Ctx = &LegacyTape` → `N = LegacyVar`: the pre-rewrite baseline kept for
 //!   bit-parity tests and the benchmarked speedup trajectory.
 //!
 //! The f64 implementations of [`Scalar::max`] / [`Scalar::min`] /

@@ -321,19 +321,17 @@ fn sweep_chunk(
         if a == 0.0 {
             continue;
         }
-        let arity = store.arity[i] as usize;
-        let parents = store.parents[i];
-        let grads = store.grads[i];
-        for p in 0..arity {
-            let pid = parents[p];
+        let node = &store.nodes[i];
+        for p in 0..node.arity as usize {
+            let pid = node.parents[p];
             if pid >= range.start {
-                local[(pid - range.start) as usize] += a * grads[p];
+                local[(pid - range.start) as usize] += a * node.grads[p];
             } else {
                 debug_assert!(
                     pid < group_lo,
                     "cross-chunk edge inside a parallel group: {pid} from node {i}"
                 );
-                spill.push((pid, a * grads[p]));
+                spill.push((pid, a * node.grads[p]));
             }
         }
     }

@@ -1,15 +1,16 @@
-//! The gradient tape: an append-only structure-of-arrays arena of scalar
-//! operations.
+//! The gradient tape: an append-only arena of scalar-operation node
+//! records.
 //!
 //! ## Layout and the recording hot path
 //!
-//! The tape stores one logical node per recorded operation, but the node
-//! fields live in three parallel arrays (`parents`, `grads`, `arity`)
-//! rather than an array of structs. The backward sweep touches exactly
-//! these fields and nothing else, so the structure-of-arrays layout keeps
-//! the sweep's working set contiguous and minimal; forward values are not
-//! stored on the tape at all ([`Var`](crate::Var) carries its own value),
-//! which removes one array append per recorded op.
+//! The tape stores one [`Node`] record per recorded operation: its parent
+//! ids, the partial derivatives with respect to them, and its arity. The
+//! backward sweep touches exactly these fields and nothing else, and
+//! forward values are not stored on the tape at all ([`Var`](crate::Var)
+//! carries its own value). One record per op replaced an earlier
+//! structure-of-arrays layout (three parallel vectors) because recording
+//! dominates a descent step: one vector means one capacity check and one
+//! store per op instead of three.
 //!
 //! Recording is a single-owner bump append: the store sits behind one
 //! [`UnsafeCell`] and every recording call takes exclusive access for the
@@ -30,7 +31,7 @@
 //!
 //! Backward sweeps ([`Tape::backward`], [`Tape::backward_into`], and the
 //! segmented [`Tape::backward_segmented`](crate::SegmentPlan)) walk the
-//! arrays in descending id order, skipping zero adjoints.
+//! records in descending id order, skipping zero adjoints.
 
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -42,34 +43,38 @@ pub(crate) type NodeId = u32;
 /// `u32::MAX` is excluded so `len` itself always fits too).
 const MAX_NODES: usize = u32::MAX as usize - 1;
 
-/// The structure-of-arrays node storage. All three vectors always have
-/// equal length; `grads[i][p]` is the partial derivative of node `i` with
-/// respect to `parents[i][p]`, computed at forward time.
+/// One recorded operation: `grads[p]` is the partial derivative of this
+/// node with respect to `parents[p]`, computed at forward time, for
+/// `p < arity`.
+#[derive(Clone, Copy)]
+pub(crate) struct Node {
+    pub(crate) parents: [NodeId; 2],
+    pub(crate) grads: [f64; 2],
+    pub(crate) arity: u8,
+}
+
+/// The node storage: one record per recorded operation, in id order.
 #[derive(Default)]
 pub(crate) struct TapeStore {
-    pub(crate) parents: Vec<[NodeId; 2]>,
-    pub(crate) grads: Vec<[f64; 2]>,
-    pub(crate) arity: Vec<u8>,
+    pub(crate) nodes: Vec<Node>,
 }
 
 impl TapeStore {
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.parents.len()
+        self.nodes.len()
     }
 
     /// Append one node. Branch-light: the only branch is the amortized
     /// capacity check, and the id-overflow assertion lives inside the cold
     /// [`TapeStore::grow`] path.
     #[inline]
-    fn push(&mut self, parents: [NodeId; 2], grads: [f64; 2], arity: u8) -> NodeId {
-        if self.parents.len() == self.parents.capacity() {
+    fn push(&mut self, node: Node) -> NodeId {
+        if self.nodes.len() == self.nodes.capacity() {
             self.grow();
         }
-        let id = self.parents.len() as NodeId;
-        self.parents.push(parents);
-        self.grads.push(grads);
-        self.arity.push(arity);
+        let id = self.nodes.len() as NodeId;
+        self.nodes.push(node);
         id
     }
 
@@ -78,26 +83,21 @@ impl TapeStore {
     #[cold]
     #[inline(never)]
     fn grow(&mut self) {
-        self.reserve_extra(self.parents.capacity().max(32));
+        self.reserve_extra(self.nodes.capacity().max(32));
     }
 
     fn reserve_extra(&mut self, extra: usize) {
-        let len = self.parents.len();
+        let len = self.nodes.len();
         assert!(
             len < MAX_NODES,
             "tape overflow: more than {MAX_NODES} nodes"
         );
         let want = len.saturating_add(extra).min(MAX_NODES);
-        let add = want - len;
-        self.parents.reserve(add);
-        self.grads.reserve(add);
-        self.arity.reserve(add);
+        self.nodes.reserve(want - len);
     }
 
     fn clear(&mut self) {
-        self.parents.clear();
-        self.grads.clear();
-        self.arity.clear();
+        self.nodes.clear();
     }
 }
 
@@ -114,11 +114,9 @@ pub(crate) fn sweep_serial(store: &TapeStore, adj: &mut [f64], lo: usize, hi: us
         if a == 0.0 {
             continue;
         }
-        let arity = store.arity[i] as usize;
-        let parents = store.parents[i];
-        let grads = store.grads[i];
-        for p in 0..arity {
-            adj[parents[p] as usize] += a * grads[p];
+        let node = &store.nodes[i];
+        for p in 0..node.arity as usize {
+            adj[node.parents[p] as usize] += a * node.grads[p];
         }
     }
 }
@@ -170,6 +168,7 @@ impl Tape {
     }
 
     /// Number of nodes recorded so far.
+    #[inline]
     pub fn len(&self) -> usize {
         self.store().len()
     }
@@ -198,7 +197,7 @@ impl Tape {
     /// recording loop for callers that know their op count.
     pub fn reserve(&self, extra: usize) {
         // SAFETY: exclusive as in [`Tape::clear`]. Grow path: this may
-        // reallocate the arena's segment vectors, which is sound only
+        // reallocate the arena's node vector, which is sound only
         // because no outstanding reference into the old storage can exist
         // here — sweep borrows (`store()`) end before any `&self` method
         // returns, and recording takes its own short-lived `&mut`.
@@ -206,6 +205,7 @@ impl Tape {
     }
 
     /// Record a leaf variable with value `v`.
+    #[inline]
     pub fn var(&self, v: f64) -> crate::Var<'_> {
         self.record(v, [0, 0], [0.0, 0.0], 0)
     }
@@ -213,6 +213,7 @@ impl Tape {
     /// Record a constant (identical to [`Tape::var`]; constants still occupy
     /// a node so gradients w.r.t. them can be inspected, and are zero-cost on
     /// the backward sweep).
+    #[inline]
     pub fn constant(&self, v: f64) -> crate::Var<'_> {
         self.var(v)
     }
@@ -230,10 +231,14 @@ impl Tape {
         // this `push`, which runs no user code, so recording can never
         // re-enter the tape and observe a second live borrow. `Tape` is
         // `!Sync`, so no concurrent sweep holds a shared borrow. `push`
-        // may take the grow path and reallocate segment storage; that is
+        // may take the grow path and reallocate the node vector; that is
         // sound here for the same reason as in [`Tape::reserve`]: no
         // reference into the arena survives outside a method body.
-        let id = unsafe { &mut *self.store.get() }.push(parents, grads, arity);
+        let id = unsafe { &mut *self.store.get() }.push(Node {
+            parents,
+            grads,
+            arity,
+        });
         crate::Var {
             tape: self,
             id,

@@ -57,41 +57,48 @@ impl<'t> Var<'t> {
 
     /// Natural logarithm. The input should be positive; `ln` of a
     /// non-positive value produces `NaN`/`-inf` like [`f64::ln`].
+    #[inline]
     pub fn ln(self) -> Var<'t> {
         self.unary(self.value.ln(), 1.0 / self.value)
     }
 
     /// Exponential.
+    #[inline]
     pub fn exp(self) -> Var<'t> {
         let e = self.value.exp();
         self.unary(e, e)
     }
 
     /// Power with a constant (non-differentiated) exponent.
+    #[inline]
     pub fn powf(self, k: f64) -> Var<'t> {
         let v = self.value.powf(k);
         self.unary(v, k * self.value.powf(k - 1.0))
     }
 
     /// Square root.
+    #[inline]
     pub fn sqrt(self) -> Var<'t> {
         let v = self.value.sqrt();
         self.unary(v, 0.5 / v)
     }
 
     /// Reciprocal `1/x`.
+    #[inline]
     pub fn recip(self) -> Var<'t> {
         let v = 1.0 / self.value;
         self.unary(v, -v * v)
     }
 
     /// Square.
+    #[inline]
     pub fn square(self) -> Var<'t> {
         self.unary(self.value * self.value, 2.0 * self.value)
     }
 
     /// Elementwise maximum, with the subgradient convention of routing the
     /// gradient to the larger input (ties route to `self`).
+    #[inline]
     pub fn max(self, rhs: Var<'t>) -> Var<'t> {
         if self.value >= rhs.value {
             self.binary(rhs, self.value, 1.0, 0.0)
@@ -101,6 +108,7 @@ impl<'t> Var<'t> {
     }
 
     /// Elementwise minimum (subgradient; ties route to `self`).
+    #[inline]
     pub fn min(self, rhs: Var<'t>) -> Var<'t> {
         if self.value <= rhs.value {
             self.binary(rhs, self.value, 1.0, 0.0)
@@ -110,6 +118,7 @@ impl<'t> Var<'t> {
     }
 
     /// Rectified linear unit `max(x, 0)`.
+    #[inline]
     pub fn relu(self) -> Var<'t> {
         if self.value > 0.0 {
             self.unary(self.value, 1.0)
@@ -120,6 +129,7 @@ impl<'t> Var<'t> {
 
     /// `max(k − x, 0)` — the hinge used by the invalid-mapping penalty
     /// (Eq. 18 of the paper with `k = 1`).
+    #[inline]
     pub fn hinge_below(self, k: f64) -> Var<'t> {
         if self.value < k {
             self.unary(k - self.value, -1.0)
@@ -138,6 +148,7 @@ macro_rules! impl_binop {
     ($trait:ident, $method:ident, |$a:ident, $b:ident| $val:expr, |$av:ident, $bv:ident| ($ga:expr, $gb:expr)) => {
         impl<'t> $trait for Var<'t> {
             type Output = Var<'t>;
+            #[inline]
             fn $method(self, rhs: Var<'t>) -> Var<'t> {
                 let ($a, $b) = (self.value, rhs.value);
                 let value = $val;
@@ -193,6 +204,7 @@ impl<'t> Div<f64> for Var<'t> {
 
 impl<'t> Neg for Var<'t> {
     type Output = Var<'t>;
+    #[inline]
     fn neg(self) -> Var<'t> {
         self.unary(-self.value, -1.0)
     }
@@ -200,6 +212,7 @@ impl<'t> Neg for Var<'t> {
 
 impl<'t> Add<Var<'t>> for f64 {
     type Output = Var<'t>;
+    #[inline]
     fn add(self, rhs: Var<'t>) -> Var<'t> {
         rhs + self
     }
@@ -207,6 +220,7 @@ impl<'t> Add<Var<'t>> for f64 {
 
 impl<'t> Mul<Var<'t>> for f64 {
     type Output = Var<'t>;
+    #[inline]
     fn mul(self, rhs: Var<'t>) -> Var<'t> {
         rhs * self
     }
@@ -214,6 +228,7 @@ impl<'t> Mul<Var<'t>> for f64 {
 
 impl<'t> Sub<Var<'t>> for f64 {
     type Output = Var<'t>;
+    #[inline]
     fn sub(self, rhs: Var<'t>) -> Var<'t> {
         rhs.unary(self - rhs.value, -1.0)
     }
@@ -224,6 +239,7 @@ impl<'t> Div<Var<'t>> for f64 {
     // `k / v` is recorded as `v.recip() * k`: one reciprocal node plus a
     // fused scale, which is exactly the intended derivative chain.
     #[allow(clippy::suspicious_arithmetic_impl)]
+    #[inline]
     fn div(self, rhs: Var<'t>) -> Var<'t> {
         rhs.recip() * self
     }

@@ -1,7 +1,8 @@
 //! Parity of the segmented backward sweep on randomized multi-layer
-//! losses: reverse-mode gradients must agree with finite differences,
-//! match the pre-refactor [`LegacyTape`] bit-for-bit, and be bit-identical
-//! for every worker budget handed to [`Tape::backward_segmented`].
+//! losses: reverse-mode gradients on the node-record [`Tape`] (one record
+//! per op) must agree with finite differences, match the pre-refactor
+//! [`LegacyTape`] bit-for-bit, and be bit-identical for every worker
+//! budget handed to [`Tape::backward_segmented`].
 
 use dosa_autodiff::{check_gradients, Ctx, LegacyTape, Scalar, SegScratch, SegmentPlan, Tape};
 use proptest::prelude::*;

@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks of the autodiff tape itself: forward
 //! recording of the model loss and the backward sweep, on the current
-//! SoA tape and the pre-refactor [`LegacyTape`], at several depths.
+//! node-record tape and the pre-refactor [`LegacyTape`], at several depths.
 //!
 //! The authoritative medians live in `BENCH_6.json` (regenerated by
 //! `repro bench` or the `gd_step` bench); this bench is the interactive

@@ -106,8 +106,8 @@ fn usage() {
          workloads: unet | resnet50 | bert | retinanet\n\
          --threads N caps the service's worker threads (results are\n\
          identical for every N; only wall-clock time changes)\n\
-         --smoke bench re-measures quickly and validates the checked-in\n\
-         BENCH_6.json; --smoke lint is the CI lint gate"
+         --smoke bench re-measures quickly and validates every checked-in\n\
+         BENCH_*.json by its schema tag; --smoke lint is the CI lint gate"
     );
 }
 

@@ -1,19 +1,22 @@
 //! Hot-path performance trajectory: measured medians for tape recording,
 //! the backward sweep, and a full gradient-descent step at several network
-//! depths, on both the current SoA tape and the pre-refactor
+//! depths, on both the current node-record tape and the pre-refactor
 //! [`LegacyTape`] — written to `BENCH_6.json` at the repository root.
 //!
 //! The legacy path runs the *same* generic loss builder
 //! ([`build_loss_in`]) on the `RefCell`-based AoS tape with the
 //! allocation pattern of the pre-PR descent loop (fresh leaf/gradient
 //! vectors every step), so `gd_step_speedup` isolates exactly what this
-//! refactor changed: single-borrow SoA recording, one-node fused
+//! refactor changed: single-borrow bump recording, one-node fused
 //! scalar ops, the segmented sweep on reused scratch, and
 //! allocation-free parameter updates.
 //!
 //! `repro bench` regenerates the file; `repro --smoke bench` re-runs a
 //! seconds-scale measurement to prove the kernels still execute, then
-//! validates the checked-in file's schema without overwriting it.
+//! validates every checked-in `BENCH_*.json` at the repository root by
+//! its schema tag without overwriting any: [`SCHEMA`] for this module's
+//! kernel record, [`E2E_SCHEMA`] for end-to-end before/after records of
+//! the repository benchmark.
 
 use dosa_accel::{HardwareConfig, Hierarchy};
 use dosa_autodiff::{LegacyTape, LegacyVar, SegScratch, SegmentPlan, Tape, Var};
@@ -29,14 +32,19 @@ pub const LAYER_COUNTS: [usize; 3] = [1, 4, 16];
 /// Identifies the JSON layout; bumped on any incompatible change.
 pub const SCHEMA: &str = "dosa-hotpath-bench-v1";
 
+/// Identifies an end-to-end before/after record: one row per line, each
+/// carrying a `"parent"` and a `"change"` side (a number, or an object of
+/// numbers such as median and quartiles).
+pub const E2E_SCHEMA: &str = "dosa-e2e-delta-v1";
+
 /// Measured medians (nanoseconds per operation) at one network depth.
 #[derive(Debug, Clone, Copy)]
 pub struct PerfRow {
     /// Number of layers in the measured loss.
     pub layers: usize,
-    /// Forward recording of the whole loss on the SoA tape.
+    /// Forward recording of the whole loss on the current tape.
     pub record_ns: f64,
-    /// Serial backward sweep on reused scratch (SoA tape).
+    /// Serial backward sweep on reused scratch (current tape).
     pub sweep_ns: f64,
     /// Full descent step: set params, record, sweep, gather, update.
     pub gd_step_ns: f64,
@@ -115,7 +123,7 @@ fn measure_depth(n: usize, samples: usize, batch: usize) -> PerfRow {
     let hier = Hierarchy::gemmini();
     let opts = LossOptions::default();
 
-    // --- SoA tape: record / sweep / full step, all on reused buffers. ---
+    // --- Current tape: record / sweep / full step, all on reused buffers. ---
     let tape = Tape::new();
     let mut plan = SegmentPlan::new();
     let mut leaves: Vec<Var<'_>> = Vec::new();
@@ -403,6 +411,94 @@ pub fn validate_json(text: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The value of the top-level `"schema"` tag.
+fn schema_tag(text: &str) -> Option<&str> {
+    let tag = "\"schema\": \"";
+    let rest = &text[text.find(tag)? + tag.len()..];
+    Some(&rest[..rest.find('"')?])
+}
+
+/// Every number in one side of an [`E2E_SCHEMA`] row. A value is what
+/// follows a `:`, unless it opens an object or a string; each must parse
+/// as a finite number.
+fn side_values(side: &str) -> Result<Vec<f64>, String> {
+    let mut out = Vec::new();
+    for piece in side.split(':').skip(1) {
+        let v = piece.trim_start();
+        if v.starts_with('{') || v.starts_with('"') {
+            continue;
+        }
+        let end = v.find([',', '}']).unwrap_or(v.len());
+        let x: f64 = v[..end]
+            .trim()
+            .parse()
+            .map_err(|_| format!("{:?} is not a number", v[..end].trim()))?;
+        if !x.is_finite() {
+            return Err(format!("{x} is not finite"));
+        }
+        out.push(x);
+    }
+    if out.is_empty() {
+        return Err("side carries no value".into());
+    }
+    Ok(out)
+}
+
+/// Validate an [`E2E_SCHEMA`] body: at least one row, every row (a line
+/// with a `"parent"` side) also has a `"change"` side after it, and both
+/// sides hold only finite numbers.
+pub fn validate_e2e_json(text: &str) -> Result<(), String> {
+    if schema_tag(text) != Some(E2E_SCHEMA) {
+        return Err(format!("missing or stale schema tag (want {E2E_SCHEMA})"));
+    }
+    let mut rows = 0;
+    for (n, line) in text.lines().enumerate() {
+        let Some(p) = line.find("\"parent\":") else {
+            continue;
+        };
+        let c = line[p..]
+            .find("\"change\":")
+            .map(|c| p + c)
+            .ok_or_else(|| format!("line {}: no change side", n + 1))?;
+        for side in [&line[p..c], &line[c..]] {
+            side_values(side).map_err(|e| format!("line {}: {e}", n + 1))?;
+        }
+        rows += 1;
+    }
+    if rows == 0 {
+        return Err("no parent/change rows".into());
+    }
+    Ok(())
+}
+
+/// Validate one `BENCH_*.json` body with the validator its schema tag
+/// names; an unknown tag is an error.
+pub fn validate_bench(text: &str) -> Result<(), String> {
+    match schema_tag(text) {
+        Some(SCHEMA) => validate_json(text),
+        Some(E2E_SCHEMA) => validate_e2e_json(text),
+        Some(other) => Err(format!("unknown schema tag {other:?}")),
+        None => Err("no schema tag".into()),
+    }
+}
+
+/// Every `BENCH_*.json` at the repository root, sorted by name.
+pub fn bench_files() -> Vec<PathBuf> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let entries =
+        std::fs::read_dir(&root).unwrap_or_else(|e| panic!("cannot list {}: {e}", root.display()));
+    let mut files: Vec<PathBuf> = entries
+        .filter_map(|e| Some(e.ok()?.path()))
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 /// `repro bench`: full measurement, table to stdout, regenerate
 /// `BENCH_6.json`.
 pub fn run() {
@@ -416,8 +512,9 @@ pub fn run() {
 }
 
 /// `repro --smoke bench`: seconds-scale re-measurement proving the
-/// kernels run, then schema validation of the checked-in file (which is
-/// *not* overwritten). Panics on a missing or stale file — the CI gate.
+/// kernels run, then validation of every checked-in `BENCH_*.json` by its
+/// schema tag (none is overwritten). Panics on a stale file, an unknown
+/// tag or a missing `BENCH_6.json` — the CI gate.
 pub fn run_smoke() {
     let report = measure(true);
     report.print();
@@ -427,22 +524,29 @@ pub fn run_smoke() {
             "smoke measurement produced a non-positive record median"
         );
     }
-    let path = bench_json_path();
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing {}: {e}", path.display()));
-    if let Err(e) = validate_json(&text) {
-        panic!("stale {}: {e}", path.display());
+    let files = bench_files();
+    assert!(
+        files.iter().any(|p| p.ends_with("BENCH_6.json")),
+        "missing {}",
+        bench_json_path().display()
+    );
+    for path in &files {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        if let Err(e) = validate_bench(&text) {
+            panic!("stale {}: {e}", path.display());
+        }
+        println!("smoke bench OK: {} validates", path.display());
     }
-    println!("\nsmoke bench OK: {} validates", path.display());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn generated_json_roundtrips_through_validator() {
-        let report = PerfReport {
+    /// A well-formed kernel report with one row per measured depth.
+    fn sample_report() -> PerfReport {
+        PerfReport {
             rows: LAYER_COUNTS
                 .iter()
                 .map(|&n| PerfRow {
@@ -455,32 +559,83 @@ mod tests {
                     legacy_gd_step_ns: 400.0,
                 })
                 .collect(),
-        };
+        }
+    }
+
+    #[test]
+    fn generated_json_roundtrips_through_validator() {
+        let report = sample_report();
         validate_json(&report.to_json()).unwrap();
     }
 
     #[test]
     fn validator_rejects_bad_inputs() {
         assert!(validate_json("{}").is_err());
-        let mut report = PerfReport {
-            rows: LAYER_COUNTS
-                .iter()
-                .map(|&n| PerfRow {
-                    layers: n,
-                    record_ns: 100.0,
-                    sweep_ns: 50.0,
-                    gd_step_ns: 200.0,
-                    legacy_record_ns: 250.0,
-                    legacy_sweep_ns: 120.0,
-                    legacy_gd_step_ns: 400.0,
-                })
-                .collect(),
-        };
+        let mut report = sample_report();
         report.rows[1].sweep_ns = f64::NAN;
         assert!(validate_json(&report.to_json()).is_err());
         report.rows[1].sweep_ns = 50.0;
         report.rows.pop();
         assert!(validate_json(&report.to_json()).is_err());
+    }
+
+    /// A well-formed [`E2E_SCHEMA`] body with one row of each shape.
+    fn e2e_sample() -> String {
+        format!(
+            "{{\n  \"schema\": \"{E2E_SCHEMA}\",\n  \"pairs\": 10,\n  \"end_to_end\": [\n    \
+             {{\"workload\": \"w\", \"metric\": \"gd_s\", \"parent\": {{\"median\": 4.9, \
+             \"q1\": 4.8, \"q3\": 5.0}}, \"change\": {{\"median\": 2.5, \"q1\": 2.4, \
+             \"q3\": 2.6}}}}\n  ],\n  \"stages\": [\n    {{\"stage\": \"gd.tape.record_s\", \
+             \"parent\": 6.09, \"change\": 2.38}}\n  ]\n}}\n"
+        )
+    }
+
+    #[test]
+    fn e2e_validator_rejects_bad_inputs() {
+        validate_e2e_json(&e2e_sample()).unwrap();
+        validate_bench(&e2e_sample()).unwrap();
+        assert!(validate_e2e_json("{}").is_err());
+        // A non-finite or non-numeric value on either side.
+        for bad in ["NaN", "inf", "null", "\"x\""] {
+            let text = e2e_sample().replace("2.38", bad);
+            assert!(validate_e2e_json(&text).is_err(), "{bad} accepted");
+        }
+        assert!(validate_e2e_json(&e2e_sample().replace("4.8", "NaN")).is_err());
+        // A row missing its change side fails; a line with neither side
+        // is not a row, and a body without rows fails.
+        let text = e2e_sample().replace(", \"change\": 2.38", "");
+        assert!(validate_e2e_json(&text).is_err());
+        let text = e2e_sample().replace("\"parent\": 6.09, \"change\": 2.38", "\"n\": 1");
+        validate_e2e_json(&text).unwrap();
+        let rows_gone = text.replace("\"parent\": {", "\"before\": {");
+        assert!(validate_e2e_json(&rows_gone).is_err());
+        // An empty side.
+        let text = e2e_sample().replace("\"change\": 2.38", "\"change\": {}");
+        assert!(validate_e2e_json(&text).is_err());
+    }
+
+    #[test]
+    fn bench_dispatch_follows_the_schema_tag() {
+        let report = sample_report();
+        validate_bench(&report.to_json()).unwrap();
+        // Each body fails the other schema's validator.
+        assert!(validate_json(&e2e_sample()).is_err());
+        assert!(validate_e2e_json(&report.to_json()).is_err());
+        let unknown = e2e_sample().replace(E2E_SCHEMA, "dosa-e2e-delta-v0");
+        assert!(validate_bench(&unknown).is_err());
+        assert!(validate_bench("{\"results\": []}").is_err());
+    }
+
+    #[test]
+    fn checked_in_bench_files_validate() {
+        let files = bench_files();
+        assert!(files.iter().any(|p| p.ends_with("BENCH_6.json")));
+        for path in files {
+            let text = std::fs::read_to_string(&path).unwrap();
+            if let Err(e) = validate_bench(&text) {
+                panic!("{}: {e}", path.display());
+            }
+        }
     }
 
     #[test]

@@ -313,9 +313,11 @@ impl<N: Scalar> HwVars<N> {
         fixed_pe_side: Option<u64>,
         plan: &mut SegmentPlan,
     ) -> HwVars<N> {
-        let mut sides = Vec::new();
-        let mut accs = Vec::new();
-        let mut spads = Vec::new();
+        // Sized once: at most the unit stand-in plus every spatial factor
+        // per layer, so recording never regrows these.
+        let mut sides = Vec::with_capacity(layers.len() * (1 + NUM_LEVELS * NUM_DIMS));
+        let mut accs = Vec::with_capacity(layers.len());
+        let mut spads = Vec::with_capacity(layers.len());
         plan.serial_to(cx.mark());
         plan.begin_group();
         for (p, fv) in layers {
@@ -466,17 +468,21 @@ pub fn layer_perf_vars<C: Ctx>(
 
     for t in Tensor::ALL {
         let rel_dims = t.dims();
-        let holding: Vec<usize> = (0..NUM_LEVELS)
-            .filter(|&i| hier.level(i).stores(t))
-            .collect();
-        let outermost = *holding.last().expect("DRAM stores everything");
-
-        let mut tiles: Vec<C::N> = Vec::with_capacity(holding.len());
-        let mut refetches: Vec<(C::N, C::N)> = Vec::with_capacity(holding.len());
-        for &i in &holding {
-            tiles.push(tile_words_var(cx, problem, fv, i, t));
-            refetches.push(refetch_var(fv, i, rel_dims));
+        // The levels holding `t`, innermost first, with their tiles and
+        // refetch factors. Fixed arrays keep recording allocation-free;
+        // slots past `n` keep the unit placeholder and are never read.
+        let mut holding = [0usize; NUM_LEVELS];
+        let mut tiles = [fv.unit; NUM_LEVELS];
+        let mut refetches = [(fv.unit, fv.unit); NUM_LEVELS];
+        let mut n = 0;
+        for i in (0..NUM_LEVELS).filter(|&i| hier.level(i).stores(t)) {
+            holding[n] = i;
+            tiles[n] = tile_words_var(cx, problem, fv, i, t);
+            refetches[n] = refetch_var(fv, i, rel_dims);
+            n += 1;
         }
+        let holding = &holding[..n];
+        let outermost = *holding.last().expect("DRAM stores everything");
 
         for (pos, &i) in holding.iter().enumerate() {
             let (rel, x) = refetches[pos];

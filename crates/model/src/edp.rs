@@ -22,7 +22,7 @@
 use crate::diff::{layer_perf_vars, FactorVars, HwVars};
 use crate::relaxed::RelaxedMapping;
 use dosa_accel::{HardwareConfig, Hierarchy};
-use dosa_autodiff::{softmax, sum, Ctx, Scalar, SegmentPlan, Tape, Values, Var};
+use dosa_autodiff::{sum, Ctx, Scalar, SegmentPlan, Tape, Values, Var};
 use dosa_timeloop::{LoopOrder, Stationarity};
 use dosa_workload::Layer;
 
@@ -92,7 +92,9 @@ pub struct BuiltLoss<'t> {
 /// by layer, [`RelaxedMapping::params`] order) to `leaves_out`.
 ///
 /// Callers that reuse `plan` and `leaves_out` across steps (clearing them
-/// first) allocate nothing here beyond the recording itself.
+/// first) make a fixed number of heap allocations here, independent of
+/// the number of layers: a handful of per-step vectors sized once
+/// (`crates/model/tests/step_allocations.rs` pins this).
 ///
 /// # Panics
 ///
@@ -146,21 +148,30 @@ pub fn build_loss_in<C: Ctx>(
         let count = layer.count as f64;
         if opts.softmax_ordering {
             // Evaluate all three canonical orderings and weight them by a
-            // softmax over -tau * ln(EDP) (Eq. 15-17).
-            let mut option_e = Vec::with_capacity(3);
-            let mut option_l = Vec::with_capacity(3);
-            let mut scores = Vec::with_capacity(3);
-            for s in Stationarity::ALL {
+            // softmax over -tau * ln(EDP) (Eq. 15-17). Fixed arrays keep
+            // the step allocation-free; the softmax and the two dot
+            // products record the operations of `dosa_autodiff::softmax`
+            // and `dosa_autodiff::dot`, in their order.
+            let options = Stationarity::ALL.map(|s| {
                 let mut fv_s = *fv;
                 fv_s.orders = [LoopOrder::canonical(s); dosa_accel::NUM_LEVELS];
                 let perf = layer_perf_vars(cx, &layer.problem, &fv_s, &hw, hier);
-                scores.push(-(perf.energy_uj * perf.latency).ln() * opts.softmax_temperature);
-                option_e.push(perf.energy_uj);
-                option_l.push(perf.latency);
-            }
-            let w = softmax(cx, &scores);
-            let e = dosa_autodiff::dot(cx, &w, &option_e);
-            let l = dosa_autodiff::dot(cx, &w, &option_l);
+                let score = -(perf.energy_uj * perf.latency).ln() * opts.softmax_temperature;
+                (score, perf.energy_uj, perf.latency)
+            });
+            let m = options
+                .iter()
+                .map(|o| o.0.value())
+                .fold(f64::NEG_INFINITY, f64::max);
+            let exps = options.map(|o| (o.0 - m).exp());
+            let denom = exps[0] + exps[1] + exps[2];
+            let w = exps.map(|x| x / denom);
+            let dot = |v: [C::N; 3]| {
+                let terms = [w[0] * v[0], w[1] * v[1], w[2] * v[2]];
+                terms[0] + terms[1] + terms[2]
+            };
+            let e = dot(options.map(|o| o.1));
+            let l = dot(options.map(|o| o.2));
             energies.push(e * count);
             latencies.push(l * count);
         } else {

@@ -1,7 +1,8 @@
 //! Hot-path parity for the generic loss builder: [`build_loss_in`] on the
-//! new SoA [`Tape`] must match the pre-refactor [`LegacyTape`] bit-for-bit
-//! on randomized multi-layer parameter points, and the segmented backward
-//! sweep must be bit-identical to the flat sweep at every worker budget.
+//! node-record [`Tape`] (one record per op) must match the pre-refactor
+//! [`LegacyTape`] bit-for-bit on randomized multi-layer parameter points,
+//! and the segmented backward sweep must be bit-identical to the flat
+//! sweep at every worker budget.
 
 use dosa_accel::Hierarchy;
 use dosa_autodiff::{LegacyTape, Scalar, SegScratch, SegmentPlan, Tape};

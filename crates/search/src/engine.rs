@@ -82,7 +82,8 @@ pub trait DiffLoss: Sync {
     /// which the engine runs with one worker (every worker count is
     /// bit-identical; see `dosa_autodiff::SegmentPlan`). Both buffers
     /// arrive cleared and are reused across steps, so steady-state
-    /// recording allocates nothing.
+    /// recording makes a fixed number of heap allocations per step, never
+    /// one per layer.
     fn build<'t>(
         &self,
         tape: &'t Tape,
