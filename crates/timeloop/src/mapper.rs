@@ -2,7 +2,7 @@
 //! baseline and the random-pruned mapper used to evaluate fixed accelerators
 //! (§6.1, §6.3).
 
-use crate::divisors::split_into;
+use crate::divisors::{smallest_prime_factor, split_into_slice};
 use crate::mapping::{LoopOrder, Mapping, Stationarity};
 use crate::minhw::fits;
 use crate::perf::{evaluate_layer, LayerPerf};
@@ -38,16 +38,23 @@ pub fn random_mapping(
     for d in Dim::ALL {
         // Build the slot list for this dimension: all temporal levels plus
         // any level that may spatially unroll `d`. Spatial slots are listed
-        // twice to weight them up.
-        let mut slots: Vec<Slot> = (0..NUM_LEVELS).map(Slot::Temporal).collect();
+        // twice to weight them up. Fixed arrays keep a draw allocation-free.
+        let mut slots = [Slot::Temporal(0); 3 * NUM_LEVELS];
+        let mut n = 0;
+        for i in 0..NUM_LEVELS {
+            slots[n] = Slot::Temporal(i);
+            n += 1;
+        }
         for i in 0..NUM_LEVELS {
             if hier.spatial_dims(i).contains(d) {
-                slots.push(Slot::Spatial(i));
-                slots.push(Slot::Spatial(i));
+                slots[n] = Slot::Spatial(i);
+                slots[n + 1] = Slot::Spatial(i);
+                n += 2;
             }
         }
-        let factors = split_into(problem.size(d), slots.len(), |n| rng.gen_range(0..n));
-        for (slot, f) in slots.iter().zip(factors) {
+        let mut factors = [1u64; 3 * NUM_LEVELS];
+        split_into_slice(problem.size(d), &mut factors[..n], |k| rng.gen_range(0..k));
+        for (slot, &f) in slots[..n].iter().zip(&factors[..n]) {
             match slot {
                 Slot::Temporal(i) => temporal[*i][d.index()] *= f,
                 Slot::Spatial(i) => spatial[*i][d.index()] *= f,
@@ -57,8 +64,7 @@ pub fn random_mapping(
         // level's temporal slot.
         for i in 0..NUM_LEVELS {
             while spatial[i][d.index()] > cap {
-                let s = spatial[i][d.index()];
-                let p = crate::divisors::factorize(s)[0].0;
+                let p = smallest_prime_factor(spatial[i][d.index()]);
                 spatial[i][d.index()] /= p;
                 temporal[i][d.index()] *= p;
             }

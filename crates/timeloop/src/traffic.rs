@@ -161,16 +161,22 @@ pub fn compute_traffic(problem: &Problem, mapping: &Mapping, hier: &Hierarchy) -
 
     for t in Tensor::ALL {
         let rel_dims = t.dims();
-        let holding: Vec<usize> = (0..NUM_LEVELS)
-            .filter(|&i| hier.level(i).stores(t))
-            .collect();
+        // The levels holding `t`, innermost first, in a fixed array so
+        // evaluating a mapping allocates only its DRAM stream list.
+        let mut held = [0usize; NUM_LEVELS];
+        let mut n = 0;
+        for i in (0..NUM_LEVELS).filter(|&i| hier.level(i).stores(t)) {
+            held[n] = i;
+            n += 1;
+        }
+        let holding = &held[..n];
         let outermost = *holding.last().expect("DRAM stores everything");
 
         // Per holding level: tile size and refetch counts.
         let mut tiles = [0u64; NUM_LEVELS];
         let mut rels = [1u64; NUM_LEVELS];
         let mut xs = [1u64; NUM_LEVELS];
-        for &i in &holding {
+        for &i in holding {
             tiles[i] = tile_words(problem, mapping, i, t);
             let (r, x) = refetch(mapping, i, rel_dims);
             rels[i] = r;
