@@ -15,7 +15,7 @@
 
 use crate::engine::StartControl;
 use crate::gd::SearchResult;
-use crate::gp::GaussianProcess;
+use crate::gp::{GaussianProcess, EI_LANES};
 use crate::request::SearchRequest;
 use crate::service::run_blocking;
 use crate::startpoints::random_hw;
@@ -58,8 +58,8 @@ impl Default for BbboConfig {
     }
 }
 
-fn hw_features(hw: &HardwareConfig) -> Vec<f64> {
-    vec![
+fn hw_features(hw: &HardwareConfig) -> [f64; 3] {
+    [
         (hw.pe_side() as f64).ln(),
         hw.acc_kb().ln(),
         hw.spad_kb().ln(),
@@ -158,25 +158,48 @@ fn model_edp(best: &[LayerCandidate]) -> f64 {
 /// seed-deterministic), and take the first maximum of their expected
 /// improvement (ties and all-NaN scores resolve to the lowest candidate
 /// index).
+///
+/// Candidates are drawn and scored one lane of eight at a time, so no
+/// candidate list is built, and the stop word is checked between lanes:
+/// `None` means the job stopped mid-proposal and the step is abandoned.
 fn propose_by_ei(
     rng: &mut impl Rng,
     observed_x: &[Vec<f64>],
     observed_y: &[f64],
     candidates: usize,
-) -> HardwareConfig {
+    ctrl: StartControl<'_>,
+) -> Option<HardwareConfig> {
     let gp = GaussianProcess::fit(observed_x.to_vec(), observed_y.to_vec(), 1.0, 0.05);
     let best_y = observed_y.iter().cloned().fold(f64::INFINITY, f64::min);
-    let cands: Vec<HardwareConfig> = (0..candidates).map(|_| random_hw(rng)).collect();
-    let mut best_index = 0;
+    let mut scorer = gp.ei_scorer(best_y);
+    let mut lane_hw = [HardwareConfig::gemmini_default(); EI_LANES];
+    let mut lane_x = [[0.0; 3]; EI_LANES];
+    let mut scores = Vec::with_capacity(EI_LANES);
+    let mut pick = None;
     let mut best_ei = f64::NEG_INFINITY;
-    for (i, cand) in cands.iter().enumerate() {
-        let ei = gp.expected_improvement(&hw_features(cand), best_y);
-        if ei > best_ei {
-            best_ei = ei;
-            best_index = i;
+    let mut left = candidates;
+    while left > 0 {
+        if ctrl.cancelled() {
+            return None;
         }
+        let k = left.min(EI_LANES);
+        for (hw, x) in lane_hw[..k].iter_mut().zip(&mut lane_x) {
+            *hw = random_hw(rng);
+            *x = hw_features(hw);
+        }
+        scores.clear();
+        scorer.score_into(&lane_x[..k], &mut scores);
+        for (hw, &ei) in lane_hw.iter().zip(&scores) {
+            // The running best starts at -inf and a NaN never raises it,
+            // so the first candidate stands until a score beats -inf.
+            if ei > best_ei || pick.is_none() {
+                pick = Some(*hw);
+                best_ei = best_ei.max(ei);
+            }
+        }
+        left -= k;
     }
-    cands[best_index]
+    pick
 }
 
 /// Run the BB-BO baseline on `layers` for one network of a
@@ -212,10 +235,13 @@ pub(crate) fn run_bayesian_search(
         let hw = if step < init_random {
             random_hw(&mut rng)
         } else {
-            propose_by_ei(&mut rng, &observed_x, &observed_y, cfg.candidates)
+            match propose_by_ei(&mut rng, &observed_x, &observed_y, cfg.candidates, ctrl) {
+                Some(hw) => hw,
+                None => break,
+            }
         };
         let score = inner.search(&hw, stream_seed(cfg.seed, step as u64), &mut result);
-        observed_x.push(hw_features(&hw));
+        observed_x.push(hw_features(&hw).to_vec());
         observed_y.push(score);
     }
     result

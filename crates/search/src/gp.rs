@@ -18,9 +18,9 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct GaussianProcess {
-    x: Vec<Vec<f64>>, // standardized inputs
-    alpha: Vec<f64>,  // (K + σn² I)⁻¹ (y - mean)
-    chol: Vec<f64>,   // lower Cholesky factor, row-major n x n
+    x: Vec<f64>,     // standardized inputs, row-major n x dim
+    alpha: Vec<f64>, // (K + σn² I)⁻¹ (y - mean)
+    chol: Vec<f64>,  // lower Cholesky factor, row-major n x n
     n: usize,
     dim: usize,
     lengthscale: f64,
@@ -29,6 +29,10 @@ pub struct GaussianProcess {
     feat_mean: Vec<f64>,
     feat_std: Vec<f64>,
 }
+
+/// Candidates an [`EiScorer`] carries through one pass over the Cholesky
+/// factor.
+pub(crate) const EI_LANES: usize = 8;
 
 impl GaussianProcess {
     /// Fit a GP to `(xs, ys)` with the given kernel lengthscale (in
@@ -61,15 +65,15 @@ impl GaussianProcess {
         for s in feat_std.iter_mut() {
             *s = s.sqrt().max(1e-9);
         }
-        let x: Vec<Vec<f64>> = xs
+        let x: Vec<f64> = xs
             .iter()
-            .map(|row| {
+            .flat_map(|row| {
                 row.iter()
                     .zip(feat_mean.iter().zip(&feat_std))
                     .map(|(v, (m, s))| (v - m) / s)
-                    .collect()
             })
             .collect();
+        let row = |i: usize| &x[i * dim..(i + 1) * dim];
 
         let y_mean = ys.iter().sum::<f64>() / n as f64;
         let yc: Vec<f64> = ys.iter().map(|y| y - y_mean).collect();
@@ -81,7 +85,7 @@ impl GaussianProcess {
         let mut k = vec![0.0; n * n];
         for i in 0..n {
             for j in 0..=i {
-                let v = rbf(&x[i], &x[j], lengthscale, signal_var);
+                let v = rbf(row(i), row(j), lengthscale, signal_var);
                 k[i * n + j] = v;
                 k[j * n + i] = v;
             }
@@ -113,38 +117,152 @@ impl GaussianProcess {
     ///
     /// Panics if `x.len()` differs from the training dimension.
     pub fn predict(&self, x: &[f64]) -> (f64, f64) {
-        assert_eq!(x.len(), self.dim, "feature dimension mismatch");
-        let xs: Vec<f64> = x
-            .iter()
-            .zip(self.feat_mean.iter().zip(&self.feat_std))
-            .map(|(v, (m, s))| (v - m) / s)
-            .collect();
-        let kstar: Vec<f64> = self
-            .x
-            .iter()
-            .map(|xi| rbf(xi, &xs, self.lengthscale, self.signal_var))
-            .collect();
-        let mean = self.y_mean
-            + kstar
-                .iter()
-                .zip(&self.alpha)
-                .map(|(k, a)| k * a)
-                .sum::<f64>();
-        // var = k(x,x) - vᵀv with v = L⁻¹ k*.
-        let v = forward_sub(&self.chol, &kstar, self.n);
-        let var = (self.signal_var - v.iter().map(|x| x * x).sum::<f64>()).max(1e-12);
-        (mean, var)
+        let mut z = vec![[0.0]; self.dim];
+        self.standardize(x, 0, &mut z);
+        let [posterior] = self.posterior(&z, &mut vec![[0.0]; self.n]);
+        posterior
     }
 
     /// Expected improvement for *minimization* below `best`.
     pub fn expected_improvement(&self, x: &[f64], best: f64) -> f64 {
         let (mean, var) = self.predict(x);
-        let sd = var.sqrt();
-        if sd < 1e-12 {
-            return (best - mean).max(0.0);
+        ei(mean, var, best)
+    }
+
+    /// A batch expected-improvement scorer below `best`. Its buffers are
+    /// allocated here, once; scoring with it allocates nothing.
+    pub fn ei_scorer(&self, best: f64) -> EiScorer<'_> {
+        EiScorer {
+            gp: self,
+            best,
+            z: vec![[0.0; EI_LANES]; self.dim],
+            v: vec![[0.0; EI_LANES]; self.n],
         }
-        let z = (best - mean) / sd;
-        (best - mean) * norm_cdf(z) + sd * norm_pdf(z)
+    }
+
+    /// Write the standardized `x` into lane `lane` of `z` (one row per
+    /// feature).
+    fn standardize<const L: usize>(&self, x: &[f64], lane: usize, z: &mut [[f64; L]]) {
+        assert_eq!(x.len(), self.dim, "feature dimension mismatch");
+        for (zd, (v, (m, s))) in z
+            .iter_mut()
+            .zip(x.iter().zip(self.feat_mean.iter().zip(&self.feat_std)))
+        {
+            zd[lane] = (v - m) / s;
+        }
+    }
+
+    /// Posterior mean and variance of `L` standardized points at once
+    /// (`z` holds one row per feature, `v` is `n` rows of scratch).
+    ///
+    /// One pass over the training rows computes each lane's kernel
+    /// column entry, adds it to the mean, and forward-substitutes it in
+    /// place (`v = L⁻¹ k*`), so a Cholesky row is read once for all `L`
+    /// lanes and the lanes' subtraction chains run side by side. Every
+    /// lane performs the one-point operation sequence — the same sums in
+    /// the same order, starting from `Sum`'s `-0.0` — so its bits do not
+    /// depend on `L` or on the other lanes.
+    fn posterior<const L: usize>(&self, z: &[[f64; L]], v: &mut [[f64; L]]) -> [(f64, f64); L] {
+        let n = self.n;
+        let two_l2 = 2.0 * self.lengthscale * self.lengthscale;
+        let mut mean = [-0.0; L];
+        let mut vv = [-0.0; L];
+        for i in 0..n {
+            // k(x_i, x*) per lane.
+            let mut d2 = [-0.0; L];
+            for (xd, zd) in self.x[i * self.dim..(i + 1) * self.dim].iter().zip(z) {
+                for lane in 0..L {
+                    let d = xd - zd[lane];
+                    d2[lane] += d * d;
+                }
+            }
+            let mut sum = [0.0; L];
+            for lane in 0..L {
+                let k = self.signal_var * (-d2[lane] / two_l2).exp();
+                mean[lane] += k * self.alpha[i];
+                sum[lane] = k;
+            }
+            // var = k(x,x) - vᵀv with v = L⁻¹ k*.
+            let (done, rest) = v.split_at_mut(i);
+            for (l, vj) in self.chol[i * n..i * n + i].iter().zip(done.iter()) {
+                for lane in 0..L {
+                    sum[lane] -= l * vj[lane];
+                }
+            }
+            let diag = self.chol[i * n + i];
+            for lane in 0..L {
+                let vi = sum[lane] / diag;
+                rest[0][lane] = vi;
+                vv[lane] += vi * vi;
+            }
+        }
+        std::array::from_fn(|lane| {
+            (
+                self.y_mean + mean[lane],
+                (self.signal_var - vv[lane]).max(1e-12),
+            )
+        })
+    }
+}
+
+/// Expected improvement below `best` of a posterior `(mean, var)`. The
+/// variance is floored at `1e-12`, so `sd` is never below `1e-6`.
+fn ei(mean: f64, var: f64, best: f64) -> f64 {
+    let sd = var.sqrt();
+    let z = (best - mean) / sd;
+    (best - mean) * norm_cdf(z) + sd * norm_pdf(z)
+}
+
+/// Scores candidates' expected improvement eight at a time with reused
+/// buffers; made by [`GaussianProcess::ei_scorer`].
+///
+/// Each score is bit-identical to
+/// [`GaussianProcess::expected_improvement`] of the same point: batching
+/// changes how many points share a pass over the Cholesky factor, never
+/// the operations on any one point.
+///
+/// # Examples
+///
+/// ```
+/// use dosa_search::GaussianProcess;
+/// let xs = vec![vec![0.0], vec![1.0], vec![3.0]];
+/// let gp = GaussianProcess::fit(xs, vec![1.0, 0.0, 2.0], 1.0, 0.05);
+/// let candidates = [[0.5], [2.0], [-1.0]];
+/// let mut scores = Vec::new();
+/// gp.ei_scorer(0.0).score_into(&candidates, &mut scores);
+/// for (c, s) in candidates.iter().zip(&scores) {
+///     assert_eq!(s.to_bits(), gp.expected_improvement(c, 0.0).to_bits());
+/// }
+/// ```
+#[derive(Debug)]
+pub struct EiScorer<'a> {
+    gp: &'a GaussianProcess,
+    best: f64,
+    z: Vec<[f64; EI_LANES]>,
+    v: Vec<[f64; EI_LANES]>,
+}
+
+impl EiScorer<'_> {
+    /// Append the expected improvement of each of `xs` to `out`, in
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a point's length differs from the training dimension.
+    pub fn score_into<X: AsRef<[f64]>>(&mut self, xs: &[X], out: &mut Vec<f64>) {
+        for chunk in xs.chunks(EI_LANES) {
+            // Lanes past a short chunk keep stale features; their scores
+            // are dropped.
+            for (lane, x) in chunk.iter().enumerate() {
+                self.gp.standardize(x.as_ref(), lane, &mut self.z);
+            }
+            let posteriors = self.gp.posterior(&self.z, &mut self.v);
+            out.extend(
+                posteriors[..chunk.len()]
+                    .iter()
+                    .map(|&(mean, var)| ei(mean, var, self.best)),
+            );
+        }
     }
 }
 

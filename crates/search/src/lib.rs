@@ -212,7 +212,7 @@ pub use gd::{
     choose_best_orderings, dosa_search, evaluate_rounded, GdConfig, LoopOrderStrategy, SearchPoint,
     SearchResult,
 };
-pub use gp::GaussianProcess;
+pub use gp::{EiScorer, GaussianProcess};
 pub use latency_model::{
     dosa_search_rtl, evaluate_rtl, feature_vars, features, generate_rtl_dataset, LatencyModelKind,
     LatencyPredictor, RtlDataset, RtlSample, NUM_FEATURES,

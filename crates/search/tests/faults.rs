@@ -627,3 +627,72 @@ fn a_mid_run_cancel_keeps_every_item_a_bitwise_prefix() {
         );
     }
 }
+
+/// A BB-BO request whose proposal step would score `1 << 40` candidates.
+/// Candidates are drawn and scored a lane at a time, never collected, and
+/// the stop word is checked between lanes, so such a request cannot
+/// exhaust memory. A `Kill` deadline fails it with `DeadlineExceeded`
+/// within a few seconds; a user cancel keeps exactly the designs searched
+/// before the stalled proposal. The same service then serves normal jobs.
+#[test]
+fn a_huge_candidate_count_is_stopped_by_deadlines_and_cancels() {
+    let huge = |seed| BbboConfig {
+        num_hw: 3,
+        init_random: 2,
+        samples_per_hw: 6,
+        candidates: 1 << 40,
+        seed,
+    };
+    let hier = Hierarchy::gemmini();
+    let service = SearchService::builder().threads(1).build();
+    let submit = |strategy, deadline: Option<Duration>| {
+        let mut builder = SearchRequest::builder(hier.clone())
+            .network("gemm", gemm())
+            .strategy(strategy);
+        if let Some(d) = deadline {
+            builder = builder.deadline(d);
+        }
+        service.submit(builder.build()).unwrap()
+    };
+
+    let started = std::time::Instant::now();
+    let killed = submit(Strategy::BayesOpt(huge(23)), Some(Duration::from_secs(2)));
+    assert_eq!(killed.wait().unwrap_err(), JobError::DeadlineExceeded);
+    assert!(
+        started.elapsed() < Duration::from_secs(20),
+        "the deadline took {:?} to stop the proposal",
+        started.elapsed()
+    );
+
+    let cancelled = submit(Strategy::BayesOpt(huge(24)), None);
+    let random_designs = 2 * huge(24).samples_per_hw;
+    while cancelled.progress().total_samples() < random_designs {
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "the random designs never finished"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    cancelled.cancel();
+    let partial = cancelled.wait().unwrap().into_single();
+    assert_eq!(cancelled.status(), JobStatus::Cancelled);
+    let prefix = BbboConfig {
+        num_hw: 2,
+        ..huge(24)
+    };
+    assert_bits_eq(
+        &partial,
+        &bayesian_search(&gemm(), &hier, &prefix),
+        "cancelled mid-proposal vs its searched designs",
+    );
+
+    let normal = submit(Strategy::BayesOpt(tiny_bayes(25)), None)
+        .wait()
+        .unwrap()
+        .into_single();
+    assert_bits_eq(
+        &normal,
+        &bayesian_search(&gemm(), &hier, &tiny_bayes(25)),
+        "a normal job after the huge ones",
+    );
+}
