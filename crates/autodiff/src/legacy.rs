@@ -312,9 +312,6 @@ impl<'t> Ctx for &'t LegacyTape {
     fn leaf(self, value: f64) -> LegacyVar<'t> {
         LegacyTape::var(self, value)
     }
-    fn mark(self) -> u32 {
-        self.len() as u32
-    }
 }
 
 #[cfg(test)]

@@ -24,16 +24,18 @@
 //!
 //! Three more pieces round out the hot path:
 //!
-//! * [`SegmentPlan`] / [`Tape::backward_segmented`] — record per-layer
-//!   loss terms as independent segments and sweep them on parallel
-//!   workers, bit-identically to the serial sweep for any worker count
-//!   (see `seg.rs` for the determinism argument).
+//! * [`Tape::backward_into`] — one serial reverse sweep into a
+//!   caller-owned adjoint buffer, reused across optimizer steps.
 //! * [`Scalar`] / [`Ctx`] — write model code once, instantiate it against
 //!   the tape ([`Var`]), an eval-only `f64` path ([`Values`]), or the
 //!   preserved pre-rewrite baseline ([`LegacyTape`]) used by parity tests
 //!   and the `BENCH_*.json` speedup measurements.
 //! * [`Gradients::wrt_into`] — gather leaf gradients into a caller-owned
 //!   buffer, so a step's leaf-gradient gather allocates nothing.
+//!
+//! [`SegmentPlan`], [`SegScratch`] and [`Tape::backward_segmented`] remain
+//! only as names for older callers: the plan is an ignored placeholder and
+//! the segmented sweep is [`Tape::backward_into`].
 //!
 //! ## Example
 //!

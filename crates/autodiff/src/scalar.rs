@@ -137,9 +137,6 @@ pub trait Ctx: Copy {
     fn constant(self, value: f64) -> Self::N;
     /// A differentiable leaf.
     fn leaf(self, value: f64) -> Self::N;
-    /// Current recording position, for [`SegmentPlan`](crate::SegmentPlan)
-    /// boundaries. Non-recording contexts return 0.
-    fn mark(self) -> u32;
 }
 
 /// The eval-only context: no tape, `N = f64`, every operation is plain
@@ -156,10 +153,6 @@ impl Ctx for Values {
     #[inline]
     fn leaf(self, value: f64) -> f64 {
         value
-    }
-    #[inline]
-    fn mark(self) -> u32 {
-        0
     }
 }
 
@@ -195,6 +188,5 @@ mod tests {
         let x = cx.leaf(2.0);
         let y = (x * 3.0 + 1.0).ln().exp();
         assert!((y - 7.0).abs() < 1e-12);
-        assert_eq!(cx.mark(), 0);
     }
 }

@@ -29,15 +29,14 @@
 //! boundary](TapeStore::grow) that capacity never exceeds [`MAX_NODES`] —
 //! pushes between grows cannot overflow by construction.
 //!
-//! Backward sweeps ([`Tape::backward`], [`Tape::backward_into`], and the
-//! segmented [`Tape::backward_segmented`](crate::SegmentPlan)) walk the
-//! records in descending id order, skipping zero adjoints.
+//! The backward sweep ([`Tape::backward`] and [`Tape::backward_into`])
+//! walks the records once in descending id order, skipping zero adjoints.
 
 use std::cell::UnsafeCell;
 use std::fmt;
 
 /// Index of a node on the tape.
-pub(crate) type NodeId = u32;
+type NodeId = u32;
 
 /// Hard cap on tape length: node ids must fit in a `u32` (the sentinel
 /// `u32::MAX` is excluded so `len` itself always fits too).
@@ -47,21 +46,21 @@ const MAX_NODES: usize = u32::MAX as usize - 1;
 /// node with respect to `parents[p]`, computed at forward time, for
 /// `p < arity`.
 #[derive(Clone, Copy)]
-pub(crate) struct Node {
-    pub(crate) parents: [NodeId; 2],
-    pub(crate) grads: [f64; 2],
-    pub(crate) arity: u8,
+struct Node {
+    parents: [NodeId; 2],
+    grads: [f64; 2],
+    arity: u8,
 }
 
 /// The node storage: one record per recorded operation, in id order.
 #[derive(Default)]
-pub(crate) struct TapeStore {
-    pub(crate) nodes: Vec<Node>,
+struct TapeStore {
+    nodes: Vec<Node>,
 }
 
 impl TapeStore {
     #[inline]
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.nodes.len()
     }
 
@@ -101,26 +100,6 @@ impl TapeStore {
     }
 }
 
-/// Serial backward sweep over ids `lo..hi` in descending order,
-/// accumulating into `adj`. Shared by the flat and segmented sweeps — the
-/// segmented sweep's bit-parity argument is that its per-cell accumulation
-/// order matches exactly what this loop produces.
-pub(crate) fn sweep_serial(store: &TapeStore, adj: &mut [f64], lo: usize, hi: usize) {
-    for i in (lo..hi).rev() {
-        let a = adj[i];
-        // dosa-lint: allow(float-eq) — exact-zero adjoint skip: a dead node
-        // contributes exactly 0.0; tolerance-based skipping would change the
-        // accumulation order the segmented sweep's bit-parity proof relies on.
-        if a == 0.0 {
-            continue;
-        }
-        let node = &store.nodes[i];
-        for p in 0..node.arity as usize {
-            adj[node.parents[p] as usize] += a * node.grads[p];
-        }
-    }
-}
-
 /// A reverse-mode automatic-differentiation tape.
 ///
 /// Values are recorded as [`Var`](crate::Var)s; calling
@@ -157,11 +136,11 @@ impl Tape {
     /// Every backward sweep upholds this by construction — it runs no user
     /// code — and `Tape` is `!Sync`, so no other thread can record.
     #[inline]
-    pub(crate) fn store(&self) -> &TapeStore {
+    fn store(&self) -> &TapeStore {
         // SAFETY: aliasing — this shared borrow of the arena is only ever
         // taken by sweep code, which records nothing, so no `&mut` from
-        // `clear`/`reserve`/`record` can coexist with it (all four are
-        // confined to single public-method bodies and `Tape` is `!Sync`).
+        // `clear`/`record` can coexist with it (all three are confined to
+        // single public-method bodies and `Tape` is `!Sync`).
         // The returned `&TapeStore` borrows `self`, so the borrow checker
         // keeps it from outliving the tape or crossing a `&mut self` call.
         unsafe { &*self.store.get() }
@@ -192,18 +171,6 @@ impl Tape {
         unsafe { &mut *self.store.get() }.clear();
     }
 
-    /// Ensure capacity for at least `extra` more nodes without growing,
-    /// moving the amortized overflow check even further out of the
-    /// recording loop for callers that know their op count.
-    pub fn reserve(&self, extra: usize) {
-        // SAFETY: exclusive as in [`Tape::clear`]. Grow path: this may
-        // reallocate the arena's node vector, which is sound only
-        // because no outstanding reference into the old storage can exist
-        // here — sweep borrows (`store()`) end before any `&self` method
-        // returns, and recording takes its own short-lived `&mut`.
-        unsafe { &mut *self.store.get() }.reserve_extra(extra);
-    }
-
     /// Record a leaf variable with value `v`.
     #[inline]
     pub fn var(&self, v: f64) -> crate::Var<'_> {
@@ -232,8 +199,9 @@ impl Tape {
         // re-enter the tape and observe a second live borrow. `Tape` is
         // `!Sync`, so no concurrent sweep holds a shared borrow. `push`
         // may take the grow path and reallocate the node vector; that is
-        // sound here for the same reason as in [`Tape::reserve`]: no
-        // reference into the arena survives outside a method body.
+        // sound because no reference into the old storage can exist here:
+        // sweep borrows (`store()`) end before any `&self` method returns,
+        // and no reference into the arena survives outside a method body.
         let id = unsafe { &mut *self.store.get() }.push(Node {
             parents,
             grads,
@@ -288,8 +256,20 @@ impl Tape {
         );
         adj.clear();
         adj.resize(store.len(), 0.0);
-        adj[output.id as usize] = 1.0;
-        sweep_serial(store, adj, 0, output.id as usize + 1);
+        let cells: &mut [f64] = adj;
+        cells[output.id as usize] = 1.0;
+        for i in (0..=output.id as usize).rev() {
+            let a = cells[i];
+            // dosa-lint: allow(float-eq) — exact-zero adjoint skip: a dead
+            // node contributes exactly 0.0, so skipping it changes no bit.
+            if a == 0.0 {
+                continue;
+            }
+            let node = &store.nodes[i];
+            for p in 0..node.arity as usize {
+                cells[node.parents[p] as usize] += a * node.grads[p];
+            }
+        }
         GradientsView { adj }
     }
 }
@@ -329,7 +309,7 @@ impl Gradients {
 /// [`Tape::backward_into`]; the buffer it reads stays owned by the caller.
 #[derive(Debug)]
 pub struct GradientsView<'a> {
-    pub(crate) adj: &'a [f64],
+    adj: &'a [f64],
 }
 
 impl GradientsView<'_> {
@@ -428,17 +408,5 @@ mod tests {
         let view = tape.backward_into(z, &mut adj);
         view.wrt_into(&[y, x], &mut out);
         assert_eq!(out, vec![2.0, 5.0]);
-    }
-
-    #[test]
-    fn reserve_then_record_many() {
-        let tape = Tape::new();
-        tape.reserve(10_000);
-        let mut v = tape.var(1.0);
-        for _ in 0..9_999 {
-            v = v + 1.0;
-        }
-        assert_eq!(tape.len(), 10_000);
-        assert_eq!(tape.backward(v).wrt(v), 1.0);
     }
 }

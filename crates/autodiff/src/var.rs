@@ -302,10 +302,6 @@ impl<'t> Ctx for &'t Tape {
     fn leaf(self, value: f64) -> Var<'t> {
         Tape::var(self, value)
     }
-    #[inline]
-    fn mark(self) -> u32 {
-        self.len() as u32
-    }
 }
 
 /// Sum of a slice of scalars. Returns a zero constant for an empty slice.

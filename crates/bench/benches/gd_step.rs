@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dosa_accel::Hierarchy;
-use dosa_autodiff::{LegacyTape, LegacyVar, SegScratch, SegmentPlan, Tape, Var};
+use dosa_autodiff::{LegacyTape, LegacyVar, SegmentPlan, Tape, Var};
 use dosa_bench::perf;
 use dosa_bench::perf::{fixture_layers, fixture_starts, LAYER_COUNTS};
 use dosa_model::{build_loss_in, LossOptions, PARAMS_PER_LAYER};
@@ -22,9 +22,8 @@ fn bench(c: &mut Criterion) {
         let layers = fixture_layers(n);
 
         let tape = Tape::new();
-        let mut plan = SegmentPlan::new();
         let mut leaves: Vec<Var<'_>> = Vec::new();
-        let mut scratch = SegScratch::new();
+        let mut adj: Vec<f64> = Vec::new();
         let mut relaxed = fixture_starts(&layers);
         let mut params: Vec<f64> = Vec::new();
         for r in &relaxed {
@@ -37,7 +36,6 @@ fn bench(c: &mut Criterion) {
                     r.set_params(chunk);
                 }
                 tape.clear();
-                plan.clear();
                 leaves.clear();
                 let built = build_loss_in(
                     &tape,
@@ -45,10 +43,10 @@ fn bench(c: &mut Criterion) {
                     &relaxed,
                     &hier,
                     &opts,
-                    &mut plan,
+                    &mut SegmentPlan,
                     &mut leaves,
                 );
-                let view = tape.backward_segmented(built.loss, &plan, 1, &mut scratch);
+                let view = tape.backward_into(built.loss, &mut adj);
                 view.wrt_into(&leaves, &mut flat);
                 for (p, g) in params.iter_mut().zip(&flat) {
                     if g.is_finite() {
@@ -75,7 +73,7 @@ fn bench(c: &mut Criterion) {
                     &lrelaxed,
                     &hier,
                     &opts,
-                    &mut SegmentPlan::disabled(),
+                    &mut SegmentPlan,
                     &mut step_leaves,
                 );
                 let grads = legacy.backward(built.loss);

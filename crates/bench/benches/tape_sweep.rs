@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dosa_accel::Hierarchy;
-use dosa_autodiff::{LegacyTape, LegacyVar, SegScratch, SegmentPlan, Tape, Var};
+use dosa_autodiff::{LegacyTape, LegacyVar, SegmentPlan, Tape, Var};
 use dosa_bench::perf::{fixture_layers, fixture_starts, LAYER_COUNTS};
 use dosa_model::{build_loss_in, LossOptions};
 use std::hint::black_box;
@@ -22,12 +22,10 @@ fn bench(c: &mut Criterion) {
         let relaxed = fixture_starts(&layers);
 
         let tape = Tape::new();
-        let mut plan = SegmentPlan::new();
         let mut leaves: Vec<Var<'_>> = Vec::new();
         c.bench_function(&format!("tape_record_{n}layers"), |b| {
             b.iter(|| {
                 tape.clear();
-                plan.clear();
                 leaves.clear();
                 let built = build_loss_in(
                     &tape,
@@ -35,7 +33,7 @@ fn bench(c: &mut Criterion) {
                     &relaxed,
                     &hier,
                     &opts,
-                    &mut plan,
+                    &mut SegmentPlan,
                     &mut leaves,
                 );
                 black_box(built.loss.value())
@@ -43,7 +41,6 @@ fn bench(c: &mut Criterion) {
         });
 
         tape.clear();
-        plan.clear();
         leaves.clear();
         let built = build_loss_in(
             &tape,
@@ -51,14 +48,14 @@ fn bench(c: &mut Criterion) {
             &relaxed,
             &hier,
             &opts,
-            &mut plan,
+            &mut SegmentPlan,
             &mut leaves,
         );
         let loss = built.loss;
-        let mut scratch = SegScratch::new();
+        let mut adj: Vec<f64> = Vec::new();
         c.bench_function(&format!("tape_sweep_{n}layers"), |b| {
             b.iter(|| {
-                let view = tape.backward_segmented(loss, &plan, 1, &mut scratch);
+                let view = tape.backward_into(loss, &mut adj);
                 black_box(view.wrt(leaves[0]))
             })
         });
@@ -75,7 +72,7 @@ fn bench(c: &mut Criterion) {
                     &relaxed,
                     &hier,
                     &opts,
-                    &mut SegmentPlan::disabled(),
+                    &mut SegmentPlan,
                     &mut lleaves,
                 );
                 black_box(built.loss.value())
@@ -90,7 +87,7 @@ fn bench(c: &mut Criterion) {
             &relaxed,
             &hier,
             &opts,
-            &mut SegmentPlan::disabled(),
+            &mut SegmentPlan,
             &mut lleaves,
         );
         let lloss = lbuilt.loss;

@@ -8,7 +8,7 @@
 //! allocation pattern of the pre-PR descent loop (fresh leaf/gradient
 //! vectors every step), so `gd_step_speedup` isolates exactly what this
 //! refactor changed: single-borrow bump recording, one-node fused
-//! scalar ops, the segmented sweep on reused scratch, and
+//! scalar ops, the backward sweep on a reused adjoint buffer, and
 //! allocation-free parameter updates.
 //!
 //! `repro bench` regenerates the file; `repro --smoke bench` re-runs a
@@ -19,7 +19,7 @@
 //! the repository benchmark.
 
 use dosa_accel::{HardwareConfig, Hierarchy};
-use dosa_autodiff::{LegacyTape, LegacyVar, SegScratch, SegmentPlan, Tape, Var};
+use dosa_autodiff::{LegacyTape, LegacyVar, SegmentPlan, Tape, Var};
 use dosa_model::{build_loss_in, LossOptions, RelaxedMapping};
 use dosa_search::cosa_mapping;
 use dosa_workload::{Layer, Problem};
@@ -125,13 +125,11 @@ fn measure_depth(n: usize, samples: usize, batch: usize) -> PerfRow {
 
     // --- Current tape: record / sweep / full step, all on reused buffers. ---
     let tape = Tape::new();
-    let mut plan = SegmentPlan::new();
     let mut leaves: Vec<Var<'_>> = Vec::new();
-    let mut scratch = SegScratch::new();
+    let mut adj: Vec<f64> = Vec::new();
 
     let record_ns = median_ns(samples, batch, || {
         tape.clear();
-        plan.clear();
         leaves.clear();
         let built = build_loss_in(
             &tape,
@@ -139,14 +137,13 @@ fn measure_depth(n: usize, samples: usize, batch: usize) -> PerfRow {
             &relaxed,
             &hier,
             &opts,
-            &mut plan,
+            &mut SegmentPlan,
             &mut leaves,
         );
         std::hint::black_box(built.loss.value());
     });
 
     tape.clear();
-    plan.clear();
     leaves.clear();
     let built = build_loss_in(
         &tape,
@@ -154,12 +151,12 @@ fn measure_depth(n: usize, samples: usize, batch: usize) -> PerfRow {
         &relaxed,
         &hier,
         &opts,
-        &mut plan,
+        &mut SegmentPlan,
         &mut leaves,
     );
     let loss = built.loss;
     let sweep_ns = median_ns(samples, batch, || {
-        let view = tape.backward_segmented(loss, &plan, 1, &mut scratch);
+        let view = tape.backward_into(loss, &mut adj);
         std::hint::black_box(view.wrt(leaves[0]));
     });
 
@@ -175,7 +172,6 @@ fn measure_depth(n: usize, samples: usize, batch: usize) -> PerfRow {
             r.set_params(chunk);
         }
         tape.clear();
-        plan.clear();
         leaves.clear();
         let built = build_loss_in(
             &tape,
@@ -183,10 +179,10 @@ fn measure_depth(n: usize, samples: usize, batch: usize) -> PerfRow {
             &relaxed_step,
             &hier,
             &opts,
-            &mut plan,
+            &mut SegmentPlan,
             &mut leaves,
         );
-        let view = tape.backward_segmented(built.loss, &plan, 1, &mut scratch);
+        let view = tape.backward_into(built.loss, &mut adj);
         view.wrt_into(&leaves, &mut flat);
         for (p, g) in params.iter_mut().zip(&flat) {
             if g.is_finite() {
@@ -209,7 +205,7 @@ fn measure_depth(n: usize, samples: usize, batch: usize) -> PerfRow {
             &relaxed,
             &hier,
             &opts,
-            &mut SegmentPlan::disabled(),
+            &mut SegmentPlan,
             &mut lleaves,
         );
         std::hint::black_box(built.loss.value());
@@ -223,7 +219,7 @@ fn measure_depth(n: usize, samples: usize, batch: usize) -> PerfRow {
         &relaxed,
         &hier,
         &opts,
-        &mut SegmentPlan::disabled(),
+        &mut SegmentPlan,
         &mut lleaves,
     );
     let lloss = lbuilt.loss;
@@ -250,7 +246,7 @@ fn measure_depth(n: usize, samples: usize, batch: usize) -> PerfRow {
             &lrelaxed_step,
             &hier,
             &opts,
-            &mut SegmentPlan::disabled(),
+            &mut SegmentPlan,
             &mut step_leaves,
         );
         let grads = legacy.backward(built.loss);

@@ -20,7 +20,7 @@ use dosa_accel::{
     level, HardwareConfig, Hierarchy, EPA_ACC_BASE, EPA_ACC_SLOPE, EPA_DRAM, EPA_MAC,
     EPA_REGISTERS, EPA_SPAD_BASE, EPA_SPAD_SLOPE, MAX_PE_SIDE, NUM_LEVELS,
 };
-use dosa_autodiff::{max_of, Ctx, Scalar, SegmentPlan, Tape, Var};
+use dosa_autodiff::{max_of, Ctx, Scalar, Tape, Var};
 use dosa_timeloop::{LoopOrder, Mapping};
 use dosa_workload::{Dim, DimSet, Problem, Tensor, NUM_DIMS};
 
@@ -300,26 +300,11 @@ impl<N: Scalar> HwVars<N> {
         layers: &[(&Problem, &FactorVars<N>)],
         fixed_pe_side: Option<u64>,
     ) -> HwVars<N> {
-        Self::derive_with_pe_in(cx, layers, fixed_pe_side, &mut SegmentPlan::disabled())
-    }
-
-    /// Segment-aware form of [`HwVars::derive_with_pe`]: each layer's
-    /// capacity terms are recorded as one chunk of a parallel group on
-    /// `plan` (they only interact through the cross-layer max, which is
-    /// recorded serially after the group).
-    pub fn derive_with_pe_in<C: Ctx<N = N>>(
-        cx: C,
-        layers: &[(&Problem, &FactorVars<N>)],
-        fixed_pe_side: Option<u64>,
-        plan: &mut SegmentPlan,
-    ) -> HwVars<N> {
         // Sized once: at most the unit stand-in plus every spatial factor
         // per layer, so recording never regrows these.
         let mut sides = Vec::with_capacity(layers.len() * (1 + NUM_LEVELS * NUM_DIMS));
         let mut accs = Vec::with_capacity(layers.len());
         let mut spads = Vec::with_capacity(layers.len());
-        plan.serial_to(cx.mark());
-        plan.begin_group();
         for (p, fv) in layers {
             // The unit stand-in goes first so max-fold tie routing matches
             // a full 28-entry scan (unit-valued entries precede the live
@@ -342,9 +327,7 @@ impl<N: Scalar> HwVars<N> {
             let w = tile_words_var(cx, p, fv, level::SCRATCHPAD, Tensor::Weights);
             let i = tile_words_var(cx, p, fv, level::SCRATCHPAD, Tensor::Inputs);
             spads.push(w + i);
-            plan.chunk_to(cx.mark());
         }
-        plan.end_group();
         let pe_side = match fixed_pe_side {
             Some(s) => cx.constant(s as f64),
             None => {
@@ -353,13 +336,11 @@ impl<N: Scalar> HwVars<N> {
                 side.min(cx.constant(MAX_PE_SIDE as f64))
             }
         };
-        let hw = HwVars {
+        HwVars {
             pe_side,
             acc_words: max_of(cx, &accs),
             spad_words: max_of(cx, &spads),
-        };
-        plan.serial_to(cx.mark());
-        hw
+        }
     }
 
     /// Round the current values into a concrete [`HardwareConfig`]

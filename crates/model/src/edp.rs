@@ -11,13 +11,12 @@
 //! stand-in for the paper's softmax over inverse EDPs, which degenerates to
 //! uniform weights at the magnitudes involved (see DESIGN.md).
 //!
-//! [`build_loss_in`] is generic over the recording [`Ctx`] and feeds a
-//! [`SegmentPlan`] while it records: each layer's factor construction,
-//! capacity terms and performance terms become independent chunks of three
-//! parallel groups (layers only interact through the cross-layer hardware
-//! max and the final sums), which is what lets
-//! `Tape::backward_segmented` sweep per-layer work on parallel workers
-//! without changing a single gradient bit.
+//! [`build_loss_in`] is generic over the recording [`Ctx`]: it records
+//! each layer's factor construction, the cross-layer hardware derivation,
+//! each layer's performance terms and the final sums, and the caller runs
+//! one flat `Tape::backward_into` sweep over the result. Its `plan`
+//! parameter is an ignored [`SegmentPlan`] placeholder, kept so existing
+//! callers still compile.
 
 use crate::diff::{layer_perf_vars, FactorVars, HwVars};
 use crate::relaxed::RelaxedMapping;
@@ -88,12 +87,12 @@ pub struct BuiltLoss<'t> {
 }
 
 /// Assemble the differentiable loss for `layers` at the point `relaxed`,
-/// recording segment boundaries on `plan` and appending every leaf (layer
-/// by layer, [`RelaxedMapping::params`] order) to `leaves_out`.
+/// appending every leaf (layer by layer, [`RelaxedMapping::params`] order)
+/// to `leaves_out`. `_plan` is an ignored placeholder.
 ///
-/// Callers that reuse `plan` and `leaves_out` across steps (clearing them
-/// first) make a fixed number of heap allocations here, independent of
-/// the number of layers: a handful of per-step vectors sized once
+/// Callers that reuse `leaves_out` across steps (clearing it first) make a
+/// fixed number of heap allocations here, independent of the number of
+/// layers: a handful of per-step vectors sized once
 /// (`crates/model/tests/step_allocations.rs` pins this).
 ///
 /// # Panics
@@ -105,16 +104,14 @@ pub fn build_loss_in<C: Ctx>(
     relaxed: &[RelaxedMapping],
     hier: &Hierarchy,
     opts: &LossOptions,
-    plan: &mut SegmentPlan,
+    _plan: &mut SegmentPlan,
     leaves_out: &mut Vec<C::N>,
 ) -> BuiltLossG<C::N> {
     assert_eq!(layers.len(), relaxed.len(), "one relaxed mapping per layer");
     assert!(!layers.is_empty(), "need at least one layer");
 
-    // Group 1: per-layer factor variables (leaves, exps, DRAM inference).
+    // Per-layer factor variables (leaves, exps, DRAM inference).
     let mut factor_vars = Vec::with_capacity(layers.len());
-    plan.serial_to(cx.mark());
-    plan.begin_group();
     for (layer, r) in layers.iter().zip(relaxed) {
         factor_vars.push(FactorVars::from_relaxed_in(
             cx,
@@ -122,28 +119,22 @@ pub fn build_loss_in<C: Ctx>(
             r,
             leaves_out,
         ));
-        plan.chunk_to(cx.mark());
     }
-    plan.end_group();
 
     let refs: Vec<(&dosa_workload::Problem, &FactorVars<C::N>)> = layers
         .iter()
         .zip(&factor_vars)
         .map(|(l, fv)| (&l.problem, fv))
         .collect();
-    // Group 2 (inside derive_with_pe_in): per-layer capacity terms, then
-    // the serial cross-layer max.
+    // Per-layer capacity terms, then the cross-layer max.
     let hw = match opts.fixed_hw {
         Some(cfg) => HwVars::fixed(cx, &cfg),
-        None => HwVars::derive_with_pe_in(cx, &refs, opts.fixed_pe_side, plan),
+        None => HwVars::derive_with_pe(cx, &refs, opts.fixed_pe_side),
     };
 
-    // Group 3: per-layer performance terms (including the softmax ordering
-    // variants — each layer's three orderings stay inside its chunk).
+    // Per-layer performance terms (including the softmax ordering variants).
     let mut energies = Vec::with_capacity(layers.len());
     let mut latencies = Vec::with_capacity(layers.len());
-    plan.serial_to(cx.mark());
-    plan.begin_group();
     for (layer, fv) in layers.iter().zip(&factor_vars) {
         let count = layer.count as f64;
         if opts.softmax_ordering {
@@ -179,11 +170,9 @@ pub fn build_loss_in<C: Ctx>(
             energies.push(perf.energy_uj * count);
             latencies.push(perf.latency * count);
         }
-        plan.chunk_to(cx.mark());
     }
-    plan.end_group();
 
-    // Serial tail: cross-layer sums, EDP, penalty and the final loss.
+    // Cross-layer sums, EDP, penalty and the final loss.
     let energy = sum(cx, &energies);
     let latency = sum(cx, &latencies);
     let edp = energy * latency;
@@ -193,7 +182,6 @@ pub fn build_loss_in<C: Ctx>(
         pen = pen + fv.penalty(cx);
     }
     let loss = edp.ln() + pen * opts.penalty_weight;
-    plan.serial_to(cx.mark());
 
     BuiltLossG {
         loss,
@@ -206,8 +194,7 @@ pub fn build_loss_in<C: Ctx>(
 
 /// Assemble the differentiable loss for `layers` at the point `relaxed`.
 ///
-/// Convenience form of [`build_loss_in`] without segment planning,
-/// returning per-layer leaf vectors.
+/// Convenience form of [`build_loss_in`] returning per-layer leaf vectors.
 ///
 /// # Panics
 ///
@@ -219,7 +206,7 @@ pub fn build_loss<'t>(
     hier: &Hierarchy,
     opts: &LossOptions,
 ) -> BuiltLoss<'t> {
-    let mut plan = SegmentPlan::disabled();
+    let mut plan = SegmentPlan;
     let mut flat = Vec::new();
     let built = build_loss_in(tape, layers, relaxed, hier, opts, &mut plan, &mut flat);
     let leaves = flat
@@ -245,7 +232,7 @@ pub fn predict(
     hier: &Hierarchy,
     opts: &LossOptions,
 ) -> (f64, f64, f64) {
-    let mut plan = SegmentPlan::disabled();
+    let mut plan = SegmentPlan;
     let mut leaves = Vec::new();
     let built = build_loss_in(Values, layers, relaxed, hier, opts, &mut plan, &mut leaves);
     (built.energy_uj, built.latency, built.edp)

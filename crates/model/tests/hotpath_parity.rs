@@ -1,11 +1,9 @@
 //! Hot-path parity for the generic loss builder: [`build_loss_in`] on the
 //! node-record [`Tape`] (one record per op) must match the pre-refactor
-//! [`LegacyTape`] bit-for-bit on randomized multi-layer parameter points,
-//! and the segmented backward sweep must be bit-identical to the flat
-//! sweep at every worker budget.
+//! [`LegacyTape`] bit-for-bit on randomized multi-layer parameter points.
 
 use dosa_accel::Hierarchy;
-use dosa_autodiff::{LegacyTape, Scalar, SegScratch, SegmentPlan, Tape};
+use dosa_autodiff::{LegacyTape, Scalar, SegmentPlan, Tape};
 use dosa_model::{build_loss_in, LossOptions, RelaxedMapping, PARAMS_PER_LAYER};
 use dosa_timeloop::Stationarity;
 use dosa_workload::{Layer, Problem};
@@ -63,7 +61,7 @@ fn legacy_and_soa_tapes_agree_bitwise_on_random_points() {
                 &relaxed,
                 &hier,
                 &opts,
-                &mut SegmentPlan::disabled(),
+                &mut SegmentPlan::new(),
                 &mut leaves,
             );
             let grads = tape.backward(built.loss);
@@ -77,7 +75,7 @@ fn legacy_and_soa_tapes_agree_bitwise_on_random_points() {
                 &relaxed,
                 &hier,
                 &opts,
-                &mut SegmentPlan::disabled(),
+                &mut SegmentPlan::new(),
                 &mut lleaves,
             );
             assert_eq!(
@@ -94,45 +92,6 @@ fn legacy_and_soa_tapes_agree_bitwise_on_random_points() {
                     flat[i].to_bits(),
                     "gradient {i} diverged on round {round}"
                 );
-            }
-        }
-    }
-}
-
-/// The segmented sweep over the real model loss — per-layer factor,
-/// derivation, and performance groups — is bit-identical to the flat
-/// backward sweep for worker budgets 1, 2, and 8.
-#[test]
-fn segmented_model_backward_matches_flat_for_every_worker_budget() {
-    let layers = layers();
-    let hier = Hierarchy::gemmini();
-    let mut rng = StdRng::seed_from_u64(7);
-    for _ in 0..4 {
-        let relaxed = random_start(&layers, &mut rng);
-        for opts in options() {
-            let tape = Tape::new();
-            let mut plan = SegmentPlan::new();
-            let mut leaves = Vec::new();
-            let built = build_loss_in(
-                &tape,
-                &layers,
-                &relaxed,
-                &hier,
-                &opts,
-                &mut plan,
-                &mut leaves,
-            );
-            let reference = tape.backward(built.loss);
-            let mut scratch = SegScratch::new();
-            for threads in [1usize, 2, 8] {
-                let view = tape.backward_segmented(built.loss, &plan, threads, &mut scratch);
-                for &leaf in &leaves {
-                    assert_eq!(
-                        view.wrt(leaf).to_bits(),
-                        reference.wrt(leaf).to_bits(),
-                        "diverged at {threads} workers"
-                    );
-                }
             }
         }
     }

@@ -40,7 +40,7 @@ use crate::gd::{
 };
 use crate::latency_model::LatencyPredictor;
 use dosa_accel::{HardwareConfig, Hierarchy};
-use dosa_autodiff::{sum, SegScratch, SegmentPlan, Tape, Var};
+use dosa_autodiff::{sum, SegmentPlan, Tape, Var};
 use dosa_model::{
     build_loss_in, layer_perf_vars, FactorVars, HwVars, LossOptions, RelaxedMapping,
     PARAMS_PER_LAYER,
@@ -77,13 +77,10 @@ pub trait DiffLoss: Sync {
 
     /// Record the loss at the point `relaxed` on `tape`, returning the
     /// scalar to backpropagate. Leaf variables are appended to `leaves`
-    /// flattened in [`RelaxedMapping::params`] order, and per-layer segment
-    /// boundaries are recorded on `plan` for `Tape::backward_segmented`,
-    /// which the engine runs with one worker (every worker count is
-    /// bit-identical; see `dosa_autodiff::SegmentPlan`). Both buffers
-    /// arrive cleared and are reused across steps, so steady-state
-    /// recording makes a fixed number of heap allocations per step, never
-    /// one per layer.
+    /// flattened in [`RelaxedMapping::params`] order; `leaves` arrives
+    /// cleared and is reused across steps, so steady-state recording makes
+    /// a fixed number of heap allocations per step, never one per layer.
+    /// `plan` is an ignored placeholder kept so existing callers compile.
     fn build<'t>(
         &self,
         tape: &'t Tape,
@@ -233,30 +230,24 @@ impl DiffLoss for PredictedLatencyLoss<'_> {
         &self,
         tape: &'t Tape,
         relaxed: &[RelaxedMapping],
-        plan: &mut SegmentPlan,
+        _plan: &mut SegmentPlan,
         leaves: &mut Vec<Var<'t>>,
     ) -> Var<'t> {
-        // Assemble the loss with predictor-adjusted latencies, mirroring
-        // build_loss_in's per-layer segment structure.
+        // Assemble the loss with predictor-adjusted latencies, in
+        // build_loss_in's recording order.
         let mut factor_vars = Vec::with_capacity(self.layers.len());
-        plan.serial_to(tape.len() as u32);
-        plan.begin_group();
         for (layer, r) in self.layers.iter().zip(relaxed) {
             factor_vars.push(FactorVars::from_relaxed_in(tape, &layer.problem, r, leaves));
-            plan.chunk_to(tape.len() as u32);
         }
-        plan.end_group();
         let refs: Vec<(&Problem, &FactorVars<Var<'t>>)> = self
             .layers
             .iter()
             .zip(&factor_vars)
             .map(|(l, fv)| (&l.problem, fv))
             .collect();
-        let hw = HwVars::derive_with_pe_in(tape, &refs, Some(self.pe_side), plan);
+        let hw = HwVars::derive_with_pe(tape, &refs, Some(self.pe_side));
         let mut energies = Vec::new();
         let mut latencies = Vec::new();
-        plan.serial_to(tape.len() as u32);
-        plan.begin_group();
         for (i, (layer, fv)) in self.layers.iter().zip(&factor_vars).enumerate() {
             let perf = layer_perf_vars(tape, &layer.problem, fv, &hw, self.hier);
             let layer_leaves = &leaves[i * PARAMS_PER_LAYER..(i + 1) * PARAMS_PER_LAYER];
@@ -265,18 +256,14 @@ impl DiffLoss for PredictedLatencyLoss<'_> {
                     .latency_var(tape, &layer.problem, layer_leaves, &hw, perf.latency);
             energies.push(perf.energy_uj * layer.count as f64);
             latencies.push(lat * layer.count as f64);
-            plan.chunk_to(tape.len() as u32);
         }
-        plan.end_group();
         let energy = sum(tape, &energies);
         let latency = sum(tape, &latencies);
         let mut pen = tape.constant(0.0);
         for fv in &factor_vars {
             pen = pen + fv.penalty(tape);
         }
-        let loss = (energy * latency).ln() + pen;
-        plan.serial_to(tape.len() as u32);
-        loss
+        (energy * latency).ln() + pen
     }
 
     fn finish_round(
@@ -407,9 +394,9 @@ pub(crate) struct NonFiniteLoss {
 /// bit-identically to an uninterrupted run. The only RNG a descent ever
 /// draws from is consumed inside [`DescentState::begin`] (the
 /// `prepare_start` hook), so the checkpoint carries no stream position;
-/// the tape, segment plan, and scratch buffers are pure per-step caches
-/// and are recreated fresh by each segment (a fresh [`Tape`] is
-/// bit-identical to a cleared one).
+/// the tape and scratch buffers are pure per-step caches and are
+/// recreated fresh by each segment (a fresh [`Tape`] is bit-identical to
+/// a cleared one).
 ///
 /// This is what makes GD work items **resumable in bounded segments** on
 /// the service's persistent worker pool: a segment runs `k` steps,
@@ -470,7 +457,7 @@ impl DescentState {
 /// reference EDP goes NaN, so a poisoned descent can never contribute a
 /// silently bogus best point to the merge.
 ///
-/// Segmentation is bit-exact: the per-segment tape/plan/scratch buffers
+/// Segmentation is bit-exact: the per-segment tape and scratch buffers
 /// are pure caches (a fresh tape records exactly what a cleared one
 /// does), so any `max_steps` schedule produces the same result as one
 /// uninterrupted run — the invariant the segment-resume parity tests pin.
@@ -482,11 +469,10 @@ pub(crate) fn run_segment<L: DiffLoss + ?Sized>(
     max_steps: usize,
 ) -> Result<bool, NonFiniteLoss> {
     let layers = loss.layers();
-    // One tape, one segment plan, and one set of scratch buffers per
-    // segment, reused (never reallocated) across its gradient steps.
+    // One tape and one set of scratch buffers per segment, reused (never
+    // reallocated) across its gradient steps.
     let tape = Tape::new();
-    let mut scratch = SegScratch::new();
-    let mut plan = SegmentPlan::new();
+    let mut adj: Vec<f64> = Vec::new();
     let mut leaves: Vec<Var<'_>> = Vec::new();
     let mut flat: Vec<f64> = Vec::new();
     let mut ran = 0usize;
@@ -513,9 +499,8 @@ pub(crate) fn run_segment<L: DiffLoss + ?Sized>(
             r.set_params(chunk);
         }
         tape.clear();
-        plan.clear();
         leaves.clear();
-        let loss_var = loss.build(&tape, &state.relaxed, &mut plan, &mut leaves);
+        let loss_var = loss.build(&tape, &state.relaxed, &mut SegmentPlan, &mut leaves);
         // Non-finite loss guard, step half: a NaN loss marks the descent
         // suspect from this step on. It is not failed yet — extreme but
         // honest points overflow the surrogate transiently (inf, and
@@ -536,7 +521,7 @@ pub(crate) fn run_segment<L: DiffLoss + ?Sized>(
         if loss_value.is_nan() {
             state.suspect_since.get_or_insert(step);
         }
-        let grads = tape.backward_segmented(loss_var, &plan, 1, &mut scratch);
+        let grads = tape.backward_into(loss_var, &mut adj);
         grads.wrt_into(&leaves, &mut flat);
         for g in flat.iter_mut() {
             if !g.is_finite() {
