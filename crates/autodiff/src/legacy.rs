@@ -290,6 +290,12 @@ impl<'t> Scalar for LegacyVar<'t> {
             self.unary(0.0, 0.0)
         }
     }
+    fn any_exceeds(of: &[LegacyVar<'t>], threshold: f64) -> bool {
+        of.iter().any(|v| v.value > threshold)
+    }
+    fn sub_max(self, of: &[LegacyVar<'t>]) -> LegacyVar<'t> {
+        self - of.iter().map(|v| v.value).fold(f64::NEG_INFINITY, f64::max)
+    }
 }
 
 impl<'t> LegacyVar<'t> {

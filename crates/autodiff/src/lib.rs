@@ -11,7 +11,7 @@
 //!
 //! ## Hot-path layout
 //!
-//! The tape stores one node record (`parents`, `grads`, `arity`) per op
+//! The tape stores one node record (`parents`, `grads`, `arity`, `op`) per op
 //! in a single vector behind a single-owner arena, so recording is one
 //! capacity check and one store per op — no `RefCell` borrows, no per-op
 //! bounds assert (the overflow check lives on the amortized growth path)
@@ -22,8 +22,13 @@
 //! into single unary nodes. Forward values live on the [`Var`] itself,
 //! not the tape.
 //!
-//! Three more pieces round out the hot path:
+//! Four more pieces round out the hot path:
 //!
+//! * [`Tape::replay`] — each record also carries an op code and its
+//!   constant operand, so a recorded tape is a program: replay
+//!   re-evaluates it on new leaf values, bit for bit what a fresh
+//!   recording gives, while the guards the model recorded through
+//!   [`Scalar::any_exceeds`] still hold ([`Tape::guards_hold`]).
 //! * [`Tape::backward_into`] — one serial reverse sweep into a
 //!   caller-owned adjoint buffer, reused across optimizer steps.
 //! * [`Scalar`] / [`Ctx`] — write model code once, instantiate it against

@@ -53,6 +53,20 @@ pub trait Scalar:
     fn relu(self) -> Self;
     /// `max(k - self, 0)`: penalize values below `k`.
     fn hinge_below(self, k: f64) -> Self;
+    /// Whether any of `of` has a forward value above `threshold`: the one
+    /// way model code may let forward values decide what it records. On a
+    /// [`Tape`](crate::Tape) the question is recorded as one replay guard
+    /// over the group, and a replayed program is valid only while every
+    /// guard gets its recorded answer; the other scalars just compare.
+    /// Ask exactly the question the recorded structure depends on: a
+    /// guard per node would also re-record when answers change in ways
+    /// the structure does not see.
+    fn any_exceeds(of: &[Self], threshold: f64) -> bool;
+    /// `self - m`, where `m` is the largest forward value in `of` taken as
+    /// a constant (no gradient flows into it): softmax's stability shift.
+    /// On a [`Tape`](crate::Tape) this is one node whose replay recomputes
+    /// `m` from the new values of `of`.
+    fn sub_max(self, of: &[Self]) -> Self;
 }
 
 impl Scalar for f64 {
@@ -117,6 +131,14 @@ impl Scalar for f64 {
         } else {
             0.0
         }
+    }
+    #[inline]
+    fn any_exceeds(of: &[f64], threshold: f64) -> bool {
+        of.iter().any(|&v| v > threshold)
+    }
+    #[inline]
+    fn sub_max(self, of: &[f64]) -> f64 {
+        self - of.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Differentiable scalar variables and their operations.
 
 use crate::scalar::{Ctx, Scalar};
-use crate::tape::Tape;
+use crate::tape::{Op, Tape};
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// A differentiable scalar recorded on a [`Tape`].
@@ -45,97 +45,103 @@ impl<'t> Var<'t> {
         self.value
     }
 
+    /// Record the unary `op` on this value with constant `k` (kept in the
+    /// record's spare partial slot for replay).
     #[inline]
-    fn unary(self, value: f64, grad: f64) -> Var<'t> {
-        self.tape.record(value, [self.id, 0], [grad, 0.0], 1)
+    fn unary(self, op: Op, k: f64) -> Var<'t> {
+        let (value, grad, _) = op.eval(self.value, 0.0, k);
+        self.tape.record(value, [self.id, 0], [grad, k], 1, op)
     }
 
     #[inline]
-    fn binary(self, rhs: Var<'t>, value: f64, ga: f64, gb: f64) -> Var<'t> {
-        self.tape.record(value, [self.id, rhs.id], [ga, gb], 2)
+    fn binary(self, op: Op, rhs: Var<'t>) -> Var<'t> {
+        let (value, ga, gb) = op.eval(self.value, rhs.value, 0.0);
+        self.tape.record(value, [self.id, rhs.id], [ga, gb], 2, op)
     }
 
     /// Natural logarithm. The input should be positive; `ln` of a
     /// non-positive value produces `NaN`/`-inf` like [`f64::ln`].
     #[inline]
     pub fn ln(self) -> Var<'t> {
-        self.unary(self.value.ln(), 1.0 / self.value)
+        self.unary(Op::Ln, 0.0)
     }
 
     /// Exponential.
     #[inline]
     pub fn exp(self) -> Var<'t> {
-        let e = self.value.exp();
-        self.unary(e, e)
+        self.unary(Op::Exp, 0.0)
     }
 
     /// Power with a constant (non-differentiated) exponent.
     #[inline]
     pub fn powf(self, k: f64) -> Var<'t> {
-        let v = self.value.powf(k);
-        self.unary(v, k * self.value.powf(k - 1.0))
+        self.unary(Op::PowK, k)
     }
 
     /// Square root.
     #[inline]
     pub fn sqrt(self) -> Var<'t> {
-        let v = self.value.sqrt();
-        self.unary(v, 0.5 / v)
+        self.unary(Op::Sqrt, 0.0)
     }
 
     /// Reciprocal `1/x`.
     #[inline]
     pub fn recip(self) -> Var<'t> {
-        let v = 1.0 / self.value;
-        self.unary(v, -v * v)
+        self.unary(Op::Recip, 0.0)
     }
 
     /// Square.
     #[inline]
     pub fn square(self) -> Var<'t> {
-        self.unary(self.value * self.value, 2.0 * self.value)
+        self.unary(Op::Square, 0.0)
     }
 
     /// Elementwise maximum, with the subgradient convention of routing the
     /// gradient to the larger input (ties route to `self`).
     #[inline]
     pub fn max(self, rhs: Var<'t>) -> Var<'t> {
-        if self.value >= rhs.value {
-            self.binary(rhs, self.value, 1.0, 0.0)
-        } else {
-            self.binary(rhs, rhs.value, 0.0, 1.0)
-        }
+        self.binary(Op::Max, rhs)
     }
 
     /// Elementwise minimum (subgradient; ties route to `self`).
     #[inline]
     pub fn min(self, rhs: Var<'t>) -> Var<'t> {
-        if self.value <= rhs.value {
-            self.binary(rhs, self.value, 1.0, 0.0)
-        } else {
-            self.binary(rhs, rhs.value, 0.0, 1.0)
-        }
+        self.binary(Op::Min, rhs)
     }
 
     /// Rectified linear unit `max(x, 0)`.
     #[inline]
     pub fn relu(self) -> Var<'t> {
-        if self.value > 0.0 {
-            self.unary(self.value, 1.0)
-        } else {
-            self.unary(0.0, 0.0)
-        }
+        self.unary(Op::Relu, 0.0)
     }
 
     /// `max(k − x, 0)` — the hinge used by the invalid-mapping penalty
     /// (Eq. 18 of the paper with `k = 1`).
     #[inline]
     pub fn hinge_below(self, k: f64) -> Var<'t> {
-        if self.value < k {
-            self.unary(k - self.value, -1.0)
-        } else {
-            self.unary(0.0, 0.0)
+        self.unary(Op::HingeK, k)
+    }
+
+    /// Whether any of `of` has a forward value above `threshold`,
+    /// recorded on their tape as one replay guard (see
+    /// [`Scalar::any_exceeds`]). An empty `of` records nothing.
+    pub fn any_exceeds(of: &[Var<'t>], threshold: f64) -> bool {
+        match of.first() {
+            Some(v) => v.tape.guard(of, threshold),
+            None => false,
         }
+    }
+
+    /// `self − m` with `m` the largest forward value in `of`, a
+    /// stop-gradient constant: one node whose replay recomputes `m` (see
+    /// [`Scalar::sub_max`]).
+    #[inline]
+    pub fn sub_max(self, of: &[Var<'t>]) -> Var<'t> {
+        let m = of.iter().map(|v| v.value).fold(f64::NEG_INFINITY, f64::max);
+        let group = self.tape.group(of);
+        let (value, grad, _) = Op::SubMax.eval(self.value, m, 0.0);
+        self.tape
+            .record(value, [self.id, group], [grad, 0.0], 1, Op::SubMax)
     }
 
     /// The tape this variable is recorded on.
@@ -145,68 +151,40 @@ impl<'t> Var<'t> {
 }
 
 macro_rules! impl_binop {
-    ($trait:ident, $method:ident, |$a:ident, $b:ident| $val:expr, |$av:ident, $bv:ident| ($ga:expr, $gb:expr)) => {
+    ($trait:ident, $method:ident, $op:ident, $op_k:ident) => {
         impl<'t> $trait for Var<'t> {
             type Output = Var<'t>;
             #[inline]
             fn $method(self, rhs: Var<'t>) -> Var<'t> {
-                let ($a, $b) = (self.value, rhs.value);
-                let value = $val;
-                let ($av, $bv) = (self.value, rhs.value);
-                // Silence unused warnings for grads not using both.
-                let _ = ($av, $bv);
-                self.binary(rhs, value, $ga, $gb)
+                self.binary(Op::$op, rhs)
+            }
+        }
+
+        // Var ⊕ f64: a fused single node. The gradient it stores is
+        // exactly the product the two-node legacy encoding (constant node +
+        // binary op) feeds back to the variable, so fusing changes no
+        // accumulated bit — it only skips recording a constant leaf nobody
+        // differentiates.
+        impl<'t> $trait<f64> for Var<'t> {
+            type Output = Var<'t>;
+            #[inline]
+            fn $method(self, rhs: f64) -> Var<'t> {
+                self.unary(Op::$op_k, rhs)
             }
         }
     };
 }
 
-impl_binop!(Add, add, |a, b| a + b, |_av, _bv| (1.0, 1.0));
-impl_binop!(Sub, sub, |a, b| a - b, |_av, _bv| (1.0, -1.0));
-impl_binop!(Mul, mul, |a, b| a * b, |av, bv| (bv, av));
-impl_binop!(Div, div, |a, b| a / b, |av, bv| (1.0 / bv, -av / (bv * bv)));
-
-// Var ⊕ f64: fused single-node forms. The gradient each one stores is
-// exactly the product the two-node legacy encoding (constant node + binary
-// op) feeds back to the variable, so fusing changes no accumulated bit —
-// it only skips recording a constant leaf nobody differentiates.
-impl<'t> Add<f64> for Var<'t> {
-    type Output = Var<'t>;
-    #[inline]
-    fn add(self, rhs: f64) -> Var<'t> {
-        self.unary(self.value + rhs, 1.0)
-    }
-}
-
-impl<'t> Sub<f64> for Var<'t> {
-    type Output = Var<'t>;
-    #[inline]
-    fn sub(self, rhs: f64) -> Var<'t> {
-        self.unary(self.value - rhs, 1.0)
-    }
-}
-
-impl<'t> Mul<f64> for Var<'t> {
-    type Output = Var<'t>;
-    #[inline]
-    fn mul(self, rhs: f64) -> Var<'t> {
-        self.unary(self.value * rhs, rhs)
-    }
-}
-
-impl<'t> Div<f64> for Var<'t> {
-    type Output = Var<'t>;
-    #[inline]
-    fn div(self, rhs: f64) -> Var<'t> {
-        self.unary(self.value / rhs, 1.0 / rhs)
-    }
-}
+impl_binop!(Add, add, Add, AddK);
+impl_binop!(Sub, sub, Sub, SubK);
+impl_binop!(Mul, mul, Mul, MulK);
+impl_binop!(Div, div, Div, DivK);
 
 impl<'t> Neg for Var<'t> {
     type Output = Var<'t>;
     #[inline]
     fn neg(self) -> Var<'t> {
-        self.unary(-self.value, -1.0)
+        self.unary(Op::Neg, 0.0)
     }
 }
 
@@ -230,7 +208,7 @@ impl<'t> Sub<Var<'t>> for f64 {
     type Output = Var<'t>;
     #[inline]
     fn sub(self, rhs: Var<'t>) -> Var<'t> {
-        rhs.unary(self - rhs.value, -1.0)
+        rhs.unary(Op::KSub, self)
     }
 }
 
@@ -290,6 +268,14 @@ impl<'t> Scalar for Var<'t> {
     fn hinge_below(self, k: f64) -> Var<'t> {
         Var::hinge_below(self, k)
     }
+    #[inline]
+    fn any_exceeds(of: &[Var<'t>], threshold: f64) -> bool {
+        Var::any_exceeds(of, threshold)
+    }
+    #[inline]
+    fn sub_max(self, of: &[Var<'t>]) -> Var<'t> {
+        Var::sub_max(self, of)
+    }
 }
 
 impl<'t> Ctx for &'t Tape {
@@ -341,11 +327,7 @@ pub fn softmax<C: Ctx>(cx: C, vars: &[C::N]) -> Vec<C::N> {
     if vars.is_empty() {
         return Vec::new();
     }
-    let m = vars
-        .iter()
-        .map(|v| v.value())
-        .fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<C::N> = vars.iter().map(|&v| (v - m).exp()).collect();
+    let exps: Vec<C::N> = vars.iter().map(|&v| v.sub_max(vars).exp()).collect();
     let denom = sum(cx, &exps);
     exps.into_iter().map(|e| e / denom).collect()
 }

@@ -1,7 +1,10 @@
 //! End-to-end descent-step benchmark: set params, record the loss,
-//! backward sweep, gather gradients, update — the exact per-step work of
-//! the engine's `run_segment` — on the current hot path and the pre-refactor
-//! legacy tape, at several depths. After the Criterion display the run
+//! backward sweep, gather gradients, update — the per-step work of a
+//! recording step of the engine's `run_segment` — on the current hot path
+//! and the pre-refactor legacy tape, at several depths. The
+//! `gd_step_replay` cases run the same step through the engine's
+//! `ProgramCache`, which replays the recorded program while its guards
+//! hold and records again when they do not. After the Criterion display the run
 //! regenerates `BENCH_6.json` at the repository root via
 //! [`dosa_bench::perf`], so the checked-in perf trajectory always comes
 //! from the same kernels the bench just showed.
@@ -12,6 +15,7 @@ use dosa_autodiff::{LegacyTape, LegacyVar, SegmentPlan, Tape, Var};
 use dosa_bench::perf;
 use dosa_bench::perf::{fixture_layers, fixture_starts, LAYER_COUNTS};
 use dosa_model::{build_loss_in, LossOptions, PARAMS_PER_LAYER};
+use dosa_search::{EdpLoss, LoopOrderStrategy, ProgramCache, PROGRAM_SLOTS};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -48,6 +52,33 @@ fn bench(c: &mut Criterion) {
                 );
                 let view = tape.backward_into(built.loss, &mut adj);
                 view.wrt_into(&leaves, &mut flat);
+                for (p, g) in params.iter_mut().zip(&flat) {
+                    if g.is_finite() {
+                        *p -= 1e-4 * g;
+                    }
+                }
+                black_box(params[0])
+            })
+        });
+
+        let loss = EdpLoss {
+            layers: &layers,
+            hier: &hier,
+            opts,
+            strategy: LoopOrderStrategy::Iterate,
+            fixed_pe_side: None,
+            spatial_cap: dosa_accel::MAX_PE_SIDE,
+        };
+        let tapes: [Tape; PROGRAM_SLOTS] = Default::default();
+        let mut programs = ProgramCache::new(&tapes);
+        let mut relaxed = fixture_starts(&layers);
+        let mut params: Vec<f64> = Vec::new();
+        for r in &relaxed {
+            r.params_into(&mut params);
+        }
+        c.bench_function(&format!("gd_step_replay_{n}layers"), |b| {
+            b.iter(|| {
+                programs.step(&loss, &mut relaxed, &params, &mut flat);
                 for (p, g) in params.iter_mut().zip(&flat) {
                     if g.is_finite() {
                         *p -= 1e-4 * g;

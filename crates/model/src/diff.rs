@@ -389,20 +389,37 @@ pub fn tile_words_var<C: Ctx>(
 /// `(rel, x)` over the temporal loops above level `i`. The mask — which
 /// loops are outer to the innermost non-unit relevant loop — is decided
 /// from current forward values, keeping integer evaluations exact.
+///
+/// The mask is the model's only value-dependent structure, so it is
+/// decided through [`Scalar::any_exceeds`], which a tape records as
+/// replay guards. The question is asked only where the answer changes
+/// what gets recorded: at each non-unit irrelevant loop met before the
+/// innermost non-unit relevant loop is found, "does any relevant factor
+/// since the last question exceed one?". The recorded structure and the
+/// guard answers then determine each other.
 fn refetch_var<N: Scalar>(fv: &FactorVars<N>, i: usize, relevant: DimSet) -> (N, N) {
     let mut rel = UnitProd::new();
     let mut x = UnitProd::new();
     let mut past_innermost_relevant = false;
+    // Relevant factors met since the last question.
+    let mut pending = [fv.unit; NUM_LEVELS * NUM_DIMS];
+    let mut n = 0;
     for j in i..NUM_LEVELS {
         for &d in fv.orders[j].dims() {
-            let f = fv.temporal(j, d);
             if relevant.contains(d) {
                 fv.mul_temporal(&mut rel, j, d);
-                if f.value() > UNIT_EPS {
-                    past_innermost_relevant = true;
+                if !past_innermost_relevant && !fv.temporal_is_unit(j, d) {
+                    pending[n] = fv.temporal(j, d);
+                    n += 1;
                 }
-            } else if past_innermost_relevant {
-                fv.mul_temporal(&mut x, j, d);
+            } else if !fv.temporal_is_unit(j, d) {
+                if !past_innermost_relevant && n > 0 {
+                    past_innermost_relevant = N::any_exceeds(&pending[..n], UNIT_EPS);
+                    n = 0;
+                }
+                if past_innermost_relevant {
+                    fv.mul_temporal(&mut x, j, d);
+                }
             }
         }
     }

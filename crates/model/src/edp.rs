@@ -150,11 +150,8 @@ pub fn build_loss_in<C: Ctx>(
                 let score = -(perf.energy_uj * perf.latency).ln() * opts.softmax_temperature;
                 (score, perf.energy_uj, perf.latency)
             });
-            let m = options
-                .iter()
-                .map(|o| o.0.value())
-                .fold(f64::NEG_INFINITY, f64::max);
-            let exps = options.map(|o| (o.0 - m).exp());
+            let scores = options.map(|o| o.0);
+            let exps = scores.map(|s| s.sub_max(&scores).exp());
             let denom = exps[0] + exps[1] + exps[2];
             let w = exps.map(|x| x / denom);
             let dot = |v: [C::N; 3]| {

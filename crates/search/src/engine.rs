@@ -4,7 +4,8 @@
 //! surrogates: the plain EDP loss of §5 ([`dosa_search`](crate::dosa_search))
 //! and the predictor-adjusted latency loss of §6.5
 //! ([`dosa_search_rtl`](crate::dosa_search_rtl)). This module factors that
-//! loop out once — Adam stepping over the log tiling factors, tape reuse,
+//! loop out once — Adam stepping over the log tiling factors, recording
+//! each step's graph once and replaying it ([`ProgramCache`]),
 //! the §5.3.2 rounding cadence, and sample accounting — behind the
 //! [`DiffLoss`] trait. The [`SearchService`](crate::SearchService) runs
 //! each start point's descent as one work item on a persistent worker.
@@ -16,8 +17,9 @@
 //!
 //! * start points are generated sequentially from the run's seed before
 //!   any work item is dispatched;
-//! * each start point descends independently on its **own** [`Tape`]
-//!   (cleared, never reallocated, between steps), its own [`Adam`] state
+//! * each start point descends independently on its **own** program
+//!   tapes (replayed or cleared, never reallocated, between steps; a
+//!   replayed step gives a fresh recording's bits), its own [`Adam`] state
 //!   and its own RNG seeded `cfg.seed + start_index`, so no worker
 //!   observes another's scheduling;
 //! * per-start results are merged by a deterministic reduction: best EDP
@@ -78,9 +80,25 @@ pub trait DiffLoss: Sync {
     /// Record the loss at the point `relaxed` on `tape`, returning the
     /// scalar to backpropagate. Leaf variables are appended to `leaves`
     /// flattened in [`RelaxedMapping::params`] order; `leaves` arrives
-    /// cleared and is reused across steps, so steady-state recording makes
-    /// a fixed number of heap allocations per step, never one per layer.
+    /// cleared and is reused across steps. The model itself records with a
+    /// fixed number of heap allocations per step, never one per layer; a
+    /// learned predictor's feature and activation vectors still allocate
+    /// per layer. Either way only steps that record pay this: the engine
+    /// replays a cached recording otherwise ([`ProgramCache`]).
     /// `plan` is an ignored placeholder kept so existing callers compile.
+    ///
+    /// **Replay contract.** The engine replays the recorded tape on new
+    /// parameters instead of calling `build` again, so an implementation
+    /// must record a graph whose structure depends on values only through
+    /// [`Scalar::any_exceeds`](dosa_autodiff::Scalar::any_exceeds) guards, and
+    /// whose guards read only nodes recorded before the first guard.
+    /// Every constant must be independent of the parameters (a
+    /// value-derived shift goes through
+    /// [`Scalar::sub_max`](dosa_autodiff::Scalar::sub_max)), and the
+    /// leaves must be exactly the [`Tape::var`] calls, in `leaves` order —
+    /// the `i`-th leaf replays `params[i]`. The loop orders in `relaxed`
+    /// may differ between calls only across a rounding, where the cache is
+    /// cleared.
     fn build<'t>(
         &self,
         tape: &'t Tape,
@@ -246,8 +264,8 @@ impl DiffLoss for PredictedLatencyLoss<'_> {
             .map(|(l, fv)| (&l.problem, fv))
             .collect();
         let hw = HwVars::derive_with_pe(tape, &refs, Some(self.pe_side));
-        let mut energies = Vec::new();
-        let mut latencies = Vec::new();
+        let mut energies = Vec::with_capacity(self.layers.len());
+        let mut latencies = Vec::with_capacity(self.layers.len());
         for (i, (layer, fv)) in self.layers.iter().zip(&factor_vars).enumerate() {
             let perf = layer_perf_vars(tape, &layer.problem, fv, &hw, self.hier);
             let layer_leaves = &leaves[i * PARAMS_PER_LAYER..(i + 1) * PARAMS_PER_LAYER];
@@ -292,6 +310,124 @@ impl DiffLoss for PredictedLatencyLoss<'_> {
             .predictor
             .predict_model(self.layers, mappings, &hw, self.hier);
         (hw, perf.edp())
+    }
+}
+
+/// Step programs one descent segment keeps for replay.
+pub const PROGRAM_SLOTS: usize = 4;
+
+/// One cached program: the loss node and leaves recorded on its tape.
+struct Program<'t> {
+    output: Option<Var<'t>>,
+    leaves: Vec<Var<'t>>,
+}
+
+/// The recorded step programs of one descent segment, most recently used
+/// first: at most [`PROGRAM_SLOTS`] tapes, each holding one recording of
+/// [`DiffLoss::build`] and its guards.
+///
+/// A step first replays the stem — the nodes before the first guard,
+/// which every program recorded since the last [`clear`](Self::clear)
+/// shares — on the most recently used tape. It then replays the rest of
+/// the first program whose guards all hold (the whole program, if that is
+/// not the most recently used one, so its stem partials are current too)
+/// and moves it to the front. When no program fits, the step records into
+/// the least recently used tape; programs are never copied. Either way
+/// the backward sweep is [`Tape::backward_into`] over the program's
+/// records, so a replayed step gives the recorded step's loss and
+/// gradient bits.
+///
+/// The descent clears the cache at every rounding, where loop orders may
+/// change. The tapes live for one segment, so a segment boundary starts
+/// with an empty cache too.
+pub struct ProgramCache<'t> {
+    tapes: &'t [Tape; PROGRAM_SLOTS],
+    programs: [Program<'t>; PROGRAM_SLOTS],
+    /// Slot indices, most recently used first; the first `live` hold
+    /// programs.
+    order: [usize; PROGRAM_SLOTS],
+    live: usize,
+    values: Vec<f64>,
+    adj: Vec<f64>,
+}
+
+impl<'t> ProgramCache<'t> {
+    /// An empty cache recording onto `tapes`.
+    pub fn new(tapes: &'t [Tape; PROGRAM_SLOTS]) -> ProgramCache<'t> {
+        ProgramCache {
+            tapes,
+            programs: std::array::from_fn(|_| Program {
+                output: None,
+                leaves: Vec::new(),
+            }),
+            order: std::array::from_fn(|i| i),
+            live: 0,
+            values: Vec::new(),
+            adj: Vec::new(),
+        }
+    }
+
+    /// Forget every program; the next step records.
+    pub fn clear(&mut self) {
+        self.live = 0;
+    }
+
+    /// Evaluate `loss` at `params` (flattened [`RelaxedMapping::params`]
+    /// of `relaxed`) and write its leaf gradients into `grads`. Returns the
+    /// loss value and whether the step recorded; only a recording step
+    /// writes `params` into `relaxed` and calls [`DiffLoss::build`].
+    pub fn step<L: DiffLoss + ?Sized>(
+        &mut self,
+        loss: &L,
+        relaxed: &mut [RelaxedMapping],
+        params: &[f64],
+        grads: &mut Vec<f64>,
+    ) -> (f64, bool) {
+        let tapes = self.tapes;
+        if let Some(pos) = self.find(params) {
+            self.order[..=pos].rotate_right(1);
+            let slot = self.order[0];
+            let program = &self.programs[slot];
+            if let Some(output) = program.output {
+                let tape = &tapes[slot];
+                let from = if pos == 0 { tape.stem_len() } else { 0 };
+                let value = tape.replay(from, output, params, &mut self.values);
+                tape.backward_into(output, &mut self.adj)
+                    .wrt_into(&program.leaves, grads);
+                return (value, false);
+            }
+        }
+        if self.live < PROGRAM_SLOTS {
+            self.live += 1;
+        }
+        self.order[..self.live].rotate_right(1);
+        let slot = self.order[0];
+        let tape = &tapes[slot];
+        let program = &mut self.programs[slot];
+        for (r, chunk) in relaxed.iter_mut().zip(params.chunks(PARAMS_PER_LAYER)) {
+            r.set_params(chunk);
+        }
+        tape.clear();
+        program.leaves.clear();
+        let output = loss.build(tape, relaxed, &mut SegmentPlan, &mut program.leaves);
+        debug_assert_eq!(tape.leaf_count(), params.len(), "one leaf per parameter");
+        program.output = Some(output);
+        tape.backward_into(output, &mut self.adj)
+            .wrt_into(&program.leaves, grads);
+        (output.value(), true)
+    }
+
+    /// Replay the shared stem on the most recently used tape and return the
+    /// position of the first program whose guards hold at `params`.
+    fn find(&mut self, params: &[f64]) -> Option<usize> {
+        let tapes = self.tapes;
+        let cached = &self.order[..self.live];
+        let mru = &tapes[*cached.first()?];
+        let stem = mru.stem_len();
+        mru.replay_stem(params, &mut self.values);
+        cached.iter().position(|&slot| {
+            tapes[slot].stem_len() == stem && tapes[slot].guards_hold(&self.values)
+        })
     }
 }
 
@@ -353,6 +489,9 @@ pub(crate) struct StartControl<'a> {
     pub(crate) stop: &'a StopWord,
     /// Live observation counters for the network this start belongs to.
     pub(crate) progress: Option<&'a ProgressCounters>,
+    /// The job's count of gradient steps that recorded their loss
+    /// ([`JobStats::gd_steps_recorded`](crate::JobStats)).
+    pub(crate) steps_recorded: Option<&'a AtomicUsize>,
     /// Fault injection ([`FaultKind::NonFiniteLoss`](crate::FaultKind)):
     /// report the first gradient step's loss as NaN *and* poison the
     /// rounding checkpoint's reference EDP, so the descent's real
@@ -369,6 +508,12 @@ impl StartControl<'_> {
     pub(crate) fn count_samples(&self, n: usize) {
         if let Some(p) = self.progress {
             p.add_samples(n);
+        }
+    }
+
+    fn count_recorded(&self) {
+        if let Some(n) = self.steps_recorded {
+            n.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -394,9 +539,9 @@ pub(crate) struct NonFiniteLoss {
 /// bit-identically to an uninterrupted run. The only RNG a descent ever
 /// draws from is consumed inside [`DescentState::begin`] (the
 /// `prepare_start` hook), so the checkpoint carries no stream position;
-/// the tape and scratch buffers are pure per-step caches and are
-/// recreated fresh by each segment (a fresh [`Tape`] is bit-identical to
-/// a cleared one).
+/// the program cache and scratch buffers are pure caches and are
+/// recreated fresh by each segment (a replayed step is bit-identical to a
+/// recorded one, and a fresh [`Tape`] to a cleared one).
 ///
 /// This is what makes GD work items **resumable in bounded segments** on
 /// the service's persistent worker pool: a segment runs `k` steps,
@@ -457,10 +602,13 @@ impl DescentState {
 /// reference EDP goes NaN, so a poisoned descent can never contribute a
 /// silently bogus best point to the merge.
 ///
-/// Segmentation is bit-exact: the per-segment tape and scratch buffers
-/// are pure caches (a fresh tape records exactly what a cleared one
+/// Segmentation is bit-exact: the per-segment [`ProgramCache`] and
+/// scratch buffers are pure caches (a replayed step gives the bits of a
+/// fresh recording, and a fresh tape records exactly what a cleared one
 /// does), so any `max_steps` schedule produces the same result as one
 /// uninterrupted run — the invariant the segment-resume parity tests pin.
+/// Only the number of recording steps depends on the schedule: every
+/// segment starts with an empty program cache.
 pub(crate) fn run_segment<L: DiffLoss + ?Sized>(
     loss: &L,
     state: &mut DescentState,
@@ -469,11 +617,10 @@ pub(crate) fn run_segment<L: DiffLoss + ?Sized>(
     max_steps: usize,
 ) -> Result<bool, NonFiniteLoss> {
     let layers = loss.layers();
-    // One tape and one set of scratch buffers per segment, reused (never
+    // One program cache and one gradient buffer per segment, reused (never
     // reallocated) across its gradient steps.
-    let tape = Tape::new();
-    let mut adj: Vec<f64> = Vec::new();
-    let mut leaves: Vec<Var<'_>> = Vec::new();
+    let tapes: [Tape; PROGRAM_SLOTS] = Default::default();
+    let mut programs = ProgramCache::new(&tapes);
     let mut flat: Vec<f64> = Vec::new();
     let mut ran = 0usize;
 
@@ -490,17 +637,13 @@ pub(crate) fn run_segment<L: DiffLoss + ?Sized>(
         if ctrl.cancelled() {
             return Ok(true);
         }
-        // One differentiable-model evaluation + gradient step.
-        for (r, chunk) in state
-            .relaxed
-            .iter_mut()
-            .zip(state.params.chunks(PARAMS_PER_LAYER))
-        {
-            r.set_params(chunk);
+        // One differentiable-model evaluation + gradient step: a replay of
+        // a cached program, or a fresh recording.
+        let (loss_value, recorded) =
+            programs.step(loss, &mut state.relaxed, &state.params, &mut flat);
+        if recorded {
+            ctrl.count_recorded();
         }
-        tape.clear();
-        leaves.clear();
-        let loss_var = loss.build(&tape, &state.relaxed, &mut SegmentPlan, &mut leaves);
         // Non-finite loss guard, step half: a NaN loss marks the descent
         // suspect from this step on. It is not failed yet — extreme but
         // honest points overflow the surrogate transiently (inf, and
@@ -516,13 +659,11 @@ pub(crate) fn run_segment<L: DiffLoss + ?Sized>(
         let loss_value = if ctrl.force_non_finite && step == 1 {
             f64::NAN
         } else {
-            loss_var.value()
+            loss_value
         };
         if loss_value.is_nan() {
             state.suspect_since.get_or_insert(step);
         }
-        let grads = tape.backward_into(loss_var, &mut adj);
-        grads.wrt_into(&leaves, &mut flat);
         for g in flat.iter_mut() {
             if !g.is_finite() {
                 *g = 0.0;
@@ -579,6 +720,8 @@ pub(crate) fn run_segment<L: DiffLoss + ?Sized>(
                 r.params_into(&mut state.params);
             }
             state.adam.reset();
+            // Loop orders may have changed: no recorded program applies.
+            programs.clear();
         } else if step.is_multiple_of(RECORD_EVERY) {
             state.result.record();
         }

@@ -206,7 +206,7 @@ pub use adam::Adam;
 pub use bbbo::{bayesian_search, BbboConfig};
 pub use cache::{ResultCache, ResultCacheStats};
 pub use cosa::{cosa_mapping, cosa_mappings, cosa_order};
-pub use engine::{DiffLoss, EdpLoss, PredictedLatencyLoss};
+pub use engine::{DiffLoss, EdpLoss, PredictedLatencyLoss, ProgramCache, PROGRAM_SLOTS};
 pub use fault::{DeadlinePolicy, FaultKind, FaultPlan, JobError};
 pub use gd::{
     choose_best_orderings, dosa_search, evaluate_rounded, GdConfig, LoopOrderStrategy, SearchPoint,

@@ -317,6 +317,14 @@ pub struct JobStats {
     /// [`AGE_DISPATCH_PERIOD`](crate::AGE_DISPATCH_PERIOD)). `0` when
     /// every entry was dispatched as soon as a worker freed up.
     pub max_queue_wait: u64,
+    /// Gradient steps that recorded their loss ([`DiffLoss::build`]); the
+    /// other steps replayed a recording cached since the descent's last
+    /// rounding. Deterministic for a given request and segmentation
+    /// ([`GdConfig::segment_steps`](crate::GdConfig)): each segment starts
+    /// with an empty program cache, so segment boundaries add recordings.
+    /// Zero for items replayed from the [`ResultCache`] and for the
+    /// black-box strategies.
+    pub gd_steps_recorded: usize,
 }
 
 /// Lock-free backing counters of [`JobStats`].
@@ -327,6 +335,7 @@ struct JobCounters {
     cache_misses: AtomicUsize,
     segments_run: AtomicUsize,
     max_queue_wait: AtomicU64,
+    gd_steps_recorded: AtomicUsize,
 }
 
 impl JobCounters {
@@ -337,6 +346,7 @@ impl JobCounters {
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             segments_run: self.segments_run.load(Ordering::Relaxed),
             max_queue_wait: self.max_queue_wait.load(Ordering::Relaxed),
+            gd_steps_recorded: self.gd_steps_recorded.load(Ordering::Relaxed),
         }
     }
 }
@@ -1336,6 +1346,7 @@ fn network_ctrl(job: &JobShared, net_index: usize) -> StartControl<'_> {
     StartControl {
         stop: &job.stop,
         progress: Some(&job.progress[net_index]),
+        steps_recorded: Some(&job.stats.gd_steps_recorded),
         force_non_finite: false,
     }
 }

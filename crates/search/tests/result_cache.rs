@@ -115,6 +115,7 @@ fn jobs_without_a_cache_report_zeroed_cache_stats() {
     assert_eq!(
         JobStats {
             max_queue_wait: 0,
+            gd_steps_recorded: 0,
             ..stats
         },
         JobStats {
@@ -128,6 +129,48 @@ fn jobs_without_a_cache_report_zeroed_cache_stats() {
         "4 items + a plan dispatch bound the wait, got {}",
         stats.max_queue_wait
     );
+}
+
+/// `gd_steps_recorded` counts the gradient steps that recorded their
+/// loss instead of replaying a cached recording. It is the same under any
+/// worker count, with or without segmentation, and zero when every work
+/// item replays from the result cache.
+#[test]
+fn recorded_step_counts_are_deterministic_and_zero_on_a_full_hit() {
+    let recorded = |request: &SearchRequest, threads: usize| {
+        let service = SearchService::builder().threads(threads).build();
+        let job = service.submit(request.clone()).unwrap();
+        job.wait().unwrap();
+        job.stats().gd_steps_recorded
+    };
+    let whole = batched_request(5);
+    let mut cfg = tiny_cfg(5);
+    cfg.segment_steps = Some(7);
+    let segmented = SearchRequest::builder(Hierarchy::gemmini())
+        .network("gemm", matmul_net())
+        .network_seeded("conv", conv_net(), 6)
+        .config(cfg)
+        .build();
+    // 4 starts x 40 steps, each start rounding at steps 20 and 40: the
+    // first step and the step after each rounding find an empty cache.
+    for request in [&whole, &segmented] {
+        let one = recorded(request, 1);
+        assert_eq!(one, recorded(request, 2), "worker count changed the count");
+        assert!((8..160).contains(&one), "recorded {one} of 160 steps");
+    }
+
+    let cache = ResultCache::in_memory(64);
+    let service = SearchService::builder()
+        .threads(2)
+        .cache(Arc::clone(&cache))
+        .build();
+    let cold = service.submit(whole.clone()).unwrap();
+    cold.wait().unwrap();
+    assert_eq!(cold.stats().gd_steps_recorded, recorded(&whole, 1));
+    let replay = service.submit(whole).unwrap();
+    replay.wait().unwrap();
+    assert_eq!(replay.stats().cache_hits, replay.stats().work_items);
+    assert_eq!(replay.stats().gd_steps_recorded, 0);
 }
 
 #[test]
