@@ -361,7 +361,7 @@ mod tests {
         let tape = Tape::new();
         let vars: Vec<_> = x.iter().map(|&v| tape.var(v)).collect();
         let y = mlp.forward_tape(&tape, &vars);
-        assert!((plain - y.value()).abs() < 1e-12);
+        assert_eq!(plain.to_bits(), y.value().to_bits());
         // Input gradients exist.
         let g = tape.backward(y);
         assert!(vars.iter().any(|v| g.wrt(*v) != 0.0));

@@ -6,16 +6,18 @@
 //! against a fresh `DiffLoss::build` on a new tape: the loss bits and every
 //! leaf-gradient bit must match, whether the step replayed or recorded. The
 //! surrogates are `EdpLoss` under the Baseline, Iterate and Softmax
-//! loop-ordering strategies and `PredictedLatencyLoss` with the analytical
-//! predictor.
+//! loop-ordering strategies and `PredictedLatencyLoss` with the analytical,
+//! DNN-only and analytical+DNN predictors.
 
 use dosa_accel::{Hierarchy, MAX_PE_SIDE};
 use dosa_autodiff::{SegmentPlan, Tape, Var};
 use dosa_model::{LossOptions, RelaxedMapping};
+use dosa_nn::TrainConfig;
+use dosa_rtl::RtlConfig;
 use dosa_search::engine::DiffLoss;
 use dosa_search::{
-    generate_start_point, Adam, EdpLoss, LatencyPredictor, LoopOrderStrategy, PredictedLatencyLoss,
-    ProgramCache, PROGRAM_SLOTS,
+    generate_rtl_dataset, generate_start_point, Adam, EdpLoss, LatencyModelKind, LatencyPredictor,
+    LoopOrderStrategy, PredictedLatencyLoss, ProgramCache, PROGRAM_SLOTS,
 };
 use dosa_timeloop::Stationarity;
 use dosa_workload::{Dim, Layer, Problem};
@@ -141,14 +143,22 @@ proptest! {
             predictor: &predictor,
             pe_side: 16,
         };
+        let data = generate_rtl_dataset(&layers, 60, &hier, &RtlConfig::default(), seed);
+        let train = TrainConfig { epochs: 10, ..TrainConfig::default() };
+        let dnn_only = LatencyPredictor::fit(LatencyModelKind::DnnOnly, &data, &train, seed);
+        let combined = LatencyPredictor::fit(LatencyModelKind::Combined, &data, &train, seed);
+        let predicted_dnn = PredictedLatencyLoss { predictor: &dnn_only, ..predicted };
+        let predicted_combined = PredictedLatencyLoss { predictor: &combined, ..predicted };
         let baseline = edp_loss(&layers, &hier, LoopOrderStrategy::Baseline);
         let iterate = edp_loss(&layers, &hier, LoopOrderStrategy::Iterate);
         let softmax = edp_loss(&layers, &hier, LoopOrderStrategy::Softmax);
-        let losses: [(&str, &dyn DiffLoss); 4] = [
+        let losses: [(&str, &dyn DiffLoss); 6] = [
             ("baseline", &baseline),
             ("iterate", &iterate),
             ("softmax", &softmax),
             ("predicted latency", &predicted),
+            ("predicted latency, DNN-only", &predicted_dnn),
+            ("predicted latency, analytical+DNN", &predicted_combined),
         ];
         for (name, loss) in losses {
             let recorded = walk_and_compare(loss, &start, 60, adam_walk(n, lr));
