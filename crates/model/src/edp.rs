@@ -11,15 +11,17 @@
 //! stand-in for the paper's softmax over inverse EDPs, which degenerates to
 //! uniform weights at the magnitudes involved (see DESIGN.md).
 //!
-//! [`build_loss_in`] is generic over the recording [`Ctx`]: it records
+//! [`build_loss_with`] is generic over the recording [`Ctx`]: it records
 //! each layer's factor construction, the cross-layer hardware derivation,
 //! each layer's performance terms and the final sums, and the caller runs
-//! one flat `Tape::backward_into` sweep over the result. Its `plan`
-//! parameter is an ignored [`SegmentPlan`] placeholder, kept so existing
-//! callers still compile.
+//! one flat `Tape::backward_into` sweep over the result. A per-layer
+//! latency hook lets a learned latency model replace or correct the
+//! analytical latency inside the same loss (§6.5). [`build_loss_in`] is
+//! the analytical form with an ignored [`SegmentPlan`] placeholder
+//! parameter, kept so existing callers still compile.
 
 use crate::diff::{layer_perf_vars, FactorVars, HwVars};
-use crate::relaxed::RelaxedMapping;
+use crate::relaxed::{RelaxedMapping, PARAMS_PER_LAYER};
 use dosa_accel::{HardwareConfig, Hierarchy};
 use dosa_autodiff::{sum, Ctx, Scalar, SegmentPlan, Tape, Values, Var};
 use dosa_timeloop::{LoopOrder, Stationarity};
@@ -56,7 +58,7 @@ impl Default for LossOptions {
 }
 
 /// A fully assembled differentiable loss for one gradient step, generic
-/// over the recording context ([`build_loss_in`]).
+/// over the recording context ([`build_loss_with`]).
 pub struct BuiltLossG<N> {
     /// The loss to backpropagate: `ln(EDP) + w·penalty`.
     pub loss: N,
@@ -88,12 +90,8 @@ pub struct BuiltLoss<'t> {
 
 /// Assemble the differentiable loss for `layers` at the point `relaxed`,
 /// appending every leaf (layer by layer, [`RelaxedMapping::params`] order)
-/// to `leaves_out`. `_plan` is an ignored placeholder.
-///
-/// Callers that reuse `leaves_out` across steps (clearing it first) make a
-/// fixed number of heap allocations here, independent of the number of
-/// layers: a handful of per-step vectors sized once
-/// (`crates/model/tests/step_allocations.rs` pins this).
+/// to `leaves_out`: [`build_loss_with`] on the analytical latency. `_plan`
+/// is an ignored placeholder.
 ///
 /// # Panics
 ///
@@ -107,10 +105,47 @@ pub fn build_loss_in<C: Ctx>(
     _plan: &mut SegmentPlan,
     leaves_out: &mut Vec<C::N>,
 ) -> BuiltLossG<C::N> {
+    build_loss_with(cx, layers, relaxed, hier, opts, leaves_out, analytical)
+}
+
+/// The latency hook that keeps the analytical model's latency.
+fn analytical<N>(_: &Layer, _: &[N], _: &HwVars<N>, latency: N) -> N {
+    latency
+}
+
+/// Assemble the differentiable loss for `layers` at the point `relaxed`,
+/// appending every leaf (layer by layer, [`RelaxedMapping::params`] order)
+/// to `leaves_out`.
+///
+/// `latency(layer, leaves, hw, analytical)` gives the latency of one
+/// execution of `layer` that the sums use, from that layer's leaves, the
+/// hardware variables and the analytical model's latency: a learned
+/// latency model plugs in here (§4.7, §6.5). The softmax ordering loss
+/// applies it to each ordering variant.
+///
+/// Callers that reuse `leaves_out` across steps (clearing it first) make a
+/// fixed number of heap allocations here, independent of the number of
+/// layers: a handful of per-step vectors sized once
+/// (`crates/model/tests/step_allocations.rs` pins this), plus whatever
+/// `latency` allocates.
+///
+/// # Panics
+///
+/// Panics if `layers` and `relaxed` have different lengths or are empty.
+pub fn build_loss_with<C: Ctx>(
+    cx: C,
+    layers: &[Layer],
+    relaxed: &[RelaxedMapping],
+    hier: &Hierarchy,
+    opts: &LossOptions,
+    leaves_out: &mut Vec<C::N>,
+    mut latency: impl FnMut(&Layer, &[C::N], &HwVars<C::N>, C::N) -> C::N,
+) -> BuiltLossG<C::N> {
     assert_eq!(layers.len(), relaxed.len(), "one relaxed mapping per layer");
     assert!(!layers.is_empty(), "need at least one layer");
 
     // Per-layer factor variables (leaves, exps, DRAM inference).
+    let first_leaf = leaves_out.len();
     let mut factor_vars = Vec::with_capacity(layers.len());
     for (layer, r) in layers.iter().zip(relaxed) {
         factor_vars.push(FactorVars::from_relaxed_in(
@@ -135,8 +170,10 @@ pub fn build_loss_in<C: Ctx>(
     // Per-layer performance terms (including the softmax ordering variants).
     let mut energies = Vec::with_capacity(layers.len());
     let mut latencies = Vec::with_capacity(layers.len());
-    for (layer, fv) in layers.iter().zip(&factor_vars) {
+    for (i, (layer, fv)) in layers.iter().zip(&factor_vars).enumerate() {
         let count = layer.count as f64;
+        let start = first_leaf + i * PARAMS_PER_LAYER;
+        let leaves = &leaves_out[start..start + PARAMS_PER_LAYER];
         if opts.softmax_ordering {
             // Evaluate all three canonical orderings and weight them by a
             // softmax over -tau * ln(EDP) (Eq. 15-17). Fixed arrays keep
@@ -147,8 +184,9 @@ pub fn build_loss_in<C: Ctx>(
                 let mut fv_s = *fv;
                 fv_s.orders = [LoopOrder::canonical(s); dosa_accel::NUM_LEVELS];
                 let perf = layer_perf_vars(cx, &layer.problem, &fv_s, &hw, hier);
-                let score = -(perf.energy_uj * perf.latency).ln() * opts.softmax_temperature;
-                (score, perf.energy_uj, perf.latency)
+                let lat = latency(layer, leaves, &hw, perf.latency);
+                let score = -(perf.energy_uj * lat).ln() * opts.softmax_temperature;
+                (score, perf.energy_uj, lat)
             });
             let scores = options.map(|o| o.0);
             let exps = scores.map(|s| s.sub_max(&scores).exp());
@@ -164,8 +202,9 @@ pub fn build_loss_in<C: Ctx>(
             latencies.push(l * count);
         } else {
             let perf = layer_perf_vars(cx, &layer.problem, fv, &hw, hier);
+            let lat = latency(layer, leaves, &hw, perf.latency);
             energies.push(perf.energy_uj * count);
-            latencies.push(perf.latency * count);
+            latencies.push(lat * count);
         }
     }
 
@@ -191,7 +230,8 @@ pub fn build_loss_in<C: Ctx>(
 
 /// Assemble the differentiable loss for `layers` at the point `relaxed`.
 ///
-/// Convenience form of [`build_loss_in`] returning per-layer leaf vectors.
+/// Convenience form of [`build_loss_with`] on the analytical latency,
+/// returning per-layer leaf vectors.
 ///
 /// # Panics
 ///
@@ -203,13 +243,9 @@ pub fn build_loss<'t>(
     hier: &Hierarchy,
     opts: &LossOptions,
 ) -> BuiltLoss<'t> {
-    let mut plan = SegmentPlan;
     let mut flat = Vec::new();
-    let built = build_loss_in(tape, layers, relaxed, hier, opts, &mut plan, &mut flat);
-    let leaves = flat
-        .chunks(crate::relaxed::PARAMS_PER_LAYER)
-        .map(|c| c.to_vec())
-        .collect();
+    let built = build_loss_with(tape, layers, relaxed, hier, opts, &mut flat, analytical);
+    let leaves = flat.chunks(PARAMS_PER_LAYER).map(|c| c.to_vec()).collect();
     BuiltLoss {
         loss: built.loss,
         leaves,
@@ -229,9 +265,8 @@ pub fn predict(
     hier: &Hierarchy,
     opts: &LossOptions,
 ) -> (f64, f64, f64) {
-    let mut plan = SegmentPlan;
     let mut leaves = Vec::new();
-    let built = build_loss_in(Values, layers, relaxed, hier, opts, &mut plan, &mut leaves);
+    let built = build_loss_with(Values, layers, relaxed, hier, opts, &mut leaves, analytical);
     (built.energy_uj, built.latency, built.edp)
 }
 

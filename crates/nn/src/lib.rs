@@ -6,9 +6,11 @@
 //! between the analytical model and measured Gemmini-RTL latency.
 //!
 //! Backpropagation is implemented directly (parameter gradients for Adam
-//! training), and [`Mlp::forward_tape`] replays the trained network on the
-//! [`dosa_autodiff`] tape so it remains differentiable with respect to its
-//! inputs inside the one-loop gradient-descent search.
+//! training). [`Mlp::forward_in`] is the one forward pass, generic over
+//! the [`dosa_autodiff`] recording context: on plain values it is
+//! [`Mlp::forward`], and on the tape the trained network stays
+//! differentiable with respect to its inputs inside the one-loop
+//! gradient-descent search.
 //!
 //! ## Example
 //!

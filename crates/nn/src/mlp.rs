@@ -4,11 +4,12 @@
 //! with 7 hidden fully-connected layers and ~5.7k parameters, trained to
 //! predict the residual between the analytical model's latency and the
 //! measured Gemmini-RTL latency. This implementation matches that shape
-//! (7 hidden layers of width 28 ≈ 5.8k parameters at 33 inputs) and adds a
-//! tape-based forward pass so the trained network stays differentiable with
-//! respect to its *inputs* inside DOSA's gradient-descent search.
+//! (7 hidden layers of width 28 ≈ 5.8k parameters at 33 inputs). Its
+//! forward pass is generic over the recording context, so the trained
+//! network stays differentiable with respect to its *inputs* inside DOSA's
+//! gradient-descent search.
 
-use dosa_autodiff::{Tape, Var};
+use dosa_autodiff::{Ctx, Scalar, Values};
 use rand::Rng;
 
 /// One dense layer: `y = W x + b` with row-major weights.
@@ -151,23 +152,46 @@ impl Mlp {
             .collect()
     }
 
-    /// Forward pass producing the scalar output.
+    /// Forward pass producing the scalar output: [`Mlp::forward_in`] on
+    /// plain values.
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` differs from [`Mlp::num_inputs`].
     pub fn forward(&self, x: &[f64]) -> f64 {
+        self.forward_in(Values, x)
+    }
+
+    /// Forward pass in the recording context `cx`, with the network weights
+    /// as constants. On a [`Tape`](dosa_autodiff::Tape) the output is
+    /// differentiable with respect to the *input* variables — how the
+    /// trained correction model joins DOSA's gradient-descent loss (§4.7,
+    /// §6.5); on [`Values`] it is the plain forward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from [`Mlp::num_inputs`].
+    pub fn forward_in<C: Ctx>(&self, cx: C, x: &[C::N]) -> C::N {
         assert_eq!(x.len(), self.num_inputs(), "feature dimension mismatch");
-        let mut a = self.normalize(x);
-        let mut z = Vec::new();
+        let mut a: Vec<C::N> = x
+            .iter()
+            .zip(self.norm_mean.iter().zip(&self.norm_std))
+            .map(|(&v, (m, s))| (v - *m) / *s)
+            .collect();
         for (li, layer) in self.layers.iter().enumerate() {
-            layer.forward(&a, &mut z);
-            if li + 1 < self.layers.len() {
-                for v in z.iter_mut() {
-                    *v = v.max(0.0);
+            let mut z = Vec::with_capacity(layer.outputs);
+            for o in 0..layer.outputs {
+                let row = &layer.weights[o * layer.inputs..(o + 1) * layer.inputs];
+                let mut acc = cx.constant(layer.bias[o]);
+                for (w, xi) in row.iter().zip(&a) {
+                    acc = acc + *xi * *w;
                 }
+                if li + 1 < self.layers.len() {
+                    acc = acc.relu();
+                }
+                z.push(acc);
             }
-            std::mem::swap(&mut a, &mut z);
+            a = z;
         }
         a[0]
     }
@@ -248,44 +272,12 @@ impl Mlp {
             off += nb;
         }
     }
-
-    /// Record the forward pass on an autodiff [`Tape`] with the network
-    /// weights as constants, so the output is differentiable with respect
-    /// to the *input* variables — how the trained correction model joins
-    /// DOSA's gradient-descent loss (§4.7, §6.5).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from [`Mlp::num_inputs`].
-    pub fn forward_tape<'t>(&self, tape: &'t Tape, x: &[Var<'t>]) -> Var<'t> {
-        assert_eq!(x.len(), self.num_inputs(), "feature dimension mismatch");
-        let mut a: Vec<Var<'t>> = x
-            .iter()
-            .zip(self.norm_mean.iter().zip(&self.norm_std))
-            .map(|(&v, (m, s))| (v - *m) / *s)
-            .collect();
-        for (li, layer) in self.layers.iter().enumerate() {
-            let mut z = Vec::with_capacity(layer.outputs);
-            for o in 0..layer.outputs {
-                let row = &layer.weights[o * layer.inputs..(o + 1) * layer.inputs];
-                let mut acc = tape.constant(layer.bias[o]);
-                for (w, xi) in row.iter().zip(&a) {
-                    acc = acc + *xi * *w;
-                }
-                if li + 1 < self.layers.len() {
-                    acc = acc.relu();
-                }
-                z.push(acc);
-            }
-            a = z;
-        }
-        a[0]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dosa_autodiff::Tape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -360,7 +352,7 @@ mod tests {
         let plain = mlp.forward(&x);
         let tape = Tape::new();
         let vars: Vec<_> = x.iter().map(|&v| tape.var(v)).collect();
-        let y = mlp.forward_tape(&tape, &vars);
+        let y = mlp.forward_in(&tape, &vars);
         assert_eq!(plain.to_bits(), y.value().to_bits());
         // Input gradients exist.
         let g = tape.backward(y);

@@ -38,17 +38,14 @@
 use crate::adam::Adam;
 use crate::fault::StopWord;
 use crate::gd::{
-    choose_best_orderings, evaluate_rounded, GdConfig, LoopOrderStrategy, SearchPoint, SearchResult,
+    choose_best_orderings, rounded_hw, GdConfig, LoopOrderStrategy, SearchPoint, SearchResult,
 };
 use crate::latency_model::LatencyPredictor;
 use dosa_accel::{HardwareConfig, Hierarchy};
-use dosa_autodiff::{sum, SegmentPlan, Tape, Var};
-use dosa_model::{
-    build_loss_in, layer_perf_vars, FactorVars, HwVars, LossOptions, RelaxedMapping,
-    PARAMS_PER_LAYER,
-};
-use dosa_timeloop::{evaluate_layer, min_hw_for_all, LoopOrder, Mapping, Stationarity};
-use dosa_workload::{Layer, Problem};
+use dosa_autodiff::{SegmentPlan, Tape, Var};
+use dosa_model::{build_loss_in, build_loss_with, LossOptions, RelaxedMapping, PARAMS_PER_LAYER};
+use dosa_timeloop::{evaluate_layer, evaluate_model, LoopOrder, Mapping, Stationarity};
+use dosa_workload::Layer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -180,10 +177,11 @@ impl DiffLoss for EdpLoss<'_> {
         relaxed: &mut [RelaxedMapping],
         mappings: &mut [Mapping],
     ) -> (HardwareConfig, f64) {
+        // Ordering selection changes loop orders only, so the hardware
+        // stays the rounded point's.
+        let hw = rounded_hw(self.layers, mappings, self.fixed_pe_side, self.hier);
         match self.strategy {
             LoopOrderStrategy::Iterate => {
-                let (hw, _) =
-                    evaluate_rounded(self.layers, mappings, self.fixed_pe_side, self.hier);
                 let chosen = choose_best_orderings(self.layers, mappings, &hw, self.hier);
                 for (r, s) in relaxed.iter_mut().zip(chosen) {
                     r.orders = s;
@@ -192,8 +190,6 @@ impl DiffLoss for EdpLoss<'_> {
             LoopOrderStrategy::Softmax => {
                 // Select each layer's model-predicted best uniform ordering
                 // (the argmax of the softmax weights).
-                let (hw, _) =
-                    evaluate_rounded(self.layers, mappings, self.fixed_pe_side, self.hier);
                 for ((layer, m), r) in self
                     .layers
                     .iter()
@@ -215,8 +211,13 @@ impl DiffLoss for EdpLoss<'_> {
             }
             LoopOrderStrategy::Baseline => {}
         }
-        let (hw, perf) = evaluate_rounded(self.layers, mappings, self.fixed_pe_side, self.hier);
-        (hw, perf.edp())
+        let paired: Vec<(Layer, Mapping)> = self
+            .layers
+            .iter()
+            .cloned()
+            .zip(mappings.iter().cloned())
+            .collect();
+        (hw, evaluate_model(&paired, &hw, self.hier).edp())
     }
 }
 
@@ -251,37 +252,23 @@ impl DiffLoss for PredictedLatencyLoss<'_> {
         _plan: &mut SegmentPlan,
         leaves: &mut Vec<Var<'t>>,
     ) -> Var<'t> {
-        // Assemble the loss with predictor-adjusted latencies, in
-        // build_loss_in's recording order.
-        let mut factor_vars = Vec::with_capacity(self.layers.len());
-        for (layer, r) in self.layers.iter().zip(relaxed) {
-            factor_vars.push(FactorVars::from_relaxed_in(tape, &layer.problem, r, leaves));
-        }
-        let refs: Vec<(&Problem, &FactorVars<Var<'t>>)> = self
-            .layers
-            .iter()
-            .zip(&factor_vars)
-            .map(|(l, fv)| (&l.problem, fv))
-            .collect();
-        let hw = HwVars::derive_with_pe(tape, &refs, Some(self.pe_side));
-        let mut energies = Vec::with_capacity(self.layers.len());
-        let mut latencies = Vec::with_capacity(self.layers.len());
-        for (i, (layer, fv)) in self.layers.iter().zip(&factor_vars).enumerate() {
-            let perf = layer_perf_vars(tape, &layer.problem, fv, &hw, self.hier);
-            let layer_leaves = &leaves[i * PARAMS_PER_LAYER..(i + 1) * PARAMS_PER_LAYER];
-            let lat =
+        let opts = LossOptions {
+            fixed_pe_side: Some(self.pe_side),
+            ..LossOptions::default()
+        };
+        build_loss_with(
+            tape,
+            self.layers,
+            relaxed,
+            self.hier,
+            &opts,
+            leaves,
+            |layer, leaves, hw, analytical| {
                 self.predictor
-                    .latency_var(tape, &layer.problem, layer_leaves, &hw, perf.latency);
-            energies.push(perf.energy_uj * layer.count as f64);
-            latencies.push(lat * layer.count as f64);
-        }
-        let energy = sum(tape, &energies);
-        let latency = sum(tape, &latencies);
-        let mut pen = tape.constant(0.0);
-        for fv in &factor_vars {
-            pen = pen + fv.penalty(tape);
-        }
-        (energy * latency).ln() + pen
+                    .latency_var(tape, &layer.problem, leaves, hw, analytical)
+            },
+        )
+        .loss
     }
 
     fn finish_round(
@@ -289,19 +276,7 @@ impl DiffLoss for PredictedLatencyLoss<'_> {
         relaxed: &mut [RelaxedMapping],
         mappings: &mut [Mapping],
     ) -> (HardwareConfig, f64) {
-        let pairs: Vec<(&Problem, &Mapping)> = self
-            .layers
-            .iter()
-            .zip(mappings.iter())
-            .map(|(l, m)| (&l.problem, m))
-            .collect();
-        let min = min_hw_for_all(pairs, self.hier);
-        let hw =
-            // dosa-lint: allow(panic-perimeter) — `pe_side` is the default 16
-            // or a `fixed_pe_side` that `GdConfig::validate` kept in range, and
-            // `min_hw_for_all` returns in-range SRAM sizes, so this
-            // constructor cannot fail; an `Err` here is a bug.
-            HardwareConfig::new(self.pe_side, min.acc_kb(), min.spad_kb()).expect("valid pe side");
+        let hw = rounded_hw(self.layers, mappings, Some(self.pe_side), self.hier);
         let chosen = choose_best_orderings(self.layers, mappings, &hw, self.hier);
         for (r, s) in relaxed.iter_mut().zip(chosen) {
             r.orders = s;

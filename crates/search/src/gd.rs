@@ -14,9 +14,7 @@
 use crate::request::SearchRequest;
 use crate::service::run_blocking;
 use dosa_accel::{HardwareConfig, Hierarchy};
-use dosa_timeloop::{
-    evaluate_layer, evaluate_model, min_hw_for_all, LoopOrder, Mapping, ModelPerf, Stationarity,
-};
+use dosa_timeloop::{evaluate_layer, min_hw_for_all, LoopOrder, Mapping, Stationarity};
 use dosa_workload::Layer;
 
 /// Loop-ordering search strategy (§5.2, Figure 6).
@@ -148,34 +146,25 @@ impl SearchResult {
     }
 }
 
-/// Evaluate rounded mappings with the reference model on their minimal
-/// hardware (or with the PE side pinned), returning the configuration and
-/// whole-model performance.
-pub fn evaluate_rounded(
+/// The hardware a rounding evaluates `mappings` on: their minimal
+/// hardware, with the PE side pinned to `fixed_pe_side` if given. It
+/// depends on the tiling factors only, not on the loop orders.
+pub(crate) fn rounded_hw(
     layers: &[Layer],
     mappings: &[Mapping],
     fixed_pe_side: Option<u64>,
     hier: &Hierarchy,
-) -> (HardwareConfig, ModelPerf) {
-    let pairs: Vec<(&dosa_workload::Problem, &Mapping)> = layers
-        .iter()
-        .zip(mappings)
-        .map(|(l, m)| (&l.problem, m))
-        .collect();
-    let mut hw = min_hw_for_all(pairs, hier);
-    if let Some(side) = fixed_pe_side {
-        // dosa-lint: allow(panic-perimeter) — `GdConfig::validate` keeps
-        // `side` in 1..=MAX_PE_SIDE and the SRAM sizes from `min_hw_for_all`
-        // are in range, so the constructor cannot fail; an `Err` is a bug.
-        hw = HardwareConfig::new(side, hw.acc_kb(), hw.spad_kb()).expect("valid pe side");
-    }
-    let paired: Vec<(Layer, Mapping)> = layers
-        .iter()
-        .cloned()
-        .zip(mappings.iter().cloned())
-        .collect();
-    let perf = evaluate_model(&paired, &hw, hier);
-    (hw, perf)
+) -> HardwareConfig {
+    let pairs = layers.iter().zip(mappings).map(|(l, m)| (&l.problem, m));
+    let hw = min_hw_for_all(pairs, hier);
+    let Some(side) = fixed_pe_side else {
+        return hw;
+    };
+    // dosa-lint: allow(panic-perimeter) — `GdConfig::validate` keeps `side`
+    // in 1..=MAX_PE_SIDE (a surrogate's default PE side is in range too) and
+    // the SRAM sizes from `min_hw_for_all` are in range, so the constructor
+    // cannot fail; an `Err` is a bug.
+    HardwareConfig::new(side, hw.acc_kb(), hw.spad_kb()).expect("valid pe side")
 }
 
 /// Greedy per-layer, per-level loop-ordering selection (§5.2.1: "three
@@ -280,6 +269,7 @@ pub fn dosa_search(layers: &[Layer], hier: &Hierarchy, cfg: &GdConfig) -> Search
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dosa_timeloop::evaluate_model;
     use dosa_workload::Problem;
 
     fn tiny_layers() -> Vec<Layer> {

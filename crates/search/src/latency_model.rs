@@ -231,7 +231,7 @@ impl LatencyPredictor {
             (LatencyModelKind::Analytical, _) => analytical,
             (kind, Some(mlp)) => {
                 let f = feature_vars(tape, problem, leaves, hw);
-                let out = mlp.forward_tape(tape, &f);
+                let out = mlp.forward_in(tape, &f);
                 match kind {
                     LatencyModelKind::DnnOnly => {
                         out.min(tape.constant(40.0)).max(tape.constant(0.0)).exp()

@@ -209,8 +209,7 @@ pub use cosa::{cosa_mapping, cosa_mappings, cosa_order};
 pub use engine::{DiffLoss, EdpLoss, PredictedLatencyLoss, ProgramCache, PROGRAM_SLOTS};
 pub use fault::{DeadlinePolicy, FaultKind, FaultPlan, JobError};
 pub use gd::{
-    choose_best_orderings, dosa_search, evaluate_rounded, GdConfig, LoopOrderStrategy, SearchPoint,
-    SearchResult,
+    choose_best_orderings, dosa_search, GdConfig, LoopOrderStrategy, SearchPoint, SearchResult,
 };
 pub use gp::{EiScorer, GaussianProcess};
 pub use latency_model::{
