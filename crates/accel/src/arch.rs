@@ -124,17 +124,6 @@ impl HardwareConfig {
         (self.spad_kb * 1024.0 / SPAD_WORD_BYTES as f64).floor() as u64
     }
 
-    /// Round buffer sizes up to whole KB, as DOSA does when converting
-    /// mapping requirements into hardware (§6.1).
-    #[must_use]
-    pub fn rounded_up_to_kb(&self) -> HardwareConfig {
-        HardwareConfig {
-            pe_side: self.pe_side,
-            acc_kb: self.acc_kb.ceil(),
-            spad_kb: self.spad_kb.ceil(),
-        }
-    }
-
     /// Parameter-wise maximum of two configurations — the reduction DOSA
     /// applies across per-layer minimal hardware requirements (Figure 3).
     #[must_use]
@@ -187,15 +176,6 @@ mod tests {
         assert_eq!(m.pe_side(), 32);
         assert_eq!(m.acc_kb(), 64.0);
         assert_eq!(m.spad_kb(), 128.0);
-    }
-
-    #[test]
-    fn rounding_ceils_to_kb() {
-        let hw = HardwareConfig::new(16, 30.2, 100.001)
-            .unwrap()
-            .rounded_up_to_kb();
-        assert_eq!(hw.acc_kb(), 31.0);
-        assert_eq!(hw.spad_kb(), 101.0);
     }
 
     #[test]

@@ -125,11 +125,6 @@ impl Hierarchy {
         (0..i).rev().find(|&j| self.levels[j].stores(t))
     }
 
-    /// The next level above `i` that stores `t`, if any.
-    pub fn next_outer_level(&self, i: usize, t: Tensor) -> Option<usize> {
-        ((i + 1)..NUM_LEVELS).find(|&j| self.levels[j].stores(t))
-    }
-
     /// Bandwidth of level `i` in words per cycle (Table 2): registers
     /// `2·C_PE`, SRAMs `2·√C_PE`, DRAM 8.
     pub fn bandwidth(&self, i: usize, hw: &HardwareConfig) -> f64 {
@@ -210,11 +205,6 @@ mod tests {
             h.next_inner_level(level::DRAM, Tensor::Outputs),
             Some(level::ACCUMULATOR)
         );
-        assert_eq!(
-            h.next_outer_level(level::ACCUMULATOR, Tensor::Outputs),
-            Some(level::DRAM)
-        );
-        assert_eq!(h.next_outer_level(level::DRAM, Tensor::Inputs), None);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use dosa_accel::{
     level, HardwareConfig, Hierarchy, EPA_ACC_BASE, EPA_ACC_SLOPE, EPA_DRAM, EPA_MAC,
     EPA_REGISTERS, EPA_SPAD_BASE, EPA_SPAD_SLOPE, MAX_PE_SIDE, NUM_LEVELS,
 };
-use dosa_autodiff::{max_of, Ctx, Scalar, Tape, Var};
+use dosa_autodiff::{max_of, Ctx, Scalar};
 use dosa_timeloop::{LoopOrder, Mapping};
 use dosa_workload::{Dim, DimSet, Problem, Tensor, NUM_DIMS};
 
@@ -248,20 +248,6 @@ impl<N: Scalar> FactorVars<N> {
             }
         }
         pen
-    }
-}
-
-impl<'t> FactorVars<Var<'t>> {
-    /// Tape-allocating convenience form of [`FactorVars::from_relaxed_in`],
-    /// returning the leaf variables in a fresh vector.
-    pub fn from_relaxed(
-        tape: &'t Tape,
-        problem: &Problem,
-        relaxed: &RelaxedMapping,
-    ) -> (FactorVars<Var<'t>>, Vec<Var<'t>>) {
-        let mut leaves = Vec::new();
-        let fv = FactorVars::from_relaxed_in(tape, problem, relaxed, &mut leaves);
-        (fv, leaves)
     }
 }
 
@@ -573,6 +559,7 @@ pub fn layer_perf_vars<C: Ctx>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dosa_autodiff::Tape;
     use dosa_timeloop::{compute_traffic, evaluate_layer, random_mapping};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -670,7 +657,8 @@ mod tests {
             .map(|i| 0.3 + 0.05 * i as f64)
             .collect();
         relaxed.set_params(&v);
-        let (fv, leaves) = FactorVars::from_relaxed(&tape, &p, &relaxed);
+        let mut leaves = Vec::new();
+        let fv = FactorVars::from_relaxed_in(&tape, &p, &relaxed, &mut leaves);
         let hw = HwVars::derive(&tape, &[(&p, &fv)]);
         let perf = layer_perf_vars(&tape, &p, &fv, &hw, &hier);
         let loss = perf.latency * perf.energy_uj;
@@ -705,7 +693,7 @@ mod tests {
         let tape = Tape::new();
         let relaxed =
             crate::relaxed::RelaxedMapping::identity(dosa_timeloop::Stationarity::WeightStationary);
-        let (fv, _) = FactorVars::from_relaxed(&tape, &p, &relaxed);
+        let fv = FactorVars::from_relaxed_in(&tape, &p, &relaxed, &mut Vec::new());
         assert_eq!(fv.penalty(&tape).value(), 0.0);
     }
 
@@ -716,7 +704,8 @@ mod tests {
         let mut relaxed =
             crate::relaxed::RelaxedMapping::identity(dosa_timeloop::Stationarity::WeightStationary);
         relaxed.log_temporal[0][Dim::P.index()] = (32.0f64).ln(); // > P=8
-        let (fv, leaves) = FactorVars::from_relaxed(&tape, &p, &relaxed);
+        let mut leaves = Vec::new();
+        let fv = FactorVars::from_relaxed_in(&tape, &p, &relaxed, &mut leaves);
         let pen = fv.penalty(&tape);
         assert!(pen.value() > 0.0);
         // The gradient should push the offending factor down.

@@ -188,25 +188,6 @@ impl RelaxedMapping {
             orders,
         }
     }
-
-    /// Sum of `max(1 - f, 0)` over every factor including the inferred DRAM
-    /// factors — the value of the invalid-mapping penalty (Eq. 18) at the
-    /// current point (used for reporting; the differentiable version lives
-    /// in the diff module).
-    pub fn penalty_value(&self, problem: &Problem) -> f64 {
-        let mut pen = 0.0;
-        for row in &self.log_temporal {
-            for &lf in row {
-                pen += (1.0 - lf.exp()).max(0.0);
-            }
-        }
-        pen += (1.0 - self.log_spatial_c.exp()).max(0.0);
-        pen += (1.0 - self.log_spatial_k.exp()).max(0.0);
-        for d in Dim::ALL {
-            pen += (1.0 - self.dram_factor(problem, d)).max(0.0);
-        }
-        pen
-    }
 }
 
 /// Round a slice of per-layer relaxed mappings and validate them.
@@ -308,16 +289,6 @@ mod tests {
         assert!((r.dram_factor(&p, Dim::K) - 96.0).abs() < 1e-9);
         r.log_spatial_k = (8.0f64).ln();
         assert!((r.dram_factor(&p, Dim::K) - 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn penalty_detects_overflowed_products() {
-        let p = problem();
-        let mut r = RelaxedMapping::identity(Stationarity::WeightStationary);
-        assert_eq!(r.penalty_value(&p), 0.0);
-        // Push P's inner product beyond the problem bound: DRAM factor < 1.
-        r.log_temporal[0][Dim::P.index()] = (112.0f64).ln();
-        assert!(r.penalty_value(&p) > 0.0);
     }
 
     #[test]

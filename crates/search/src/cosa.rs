@@ -10,7 +10,7 @@
 //! the scratchpad is partitioned equally between inputs and weights.
 
 use dosa_accel::{level, HardwareConfig, Hierarchy};
-use dosa_timeloop::{factorize, tile_words, LoopOrder, Mapping, Stationarity};
+use dosa_timeloop::{factorize, tile_words, Mapping, Stationarity};
 use dosa_workload::{Dim, Problem, Tensor};
 
 /// Largest divisor of `n` that is `<= cap`.
@@ -162,16 +162,6 @@ fn grow_while_fits(
             break;
         }
     }
-}
-
-/// CoSA mappings for a set of layers on one hardware design (§3.2 step 1).
-pub fn cosa_mappings(problems: &[&Problem], hw: &HardwareConfig, hier: &Hierarchy) -> Vec<Mapping> {
-    problems.iter().map(|p| cosa_mapping(p, hw, hier)).collect()
-}
-
-/// The loop order CoSA emits (weight-stationary everywhere).
-pub fn cosa_order() -> LoopOrder {
-    LoopOrder::canonical(Stationarity::WeightStationary)
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ pub fn features(problem: &Problem, relaxed: &RelaxedMapping, hw: &HardwareConfig
 /// raw log-factor leaves for the mapping, and (possibly derived) hardware
 /// variables — keeping the learned model differentiable w.r.t. the search
 /// variables.
-pub fn feature_vars<'t>(
+fn feature_vars<'t>(
     tape: &'t Tape,
     problem: &Problem,
     leaves: &[Var<'t>],
@@ -82,7 +82,7 @@ pub struct RtlDataset {
 
 /// Generate an RTL training dataset: `n` random mappings roughly evenly
 /// distributed over `layers` (§6.5.1), on 16×16-PE hardware with randomized
-/// buffer sizes.
+/// buffer sizes. No `layers` give an empty dataset.
 pub fn generate_rtl_dataset(
     layers: &[Layer],
     n: usize,
@@ -90,6 +90,9 @@ pub fn generate_rtl_dataset(
     rtl_cfg: &RtlConfig,
     seed: u64,
 ) -> RtlDataset {
+    if layers.is_empty() {
+        return RtlDataset::default();
+    }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut samples = Vec::with_capacity(n);
     let mut i = 0usize;
@@ -348,6 +351,8 @@ mod tests {
         let ds2 = generate_rtl_dataset(&layers(), 40, &hier, &RtlConfig::default(), 5);
         assert_eq!(ds.samples.len(), ds2.samples.len());
         assert_eq!(ds.samples[0].rtl_cycles, ds2.samples[0].rtl_cycles);
+        let none = generate_rtl_dataset(&[], 40, &hier, &RtlConfig::default(), 5);
+        assert!(none.samples.is_empty());
     }
 
     #[test]

@@ -157,17 +157,19 @@
 //! ## The engine
 //!
 //! Underneath the gradient-descent strategy, one optimization loop — Adam
-//! over all layers' log tiling factors, a tape cleared and reused every
-//! step, periodic rounding to valid integer mappings (§5.3.2), and
-//! per-sample accounting — descends whatever differentiable surrogate a
-//! [`DiffLoss`] provides:
+//! over all layers' log tiling factors, each step's loss recorded once
+//! and replayed on later steps ([`ProgramCache`]), periodic rounding to
+//! valid integer mappings (§5.3.2), and per-sample accounting — descends
+//! whatever differentiable surrogate a [`DiffLoss`] provides:
 //!
 //! * [`EdpLoss`] — the plain differentiable-EDP loss of §5, including the
 //!   Baseline / Iterate / Softmax loop-ordering strategies of Figure 6
 //!   ([`Surrogate::Edp`]),
 //! * [`PredictedLatencyLoss`] — the §6.5 surrogate whose latency term runs
 //!   through an analytical, DNN-only, or DNN-corrected
-//!   [`LatencyPredictor`] ([`Surrogate::PredictedLatency`]).
+//!   [`LatencyPredictor`] ([`Surrogate::PredictedLatency`]), plugged into
+//!   the same loss builder as a per-layer latency hook
+//!   ([`build_loss_with`](dosa_model::build_loss_with)).
 //!
 //! ## Blocking shims
 //!
@@ -205,7 +207,7 @@ mod strategy;
 pub use adam::Adam;
 pub use bbbo::{bayesian_search, BbboConfig};
 pub use cache::{ResultCache, ResultCacheStats};
-pub use cosa::{cosa_mapping, cosa_mappings, cosa_order};
+pub use cosa::cosa_mapping;
 pub use engine::{DiffLoss, EdpLoss, PredictedLatencyLoss, ProgramCache, PROGRAM_SLOTS};
 pub use fault::{DeadlinePolicy, FaultKind, FaultPlan, JobError};
 pub use gd::{
@@ -213,7 +215,7 @@ pub use gd::{
 };
 pub use gp::{EiScorer, GaussianProcess};
 pub use latency_model::{
-    dosa_search_rtl, evaluate_rtl, feature_vars, features, generate_rtl_dataset, LatencyModelKind,
+    dosa_search_rtl, evaluate_rtl, features, generate_rtl_dataset, LatencyModelKind,
     LatencyPredictor, RtlDataset, RtlSample, NUM_FEATURES,
 };
 pub use random_search::{

@@ -212,13 +212,6 @@ impl DimSet {
         DimSet(!self.0 & 0x7f)
     }
 
-    /// Intersection of two sets.
-    #[inline]
-    #[must_use]
-    pub const fn intersect(self, other: DimSet) -> DimSet {
-        DimSet(self.0 & other.0)
-    }
-
     /// Union of two sets.
     #[inline]
     #[must_use]
@@ -304,7 +297,6 @@ mod tests {
         assert_eq!(w.len(), 4);
         assert_eq!(w.complement(), DimSet::from_dims(&[Dim::P, Dim::Q, Dim::N]));
         assert_eq!(w.union(w.complement()), DimSet::FULL);
-        assert_eq!(w.intersect(w.complement()), DimSet::EMPTY);
         assert!(DimSet::EMPTY.is_empty());
         assert_eq!(w.without(Dim::K).len(), 3);
         assert_eq!(w.with(Dim::K), w);

@@ -1,7 +1,7 @@
 //! Layer ("problem") descriptions: a seven-dimensional iteration space plus
 //! convolution strides.
 
-use crate::dims::{Dim, DimSet, Tensor, NUM_DIMS};
+use crate::dims::{Dim, Tensor, NUM_DIMS};
 
 use std::fmt;
 
@@ -193,11 +193,6 @@ impl Problem {
         }
     }
 
-    /// Dimensions whose bound exceeds 1 (the ones worth tiling).
-    pub fn nontrivial_dims(&self) -> DimSet {
-        Dim::ALL.into_iter().filter(|&d| self.size(d) > 1).collect()
-    }
-
     /// A stable identity key ignoring the name: two layers with equal shapes
     /// and strides are the same problem for deduplication purposes.
     pub fn shape_key(&self) -> ([u64; NUM_DIMS], u64, u64) {
@@ -298,15 +293,6 @@ mod tests {
             Problem::new("bad", LayerKind::Conv, [1; 7], 0, 1),
             Err(ProblemError::ZeroStride)
         ));
-    }
-
-    #[test]
-    fn nontrivial_dims_filter() {
-        let m = Problem::matmul("fc", 128, 256, 512).unwrap();
-        assert_eq!(
-            m.nontrivial_dims(),
-            DimSet::from_dims(&[Dim::P, Dim::C, Dim::K])
-        );
     }
 
     #[test]
