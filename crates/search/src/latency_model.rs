@@ -82,7 +82,7 @@ pub struct RtlDataset {
 
 /// Generate an RTL training dataset: `n` random mappings roughly evenly
 /// distributed over `layers` (§6.5.1), on 16×16-PE hardware with randomized
-/// buffer sizes. No `layers` give an empty dataset.
+/// buffer sizes. Empty `layers` give an empty dataset.
 pub fn generate_rtl_dataset(
     layers: &[Layer],
     n: usize,
