@@ -118,9 +118,16 @@ impl fmt::Debug for CacheKey {
 /// let d = Fingerprinter::new("demo-v1").f64(1.0).finish();
 /// assert_ne!(c, d); // type tags keep distinct types apart
 /// ```
-#[derive(Debug, Default)]
+///
+/// The hash is folded as bytes are written, so a `Clone` of a shared
+/// prefix carries its hash along: extending the clone and finishing
+/// hashes only the bytes written after the clone, and yields the same key
+/// as writing every field from scratch.
+#[derive(Debug, Clone)]
 pub struct Fingerprinter {
     buf: Vec<u8>,
+    /// FNV-1a of `buf`.
+    hash: u64,
 }
 
 impl Fingerprinter {
@@ -131,20 +138,29 @@ impl Fingerprinter {
     pub fn new(schema: &str) -> Fingerprinter {
         let mut fp = Fingerprinter {
             buf: Vec::with_capacity(64),
+            hash: FNV_OFFSET,
         };
         fp.write_len_prefixed(Tag::Str, schema.as_bytes());
         fp
     }
 
+    /// Append `bytes` and fold them into the hash.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.hash ^= b as u64;
+            self.hash = self.hash.wrapping_mul(FNV_PRIME);
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
     fn write_tag(&mut self, tag: Tag) {
-        self.buf.push(tag as u8);
+        self.write(&[tag as u8]);
     }
 
     fn write_len_prefixed(&mut self, tag: Tag, bytes: &[u8]) {
         self.write_tag(tag);
-        self.buf
-            .extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        self.buf.extend_from_slice(bytes);
+        self.write(&(bytes.len() as u64).to_le_bytes());
+        self.write(bytes);
     }
 
     /// Mark the start of a named field. Purely structural — it keeps
@@ -158,14 +174,14 @@ impl Fingerprinter {
     /// Append an unsigned integer.
     pub fn u64(mut self, v: u64) -> Fingerprinter {
         self.write_tag(Tag::U64);
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.write(&v.to_le_bytes());
         self
     }
 
     /// Append a signed integer.
     pub fn i64(mut self, v: i64) -> Fingerprinter {
         self.write_tag(Tag::I64);
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.write(&v.to_le_bytes());
         self
     }
 
@@ -185,14 +201,14 @@ impl Fingerprinter {
             v.to_bits()
         };
         self.write_tag(Tag::F64);
-        self.buf.extend_from_slice(&bits.to_le_bytes());
+        self.write(&bits.to_le_bytes());
         self
     }
 
     /// Append a boolean.
     pub fn bool(mut self, v: bool) -> Fingerprinter {
         self.write_tag(Tag::Bool);
-        self.buf.push(v as u8);
+        self.write(&[v as u8]);
         self
     }
 
@@ -203,17 +219,12 @@ impl Fingerprinter {
         self
     }
 
-    /// Finish: hash the canonical bytes (FNV-1a, 64-bit) and return the
-    /// key.
+    /// Finish: return the key of the canonical bytes and their FNV-1a
+    /// (64-bit) hash, folded as they were written.
     pub fn finish(self) -> CacheKey {
-        let mut hash = FNV_OFFSET;
-        for &b in &self.buf {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
         CacheKey {
             bytes: self.buf.into(),
-            hash,
+            hash: self.hash,
         }
     }
 }

@@ -69,6 +69,28 @@ proptest! {
         }
     }
 
+    /// A cloned prefix, once extended, is the key of the same fields
+    /// written from scratch: same bytes, same hash. Extending one clone
+    /// leaves the prefix and its other clones untouched.
+    #[test]
+    fn extended_prefix_clone_equals_key_built_from_scratch(a in 0u64..u64::MAX, b in i64::MIN..i64::MAX, c in -1.0e12f64..1.0e12, d in 0u8..2, n in 0usize..8) {
+        let s = "x".repeat(n);
+        let prefix = Fingerprinter::new("prop-v1")
+            .field("a")
+            .u64(a)
+            .field("b")
+            .i64(b)
+            .field("c")
+            .f64(c);
+        let extend = |fp: Fingerprinter| fp.field("d").bool(d == 1).field("s").str(&s).finish();
+        let from_clone = extend(prefix.clone());
+        let from_scratch = mixed_key("prop-v1", a, b, c, d == 1, &s);
+        prop_assert_eq!(from_clone.hash(), from_scratch.hash());
+        prop_assert_eq!(from_clone.as_bytes(), from_scratch.as_bytes());
+        prop_assert_eq!(&from_clone, &from_scratch);
+        prop_assert_eq!(extend(prefix), from_scratch);
+    }
+
     /// Splitting the same character stream differently across string
     /// fields never collides (length prefixes hold the boundaries).
     #[test]

@@ -18,12 +18,19 @@ pub enum LayerKind {
     Matmul,
 }
 
+impl LayerKind {
+    /// The kind's lowercase name, as `Display` prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            LayerKind::Conv => "conv",
+            LayerKind::Matmul => "matmul",
+        }
+    }
+}
+
 impl fmt::Display for LayerKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LayerKind::Conv => f.write_str("conv"),
-            LayerKind::Matmul => f.write_str("matmul"),
-        }
+        f.write_str(self.name())
     }
 }
 
