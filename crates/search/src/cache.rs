@@ -40,6 +40,14 @@
 //! under any other — including a cancelled segmented job resuming
 //! unsegmented, and vice versa.
 //!
+//! Every field but the item index (`start`, `design`) is the same for all
+//! of a network's items, and the index is written last. Planning
+//! therefore fingerprints each network once into a key prefix and extends
+//! a clone of it per item (the fingerprinter folds its hash as it writes,
+//! so finishing hashes only the index). The public builders are thin
+//! wrappers over the same prefixes, so a key has the same bytes and hash
+//! however it was built; `tests/cache_keys.rs` pins them.
+//!
 //! Not everything has a stable canonical identity: a learned
 //! [`LatencyPredictor`](crate::LatencyPredictor) (its MLP weights live
 //! only in memory) yields a `None` key, and its work items simply bypass
@@ -48,10 +56,12 @@
 //! ## Replay and journaling
 //!
 //! [`ResultCache`] wraps any [`CacheStore`] (the in-memory
-//! [`ShardedLru`] by default). The service
-//! consults it per work item *before* the item competes for a worker
-//! slot, and journals each item's result the moment the item completes
-//! (never on cancellation, so partial results are never replayed). See
+//! [`ShardedLru`] by default). The service plans a job from its keys:
+//! it looks every item up *before* generating any item's search work, and
+//! generates a network's start points or designs only when one of its
+//! items misses. It journals each item's result the moment the item
+//! completes (never on cancellation, so partial results are never
+//! replayed), as an `Arc` the job's item slot shares. See
 //! `ARCHITECTURE.md` ("Result cache & resume") for the lifecycle diagram
 //! and the determinism argument.
 
@@ -69,6 +79,13 @@ use std::sync::Arc;
 
 /// Default entry capacity of [`ResultCache::in_memory`].
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
+
+/// Start a key under `schema` with one network's hierarchy and layer
+/// shapes, the fields every builder shares.
+fn network_fingerprint(schema: &str, hier: &Hierarchy, layers: &[Layer]) -> Fingerprinter {
+    let fp = Fingerprinter::new(schema);
+    fingerprint_layers(fingerprint_hierarchy(fp, hier), layers)
+}
 
 /// Append one memory level per field: name, tensor placement, spatial
 /// fanout dimension.
@@ -91,7 +108,7 @@ fn fingerprint_layers(mut fp: Fingerprinter, layers: &[Layer]) -> Fingerprinter 
     fp = fp.field("layers").u64(layers.len() as u64);
     for layer in layers {
         let p = &layer.problem;
-        fp = fp.str(&p.kind().to_string());
+        fp = fp.str(p.kind().name());
         for size in p.sizes() {
             fp = fp.u64(size);
         }
@@ -121,6 +138,49 @@ fn loop_order_name(strategy: LoopOrderStrategy) -> &'static str {
     }
 }
 
+/// Everything in one network's item keys but the item index: schema,
+/// hierarchy, layer shapes, the strategy config and the effective seed.
+/// Planning builds one per network and derives each item's key from a
+/// clone, so a job fingerprints each network once.
+#[derive(Clone)]
+pub(crate) struct KeyPrefix {
+    fp: Fingerprinter,
+    /// The field name the item index is written under.
+    item: &'static str,
+}
+
+impl KeyPrefix {
+    /// The key of the network's item `index`.
+    pub(crate) fn item_key(&self, index: usize) -> CacheKey {
+        self.fp.clone().field(self.item).u64(index as u64).finish()
+    }
+}
+
+/// The key prefix of one network's gradient-descent items, or `None` when
+/// the surrogate has no stable identity (see [`gd_item_key`]).
+pub(crate) fn gd_key_prefix(
+    hier: &Hierarchy,
+    layers: &[Layer],
+    surrogate: &Surrogate,
+    cfg: &GdConfig,
+) -> Option<KeyPrefix> {
+    let surrogate = surrogate_id(surrogate)?;
+    let fp = network_fingerprint("gd-item-v1", hier, layers)
+        .field("surrogate")
+        .str(surrogate)
+        .field("gd-config")
+        .u64(cfg.start_points as u64)
+        .u64(cfg.steps_per_start as u64)
+        .u64(cfg.round_every as u64)
+        .f64(cfg.learning_rate)
+        .str(loop_order_name(cfg.strategy))
+        .i64(cfg.fixed_pe_side.map_or(-1, |s| s as i64))
+        .f64(cfg.rejection_factor)
+        .field("seed")
+        .u64(cfg.seed);
+    Some(KeyPrefix { fp, item: "start" })
+}
+
 /// Content-address of one `(network, start point)` gradient-descent work
 /// item, or `None` when the surrogate has no stable identity. `cfg` must
 /// be the **network-effective** config (its `seed` already resolved via
@@ -138,27 +198,22 @@ pub fn gd_item_key(
     cfg: &GdConfig,
     start_index: usize,
 ) -> Option<CacheKey> {
-    let surrogate = surrogate_id(surrogate)?;
-    let mut fp = Fingerprinter::new("gd-item-v1");
-    fp = fingerprint_hierarchy(fp, hier);
-    fp = fingerprint_layers(fp, layers);
-    let key = fp
-        .field("surrogate")
-        .str(surrogate)
-        .field("gd-config")
-        .u64(cfg.start_points as u64)
-        .u64(cfg.steps_per_start as u64)
-        .u64(cfg.round_every as u64)
-        .f64(cfg.learning_rate)
-        .str(loop_order_name(cfg.strategy))
-        .i64(cfg.fixed_pe_side.map_or(-1, |s| s as i64))
-        .f64(cfg.rejection_factor)
+    Some(gd_key_prefix(hier, layers, surrogate, cfg)?.item_key(start_index))
+}
+
+/// The key prefix of one network's random-search items (see
+/// [`random_item_key`]).
+pub(crate) fn random_key_prefix(
+    hier: &Hierarchy,
+    layers: &[Layer],
+    cfg: &RandomSearchConfig,
+) -> KeyPrefix {
+    let fp = network_fingerprint("random-item-v1", hier, layers)
+        .field("samples-per-hw")
+        .u64(cfg.samples_per_hw as u64)
         .field("seed")
-        .u64(cfg.seed)
-        .field("start")
-        .u64(start_index as u64)
-        .finish();
-    Some(key)
+        .u64(cfg.seed);
+    KeyPrefix { fp, item: "design" }
 }
 
 /// Content-address of one `(network, hardware design)` random-search work
@@ -172,27 +227,17 @@ pub fn random_item_key(
     cfg: &RandomSearchConfig,
     design_index: usize,
 ) -> CacheKey {
-    let mut fp = Fingerprinter::new("random-item-v1");
-    fp = fingerprint_hierarchy(fp, hier);
-    fp = fingerprint_layers(fp, layers);
-    fp.field("samples-per-hw")
-        .u64(cfg.samples_per_hw as u64)
-        .field("seed")
-        .u64(cfg.seed)
-        .field("design")
-        .u64(design_index as u64)
-        .finish()
+    random_key_prefix(hier, layers, cfg).item_key(design_index)
 }
 
 /// Content-address of one network's whole BB-BO run. The outer Gaussian
 /// process is sequential and every step conditions on all previous
-/// observations, so the cacheable unit is the whole network, not a step.
-/// `cfg` must be the network-effective config.
+/// observations, so the cacheable unit is the whole network, not a step,
+/// and the network's prefix is the whole key. `cfg` must be the
+/// network-effective config.
 pub fn bayes_network_key(hier: &Hierarchy, layers: &[Layer], cfg: &BbboConfig) -> CacheKey {
-    let mut fp = Fingerprinter::new("bayes-net-v1");
-    fp = fingerprint_hierarchy(fp, hier);
-    fp = fingerprint_layers(fp, layers);
-    fp.field("bbbo-config")
+    network_fingerprint("bayes-net-v1", hier, layers)
+        .field("bbbo-config")
         .u64(cfg.num_hw as u64)
         .u64(cfg.init_random as u64)
         .u64(cfg.samples_per_hw as u64)
@@ -282,11 +327,12 @@ impl ResultCache {
         found
     }
 
-    /// Journal one **completed** work item under its content address.
-    /// Callers must never journal a cancelled (partial) result — a
-    /// replayed partial would break the bit-parity contract.
-    pub(crate) fn journal(&self, key: CacheKey, result: &SearchResult) {
-        self.store.put(key, Arc::new(result.clone()));
+    /// Journal one **completed** work item under its content address,
+    /// sharing the result with the job's item slot. Callers must never
+    /// journal a cancelled (partial) result — a replayed partial would
+    /// break the bit-parity contract.
+    pub(crate) fn journal(&self, key: CacheKey, result: Arc<SearchResult>) {
+        self.store.put(key, result);
         self.journaled.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -48,6 +48,7 @@ use dosa_timeloop::{evaluate_layer, evaluate_model, LoopOrder, Mapping, Stationa
 use dosa_workload::Layer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Record a best-so-far history point every this many gradient steps (in
@@ -709,10 +710,13 @@ pub(crate) fn run_segment<L: DiffLoss + ?Sized>(
 /// Deterministic reduction of per-start results: best EDP wins (ties to
 /// the lowest start index), sample counts are re-offset to the sequential
 /// accounting, and the concatenated history is rewritten to the running
-/// global best.
-pub(crate) fn merge_start_results(per_start: Vec<SearchResult>) -> SearchResult {
+/// global best. Items are read by reference (a job's items are shared
+/// with the result cache); only the winner's mappings are cloned.
+pub(crate) fn merge_start_results<R: Borrow<SearchResult>>(per_start: Vec<R>) -> SearchResult {
     let mut merged = SearchResult::empty();
-    for r in per_start {
+    let mut winner: Option<&SearchResult> = None;
+    for r in &per_start {
+        let r = r.borrow();
         let offset = merged.samples;
         merged.history.extend(r.history.iter().map(|p| SearchPoint {
             samples: offset + p.samples,
@@ -720,10 +724,13 @@ pub(crate) fn merge_start_results(per_start: Vec<SearchResult>) -> SearchResult 
         }));
         if r.best_edp < merged.best_edp {
             merged.best_edp = r.best_edp;
-            merged.best_hw = r.best_hw;
-            merged.best_mappings = r.best_mappings;
+            winner = Some(r);
         }
         merged.samples += r.samples;
+    }
+    if let Some(r) = winner {
+        merged.best_hw = r.best_hw;
+        merged.best_mappings = r.best_mappings.clone();
     }
     // Already ordered by construction; keep the invariant explicit (stable
     // sort, so equal counts preserve start order).
@@ -804,7 +811,7 @@ mod tests {
 
     #[test]
     fn merge_of_nothing_is_empty() {
-        let m = merge_start_results(Vec::new());
+        let m = merge_start_results(Vec::<SearchResult>::new());
         assert_eq!(m.samples, 0);
         assert!(m.history.is_empty());
         assert!(m.best_edp.is_infinite());

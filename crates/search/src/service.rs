@@ -87,7 +87,9 @@
 //!
 //! A service built with [`SearchServiceBuilder::cache`] consults a
 //! content-addressed [`ResultCache`] per work item during planning,
-//! *before* the item enters the ready queue: hits are replayed into the
+//! *before* the item enters the ready queue — and before any of its
+//! search work (a GD start point, a random design) is generated, which
+//! happens only for a network with a miss: hits are replayed into the
 //! item's planned position (so merge order — and therefore every result
 //! bit — is unchanged), misses run on the pool and are journaled the
 //! moment they complete — for a segmented descent, the moment its
@@ -363,10 +365,8 @@ struct JobState {
 /// merged by `finish_job` on whichever worker resolves the last item.
 #[derive(Default)]
 struct ExecState {
-    /// One entry per planned item position: `None` until the item
-    /// resolves, then `(net_index, outcome)` where a `None` outcome marks
-    /// an item a [`DeadlinePolicy::Degrade`] deadline skipped.
-    slots: Vec<Option<(usize, Option<SearchResult>)>>,
+    /// One entry per planned item position.
+    slots: Vec<Slot>,
     /// Planned items not yet resolved.
     remaining: usize,
     /// Lowest-positioned item failure, if any — the typed error the whole
@@ -573,10 +573,6 @@ struct Work {
     task: Task,
 }
 
-/// What a strategy's planner emits per item, in plan order: `(net_index,
-/// key, task)`. `plan_job` numbers the items into [`Work`] positions.
-type Planned = (usize, Option<CacheKey>, Task);
-
 /// The strategy-specific part of a [`Work`] item.
 enum Task {
     /// One (network, start point) gradient descent, run in bounded
@@ -724,6 +720,20 @@ impl SearchService {
     /// progress at once.
     pub fn submit(&self, request: SearchRequest) -> Result<JobHandle, ConfigError> {
         request.validate()?;
+        let job = self.new_job(request);
+        let handle = JobHandle {
+            job: Arc::clone(&job),
+        };
+        fault::lock(&self.shared.live).push(Arc::clone(&job));
+        self.shared.queue.push(QueueEntry {
+            job,
+            item: WorkItem::Plan,
+        });
+        Ok(handle)
+    }
+
+    /// A queued job of a validated `request`, not yet on the queue.
+    fn new_job(&self, request: SearchRequest) -> Arc<JobShared> {
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let rank = JobRank::new(request.policy(), request.estimated_samples(), id);
         let max_par = request
@@ -737,7 +747,7 @@ impl SearchService {
             .map(|_| ProgressCounters::new())
             .collect();
         let stop = StopWord::new(request.deadline(), request.deadline_policy());
-        let job = Arc::new(JobShared {
+        Arc::new(JobShared {
             id,
             request,
             rank,
@@ -755,16 +765,7 @@ impl SearchService {
                 error: None,
             }),
             done: Condvar::new(),
-        });
-        let handle = JobHandle {
-            job: Arc::clone(&job),
-        };
-        fault::lock(&self.shared.live).push(Arc::clone(&job));
-        self.shared.queue.push(QueueEntry {
-            job,
-            item: WorkItem::Plan,
-        });
-        Ok(handle)
+        })
     }
 }
 
@@ -862,11 +863,63 @@ fn worker_loop(shared: Arc<ServiceShared>) {
     }
 }
 
+/// One item slot of a job's ledger: `None` until the item resolves, then
+/// `(net_index, outcome)` where a `None` outcome marks an item a
+/// [`DeadlinePolicy::Degrade`] deadline skipped. With a cache, the result
+/// is the same `Arc` as the entry it was replayed from or journaled to.
+type Slot = Option<(usize, Option<Arc<SearchResult>>)>;
+
 /// The plan of one job: pre-resolved (cache-replayed) item slots and the
 /// miss items to enqueue.
+#[derive(Default)]
 struct JobPlan {
-    slots: Vec<Option<(usize, Option<SearchResult>)>>,
+    slots: Vec<Slot>,
     misses: Vec<Work>,
+}
+
+impl JobPlan {
+    /// Plan one network's items from their keys alone: consult the cache
+    /// once per key, in plan order, land each hit in its slot, and reserve
+    /// a slot per miss. Only if an item missed does `tasks` run; it yields
+    /// every item's task in plan order, and each miss takes its own, so a
+    /// miss runs the same task whichever of its siblings hit.
+    fn network<T: IntoIterator<Item = Task>>(
+        &mut self,
+        job: &JobShared,
+        net_index: usize,
+        keys: impl IntoIterator<Item = Option<CacheKey>>,
+        tasks: impl FnOnce() -> T,
+    ) {
+        let base = self.slots.len();
+        let mut missed: Vec<(usize, Option<CacheKey>)> = Vec::new();
+        for (index, key) in keys.into_iter().enumerate() {
+            match consult_cache(job, key.as_ref()) {
+                Some(result) => {
+                    replay_hit(job, net_index, &result);
+                    self.slots.push(Some((net_index, Some(result))));
+                }
+                None => {
+                    self.slots.push(None);
+                    missed.push((index, key));
+                }
+            }
+        }
+        if missed.is_empty() {
+            return;
+        }
+        let mut missed = missed.into_iter().peekable();
+        for (index, task) in tasks().into_iter().enumerate() {
+            if let Some((_, key)) = missed.next_if(|(i, _)| *i == index) {
+                self.misses.push(Work {
+                    pos: base + index,
+                    net_index,
+                    key,
+                    task,
+                });
+            }
+        }
+        debug_assert!(missed.next().is_none(), "every missed item gets a task");
+    }
 }
 
 /// The planning item: transition the job to `Running` (unless it was
@@ -927,71 +980,60 @@ fn run_plan(shared: &Arc<ServiceShared>, job: &Arc<JobShared>) {
     }
 }
 
-/// Plan one job: let its strategy generate the work items in plan order,
-/// and consult the result cache per item. Hits land directly at their
-/// planned positions and never enter the queue; reassembling by position
-/// keeps the demultiplexed per-network order — and therefore every merged
-/// result bit — identical to a cold run regardless of which items hit.
+/// Plan one job, network by network in request order: build each item's
+/// key, consult the result cache, and generate work only for the misses.
+/// Hits land directly at their planned positions and never enter the
+/// queue; reassembling by position keeps the demultiplexed per-network
+/// order — and therefore every merged result bit — identical to a cold
+/// run regardless of which items hit.
 fn plan_job(job: &JobShared) -> JobPlan {
-    let items = match job.request.strategy() {
-        Strategy::GradientDescent(cfg) => plan_gd(job, cfg),
-        Strategy::Random(cfg) => plan_random(job, cfg),
-        Strategy::BayesOpt(cfg) => plan_bayes(job, cfg),
-    };
+    let mut plan = JobPlan::default();
+    for net_index in 0..job.request.networks().len() {
+        match job.request.strategy() {
+            Strategy::GradientDescent(cfg) => plan_gd(job, net_index, cfg, &mut plan),
+            Strategy::Random(cfg) => plan_random(job, net_index, cfg, &mut plan),
+            Strategy::BayesOpt(cfg) => plan_bayes(job, net_index, cfg, &mut plan),
+        }
+    }
     job.stats
         .work_items
-        .fetch_add(items.len(), Ordering::Relaxed);
-    let mut slots: Vec<Option<(usize, Option<SearchResult>)>> = Vec::with_capacity(items.len());
-    let mut misses: Vec<Work> = Vec::new();
-    for (pos, (net_index, key, task)) in items.into_iter().enumerate() {
-        match consult_cache(job, key.as_ref()) {
-            Some(result) => {
-                replay_hit(job, net_index, &result);
-                slots.push(Some((net_index, Some((*result).clone()))));
-            }
-            None => {
-                slots.push(None);
-                misses.push(Work {
-                    pos,
-                    net_index,
-                    key,
-                    task,
-                });
-            }
-        }
-    }
-    JobPlan { slots, misses }
+        .fetch_add(plan.slots.len(), Ordering::Relaxed);
+    plan
 }
 
-/// Gradient-descent planning: every network's start points become
-/// independent work items. Start points are generated sequentially per
-/// network before any parallelism, exactly as the blocking path does —
-/// bit-parity with standalone runs hinges on it.
-fn plan_gd(job: &JobShared, cfg: &GdConfig) -> Vec<Planned> {
+/// Gradient-descent planning of one network: each start point is an
+/// independent work item. The keys come from one fingerprint prefix per
+/// network. Start points are generated only if an item misses, and then
+/// as the whole sequence, from the network's seed under the §5.3.1
+/// rejection rule, exactly as the blocking path does — bit-parity with
+/// standalone runs hinges on it — so every miss starts where a cold run
+/// would, whichever of its siblings hit. A full hit generates none.
+fn plan_gd(job: &JobShared, net_index: usize, cfg: &GdConfig, plan: &mut JobPlan) {
     let request = &job.request;
-    let hier = &request.hier;
-    let mut items: Vec<Planned> = Vec::new();
-    for (net_index, net) in request.networks().iter().enumerate() {
-        let mut net_cfg = *cfg;
-        net_cfg.seed = request.network_seed(net_index);
-        let (_, opts) = build_surrogate(&request.surrogate, &net.layers, hier, &net_cfg);
-        let mut rng = StdRng::seed_from_u64(net_cfg.seed);
+    let (hier, layers) = (&request.hier, &request.networks()[net_index].layers);
+    let mut cfg = *cfg;
+    cfg.seed = request.network_seed(net_index);
+    let prefix = job
+        .cache
+        .as_ref()
+        .and_then(|_| cache::gd_key_prefix(hier, layers, &request.surrogate, &cfg));
+    let keys = (0..cfg.start_points).map(|i| prefix.as_ref().map(|p| p.item_key(i)));
+    plan.network(job, net_index, keys, || {
+        let (_, opts) = build_surrogate(&request.surrogate, layers, hier, &cfg);
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
         let starts = generate_start_points(
             &mut rng,
-            &net.layers,
+            layers,
             hier,
             &opts,
-            net_cfg.start_points,
-            net_cfg.rejection_factor,
+            cfg.start_points,
+            cfg.rejection_factor,
         );
-        for (start_index, start) in starts.into_iter().enumerate() {
-            let key = job.cache.as_ref().and_then(|_| {
-                cache::gd_item_key(hier, &net.layers, &request.surrogate, &net_cfg, start_index)
-            });
-            items.push((net_index, key, gd_task(start_index, start, net_cfg)));
-        }
-    }
-    items
+        starts
+            .into_iter()
+            .enumerate()
+            .map(move |(start_index, start)| gd_task(start_index, start, cfg))
+    });
 }
 
 /// A not-yet-started descent from start point `start_index`.
@@ -1003,52 +1045,44 @@ fn gd_task(start_index: usize, start: StartPoint, cfg: GdConfig) -> Task {
     }
 }
 
-/// Random-search planning: draw every network's hardware designs
-/// sequentially from its seed; each design is one work item searched by
-/// its own RNG stream.
-fn plan_random(job: &JobShared, cfg: &RandomSearchConfig) -> Vec<Planned> {
+/// Random-search planning of one network: each hardware design is one
+/// work item searched by its own RNG stream. The designs are drawn
+/// sequentially from the network's seed, only if an item misses.
+fn plan_random(job: &JobShared, net_index: usize, cfg: &RandomSearchConfig, plan: &mut JobPlan) {
     let request = &job.request;
-    let mut items: Vec<Planned> = Vec::new();
-    for (net_index, net) in request.networks().iter().enumerate() {
-        let mut net_cfg = *cfg;
-        net_cfg.seed = request.network_seed(net_index);
-        for (design_index, design) in plan_random_designs(&net_cfg).into_iter().enumerate() {
-            let key = job.cache.as_ref().map(|_| {
-                cache::random_item_key(&request.hier, &net.layers, &net_cfg, design_index)
-            });
-            let task = Task::Random {
+    let layers = &request.networks()[net_index].layers;
+    let mut cfg = *cfg;
+    cfg.seed = request.network_seed(net_index);
+    let prefix = job
+        .cache
+        .as_ref()
+        .map(|_| cache::random_key_prefix(&request.hier, layers, &cfg));
+    let keys = (0..cfg.num_hw).map(|i| prefix.as_ref().map(|p| p.item_key(i)));
+    plan.network(job, net_index, keys, || {
+        plan_random_designs(&cfg)
+            .into_iter()
+            .map(move |design| Task::Random {
                 design,
                 samples_per_hw: cfg.samples_per_hw,
-            };
-            items.push((net_index, key, task));
-        }
-    }
-    items
+            })
+    });
 }
 
-/// BB-BO planning: the cacheable unit — and the work item — is the whole
-/// network (every GP step conditions on all previous observations), so
-/// one item per network, at `pos == net_index`. Networks of one batch
-/// may run concurrently on the pool (each is independently seeded, so
-/// every result is bit-identical to the sequential order the pre-pool
-/// service used); the GP loop *within* a network stays sequential on its
-/// worker.
-fn plan_bayes(job: &JobShared, cfg: &BbboConfig) -> Vec<Planned> {
+/// BB-BO planning of one network: the cacheable unit — and the work item
+/// — is the whole network (every GP step conditions on all previous
+/// observations), so one item per network, at `pos == net_index`.
+/// Networks of one batch may run concurrently on the pool (each is
+/// independently seeded, so every result is bit-identical to the
+/// sequential order the pre-pool service used); the GP loop *within* a
+/// network stays sequential on its worker.
+fn plan_bayes(job: &JobShared, net_index: usize, cfg: &BbboConfig, plan: &mut JobPlan) {
     let request = &job.request;
-    request
-        .networks()
-        .iter()
-        .enumerate()
-        .map(|(net_index, net)| {
-            let mut net_cfg = *cfg;
-            net_cfg.seed = request.network_seed(net_index);
-            let key = job
-                .cache
-                .as_ref()
-                .map(|_| cache::bayes_network_key(&request.hier, &net.layers, &net_cfg));
-            (net_index, key, Task::Bayes { cfg: net_cfg })
-        })
-        .collect()
+    let mut cfg = *cfg;
+    cfg.seed = request.network_seed(net_index);
+    let key = job.cache.as_ref().map(|_| {
+        cache::bayes_network_key(&request.hier, &request.networks()[net_index].layers, &cfg)
+    });
+    plan.network(job, net_index, [key], || [Task::Bayes { cfg }]);
 }
 
 /// What one work-item dispatch produced.
@@ -1094,9 +1128,10 @@ fn run_work(shared: &Arc<ServiceShared>, job: &Arc<JobShared>, work: Work) {
         Ok(SegmentOutcome::Finished(result)) => {
             // Journal only an item that completed un-cancelled: a partial
             // result must never be replayable.
+            let result = Arc::new(result);
             if !job.stop.stopping() {
                 if let (Some(cache), Some(key)) = (&job.cache, key) {
-                    cache.journal(key, &result);
+                    cache.journal(key, Arc::clone(&result));
                 }
             }
             resolve_item(shared, job, pos, net_index, Some(result));
@@ -1208,7 +1243,7 @@ fn resolve_item(
     job: &Arc<JobShared>,
     pos: usize,
     net_index: usize,
-    outcome: Option<SearchResult>,
+    outcome: Option<Arc<SearchResult>>,
 ) {
     let finished = {
         let mut exec = fault::lock(&job.exec);
@@ -1237,7 +1272,7 @@ fn finish_job(shared: &Arc<ServiceShared>, job: &Arc<JobShared>) {
     let outcome: Result<BatchResult, JobError> = match first_error {
         Some((_, err)) => Err(err),
         None => catch_unwind(AssertUnwindSafe(|| {
-            let per_item: Vec<(usize, Option<SearchResult>)> = slots
+            let per_item: Vec<(usize, Option<Arc<SearchResult>>)> = slots
                 .into_iter()
                 // dosa-lint: allow(panic-perimeter) — `remaining` hit zero,
                 // so every planned item resolved (replayed, executed,
@@ -1383,8 +1418,11 @@ fn apply_fault(job: &JobShared, pos: usize) -> bool {
 /// *after* a skipped sibling are deliberately dropped: which of them beat
 /// the deadline depends on scheduling, and determinism outranks salvaging
 /// them.
-fn demux_merge(networks: usize, per_item: Vec<(usize, Option<SearchResult>)>) -> Vec<SearchResult> {
-    let mut per_network: Vec<Vec<SearchResult>> = (0..networks).map(|_| Vec::new()).collect();
+fn demux_merge(
+    networks: usize,
+    per_item: Vec<(usize, Option<Arc<SearchResult>>)>,
+) -> Vec<SearchResult> {
+    let mut per_network: Vec<Vec<Arc<SearchResult>>> = (0..networks).map(|_| Vec::new()).collect();
     let mut truncated: Vec<bool> = vec![false; networks];
     for (net_index, outcome) in per_item {
         match outcome {
@@ -1641,5 +1679,49 @@ mod tests {
         let stats = job.stats();
         assert_eq!(stats.work_items, 2);
         assert_eq!(stats.segments_run, 2, "one dispatch per BB-BO network");
+    }
+
+    /// Planning builds every key before any search work: a GD plan whose
+    /// items all hit the cache draws no start point, while a plan without
+    /// a cache draws every network's start points.
+    #[test]
+    fn a_full_gd_hit_plans_without_drawing_a_start_point() {
+        let request = || {
+            let net = |name| vec![Layer::once(Problem::matmul(name, 16, 32, 32).unwrap())];
+            SearchRequest::builder(Hierarchy::gemmini())
+                .network("m", net("m"))
+                .network_seeded("n", net("n"), 9)
+                .config(GdConfig {
+                    start_points: 3,
+                    steps_per_start: 20,
+                    round_every: 10,
+                    seed: 4,
+                    ..GdConfig::default()
+                })
+                .build()
+        };
+        let drawn = || crate::startpoints::DRAWN.with(std::cell::Cell::get);
+        let service = SearchService::builder()
+            .threads(1)
+            .cache(ResultCache::in_memory(64))
+            .build();
+        // The cold run plans and journals on the worker thread, so this
+        // thread's count moves only with the plans below.
+        service.submit(request()).unwrap().wait().unwrap();
+
+        let before = drawn();
+        let plan = plan_job(&service.new_job(request()));
+        assert_eq!(drawn(), before, "a full hit must draw no start point");
+        assert!(plan.misses.is_empty());
+        assert_eq!(plan.slots.len(), 6);
+        assert!(plan
+            .slots
+            .iter()
+            .all(|slot| matches!(slot, Some((_, Some(_))))));
+
+        let uncached = SearchService::builder().threads(1).build();
+        let plan = plan_job(&uncached.new_job(request()));
+        assert!(drawn() >= before + 6, "every miss needs its start point");
+        assert_eq!(plan.misses.len(), 6);
     }
 }

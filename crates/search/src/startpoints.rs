@@ -33,6 +33,13 @@ pub struct StartPoint {
     pub predicted_edp: f64,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Start points drawn on this thread, so a unit test can tell whether
+    /// planning did search work.
+    pub(crate) static DRAWN: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Generate one start point for `layers`.
 pub fn generate_start_point(
     rng: &mut impl Rng,
@@ -40,6 +47,8 @@ pub fn generate_start_point(
     hier: &Hierarchy,
     opts: &LossOptions,
 ) -> StartPoint {
+    #[cfg(test)]
+    DRAWN.with(|n| n.set(n.get() + 1));
     let seed_hw = random_hw(rng);
     let relaxed: Vec<RelaxedMapping> = layers
         .iter()

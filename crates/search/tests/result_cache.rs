@@ -1,18 +1,20 @@
 //! Integration tests of the content-addressed result cache: enabling the
 //! cache must never change a result bit, a repeated identical batch must
-//! replay entirely from the cache, a cancelled job resubmitted
-//! identically must re-run only its remainder, and request-level
-//! fingerprints must be injective field by field.
+//! replay entirely from the cache, a batch whose cache kept only some
+//! items must replay those and re-run the rest bit-identically, a
+//! cancelled job resubmitted identically must re-run only its remainder,
+//! and request-level fingerprints must be injective field by field.
 
 use dosa_accel::Hierarchy;
-use dosa_search::cache::gd_item_key;
+use dosa_cache::{CacheKey, CacheStore, ShardedLru};
+use dosa_search::cache::{gd_item_key, random_item_key};
 use dosa_search::{
     dosa_search, GdConfig, JobStats, RandomSearchConfig, ResultCache, SearchRequest, SearchResult,
     SearchService, Strategy, Surrogate,
 };
 use dosa_workload::{Layer, Problem};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 fn matmul_net() -> Vec<Layer> {
@@ -101,6 +103,128 @@ fn cache_on_equals_cache_off_and_repeat_hits_fully() {
     }
     assert!(cache.stats().hits >= 4);
     assert_eq!(cache.stats().journaled, 4);
+}
+
+/// A store that keeps only the puts of the keys in `keep`, so a
+/// resubmitted job hits exactly those items and runs the rest. It logs
+/// every put, kept or not, so a test can compare item by item.
+struct KeepOnly {
+    inner: ShardedLru<Arc<SearchResult>>,
+    keep: Vec<CacheKey>,
+    puts: Mutex<Vec<(CacheKey, Arc<SearchResult>)>>,
+}
+
+impl KeepOnly {
+    fn puts(&self) -> MutexGuard<'_, Vec<(CacheKey, Arc<SearchResult>)>> {
+        // dosa-lint: allow(raw-mutex-lock) — test-local log: poison is
+        // recovered inline via into_inner, the same recovery fault::lock provides.
+        self.puts.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn take_puts(&self) -> Vec<(CacheKey, Arc<SearchResult>)> {
+        std::mem::take(&mut self.puts())
+    }
+}
+
+impl CacheStore<Arc<SearchResult>> for KeepOnly {
+    fn get(&self, key: &CacheKey) -> Option<Arc<SearchResult>> {
+        self.inner.get(key)
+    }
+
+    fn put(&self, key: CacheKey, value: Arc<SearchResult>) {
+        self.puts().push((key.clone(), value.clone()));
+        if self.keep.contains(&key) {
+            self.inner.put(key, value);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+}
+
+/// Partial hits: a resubmitted job whose cache kept only some of its
+/// items replays those and runs the rest, bit-identical to a cache-off
+/// run. The GD case keeps the odd-position starts of each network, so the
+/// misses are not a prefix: each must still descend from its own start
+/// point. The Random case keeps every other design. The merged result can
+/// hide a rerun item that went wrong but did not beat the best, so each
+/// rerun item is also checked against its own cold result.
+#[test]
+fn partial_hits_replay_kept_items_and_rerun_the_rest_bit_identically() {
+    let hier = Hierarchy::gemmini();
+    let gd_cfg = GdConfig {
+        start_points: 4,
+        ..tiny_cfg(17)
+    };
+    let gd = SearchRequest::builder(hier.clone())
+        .network("gemm", matmul_net())
+        .network_seeded("conv", conv_net(), 18)
+        .config(gd_cfg)
+        .build();
+    let gd_keep: Vec<CacheKey> = [(matmul_net(), 17), (conv_net(), 18)]
+        .iter()
+        .flat_map(|(layers, seed)| {
+            let cfg = GdConfig {
+                seed: *seed,
+                ..gd_cfg
+            };
+            [1, 3].map(|start| gd_item_key(&hier, layers, &Surrogate::Edp, &cfg, start).unwrap())
+        })
+        .collect();
+    let random_cfg = RandomSearchConfig {
+        num_hw: 5,
+        samples_per_hw: 40,
+        seed: 23,
+    };
+    let random = SearchRequest::builder(hier.clone())
+        .network("conv", conv_net())
+        .strategy(Strategy::Random(random_cfg))
+        .build();
+    let random_keep: Vec<CacheKey> = [0, 2, 4]
+        .map(|design| random_item_key(&hier, &conv_net(), &random_cfg, design))
+        .to_vec();
+
+    for (what, request, keep) in [("gd", gd, gd_keep), ("random", random, random_keep)] {
+        let plain = SearchService::builder().threads(2).build();
+        let reference = plain.submit(request.clone()).unwrap().wait().unwrap();
+        let kept = keep.len();
+        let store = Arc::new(KeepOnly {
+            inner: ShardedLru::new(64),
+            keep,
+            puts: Mutex::new(Vec::new()),
+        });
+        let service = SearchService::builder()
+            .threads(2)
+            .cache(ResultCache::with_store(store.clone()))
+            .build();
+        service.submit(request.clone()).unwrap().wait().unwrap();
+        assert_eq!(
+            store.len(),
+            kept,
+            "{what}: the cold run journals the kept items"
+        );
+        let cold = store.take_puts();
+
+        let rerun = service.submit(request).unwrap();
+        let results = rerun.wait().unwrap();
+        let stats = rerun.stats();
+        assert_eq!(stats.cache_hits, kept, "{what}: one hit per kept item");
+        assert_eq!(stats.cache_hits + stats.cache_misses, stats.work_items);
+        for (got, want) in results.networks.iter().zip(&reference.networks) {
+            let net = format!("{what}/{}: partial hit vs cache-off", want.network);
+            assert_bit_identical(&got.result, &want.result, &net);
+            assert_eq!(got.result.best_mappings, want.result.best_mappings, "{net}");
+        }
+        let rerun_puts = store.take_puts();
+        assert_eq!(rerun_puts.len(), stats.cache_misses);
+        for (key, result) in rerun_puts {
+            let (_, first) = cold.iter().find(|(k, _)| *k == key).unwrap();
+            let item = format!("{what}: rerun item {key:?} vs its cold result");
+            assert_bit_identical(&result, first, &item);
+            assert_eq!(result.best_mappings, first.best_mappings, "{item}");
+        }
+    }
 }
 
 #[test]
