@@ -732,7 +732,8 @@ impl SearchService {
         Ok(handle)
     }
 
-    /// A queued job of a validated `request`, not yet on the queue.
+    /// A new `Queued` job of a validated `request`, neither on the ready
+    /// queue nor on the live list yet.
     fn new_job(&self, request: SearchRequest) -> Arc<JobShared> {
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let rank = JobRank::new(request.policy(), request.estimated_samples(), id);
