@@ -119,10 +119,10 @@ impl fmt::Debug for CacheKey {
 /// assert_ne!(c, d); // type tags keep distinct types apart
 /// ```
 ///
-/// The hash is folded as bytes are written, so a `Clone` of a shared
-/// prefix carries its hash along: extending the clone and finishing
-/// hashes only the bytes written after the clone, and yields the same key
-/// as writing every field from scratch.
+/// The hash is folded as bytes are written, so a clone of a shared prefix
+/// carries the prefix's hash: extending the clone hashes only the bytes
+/// it appends, and finishing yields the same key as writing every field
+/// from scratch.
 #[derive(Debug, Clone)]
 pub struct Fingerprinter {
     buf: Vec<u8>,

@@ -44,7 +44,7 @@
 //! of a network's items, and the index is written last. Planning
 //! therefore fingerprints each network once into a key prefix and extends
 //! a clone of it per item (the fingerprinter folds its hash as it writes,
-//! so finishing hashes only the index). The public builders are thin
+//! so an item's key hashes only its index). The public builders are thin
 //! wrappers over the same prefixes, so a key has the same bytes and hash
 //! however it was built; `tests/cache_keys.rs` pins them.
 //!
