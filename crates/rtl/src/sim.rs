@@ -91,7 +91,7 @@ pub fn simulate_latency(
     // Each DRAM tile transfer pays a fixed setup cost plus the beat-level
     // occupancy of the bus.
     let mut dma = 0.0;
-    for s in &traffic.dram_streams {
+    for s in traffic.dram_streams.iter() {
         let word_bytes = match s.tensor {
             Tensor::Outputs => ACC_WORD_BYTES,
             Tensor::Weights | Tensor::Inputs => SPAD_WORD_BYTES,

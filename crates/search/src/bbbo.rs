@@ -16,12 +16,13 @@
 use crate::engine::StartControl;
 use crate::gd::SearchResult;
 use crate::gp::{GaussianProcess, EI_LANES};
+use crate::random_search::samplers;
 use crate::request::SearchRequest;
 use crate::service::run_blocking;
 use crate::startpoints::random_hw;
 use crate::strategy::{stream_seed, Strategy};
 use dosa_accel::{HardwareConfig, Hierarchy};
-use dosa_timeloop::{evaluate_layer, fits, random_mapping, Mapping};
+use dosa_timeloop::{evaluate_layer, fits, Mapping};
 use dosa_workload::Layer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -88,6 +89,7 @@ impl InnerLoop<'_> {
     /// the region).
     fn search(&self, hw: &HardwareConfig, design_seed: u64, result: &mut SearchResult) -> f64 {
         let mut best: Vec<LayerCandidate> = vec![None; self.layers.len()];
+        let samplers = samplers(self.layers, self.hier, hw.pe_side());
         for s in 0..self.samples {
             // Cancellation stops at a sample boundary, so the fold is a
             // prefix of the uncancelled run.
@@ -95,8 +97,8 @@ impl InnerLoop<'_> {
                 break;
             }
             let mut rng = StdRng::seed_from_u64(stream_seed(design_seed, s as u64));
-            for (layer, best) in self.layers.iter().zip(best.iter_mut()) {
-                let m = random_mapping(&mut rng, &layer.problem, self.hier, hw.pe_side());
+            for ((layer, sampler), best) in self.layers.iter().zip(&samplers).zip(best.iter_mut()) {
+                let m = sampler.draw(&mut rng);
                 if !fits(&layer.problem, &m, hw, self.hier) {
                     continue;
                 }

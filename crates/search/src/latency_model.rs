@@ -4,6 +4,7 @@
 //! top of them (Figure 12) and the feature extraction they share.
 
 use crate::gd::{GdConfig, SearchResult};
+use crate::random_search::samplers;
 use crate::request::{SearchRequest, Surrogate};
 use crate::service::run_blocking;
 use dosa_accel::{HardwareConfig, Hierarchy, ACC_WORD_BYTES};
@@ -11,7 +12,7 @@ use dosa_autodiff::{Tape, Var};
 use dosa_model::{HwVars, RelaxedMapping, PARAMS_PER_LAYER};
 use dosa_nn::{train, Dataset, Mlp, TrainConfig};
 use dosa_rtl::{simulate_latency, RtlConfig};
-use dosa_timeloop::{evaluate_layer, fits, random_mapping, Mapping, ModelPerf};
+use dosa_timeloop::{evaluate_layer, fits, Mapping, ModelPerf};
 use dosa_workload::{Dim, Layer, Problem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,6 +94,9 @@ pub fn generate_rtl_dataset(
     if layers.is_empty() {
         return RtlDataset::default();
     }
+    // Every design has a 16×16 array, so one sampler per layer serves all.
+    const PE_SIDE: u64 = 16;
+    let samplers = samplers(layers, hier, PE_SIDE);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut samples = Vec::with_capacity(n);
     let mut i = 0usize;
@@ -106,8 +110,8 @@ pub fn generate_rtl_dataset(
         // dosa-lint: allow(panic-perimeter) — the sampled ranges (16 PEs,
         // 16..256 KB acc, 64..1024 KB spad) are valid by construction; a
         // failure here means the sampler itself broke.
-        let hw = HardwareConfig::new(16, acc_kb, spad_kb).expect("valid");
-        let mapping = random_mapping(&mut rng, &layer.problem, hier, hw.pe_side());
+        let hw = HardwareConfig::new(PE_SIDE, acc_kb, spad_kb).expect("valid");
+        let mapping = samplers[i % layers.len()].draw(&mut rng);
         if !fits(&layer.problem, &mapping, &hw, hier) {
             continue;
         }

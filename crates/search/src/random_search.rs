@@ -18,7 +18,7 @@ use crate::service::run_blocking;
 use crate::startpoints::random_hw;
 use crate::strategy::{stream_seed, Strategy};
 use dosa_accel::{HardwareConfig, Hierarchy};
-use dosa_timeloop::{evaluate_layer, fits, random_mapping, LayerPerf, Mapping, ModelPerf};
+use dosa_timeloop::{evaluate_layer, fits, LayerPerf, MapSampler, Mapping, ModelPerf};
 use dosa_workload::Layer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -117,6 +117,15 @@ pub(crate) fn plan_random_designs(cfg: &RandomSearchConfig) -> Vec<RandomDesign>
         .collect()
 }
 
+/// One [`MapSampler`] per layer for a design whose array side is
+/// `pe_side`, built before the design's sample loop.
+pub(crate) fn samplers(layers: &[Layer], hier: &Hierarchy, pe_side: u64) -> Vec<MapSampler> {
+    layers
+        .iter()
+        .map(|l| MapSampler::new(&l.problem, hier, pe_side))
+        .collect()
+}
+
 /// Search one hardware design with random mappings: one work item of a
 /// [`Strategy::Random`] job. Returns a design-local [`SearchResult`]
 /// whose history offsets and running minima are restored by the
@@ -133,12 +142,13 @@ pub(crate) fn run_random_design(
     let mut rng = StdRng::seed_from_u64(design.rng_seed);
     let mut best = PerLayerBest::new(layers.len());
     let mut result = SearchResult::empty();
+    let samplers = samplers(layers, hier, design.hw.pe_side());
     for s in 0..samples {
         if ctrl.cancelled() {
             break;
         }
-        for (i, layer) in layers.iter().enumerate() {
-            let m = random_mapping(&mut rng, &layer.problem, hier, design.hw.pe_side());
+        for (i, (layer, sampler)) in layers.iter().zip(&samplers).enumerate() {
+            let m = sampler.draw(&mut rng);
             if fits(&layer.problem, &m, &design.hw, hier) {
                 let perf = evaluate_layer(&layer.problem, &m, &design.hw, hier);
                 best.offer(i, m, perf);

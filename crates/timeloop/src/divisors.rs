@@ -19,20 +19,9 @@
 /// # Panics
 ///
 /// Panics if `n == 0`.
-pub fn factorize(n: u64) -> Vec<(u64, u32)> {
-    let mut out = Vec::new();
-    for_each_prime_power(n, |p, e| out.push((p, e)));
-    out
-}
-
-/// Call `f(prime, exponent)` for every prime factor of `n`, in increasing
-/// prime order, without allocating.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-fn for_each_prime_power(mut n: u64, mut f: impl FnMut(u64, u32)) {
+pub fn factorize(mut n: u64) -> Vec<(u64, u32)> {
     assert!(n > 0, "cannot factorize zero");
+    let mut out = Vec::new();
     let mut p = 2u64;
     while p * p <= n {
         if n.is_multiple_of(p) {
@@ -41,27 +30,14 @@ fn for_each_prime_power(mut n: u64, mut f: impl FnMut(u64, u32)) {
                 n /= p;
                 e += 1;
             }
-            f(p, e);
+            out.push((p, e));
         }
         p += if p == 2 { 1 } else { 2 };
     }
     if n > 1 {
-        f(n, 1);
+        out.push((n, 1));
     }
-}
-
-/// The smallest prime factor of `n` (`factorize(n)[0].0`), without
-/// allocating.
-///
-/// # Panics
-///
-/// Panics if `n < 2`.
-pub(crate) fn smallest_prime_factor(n: u64) -> u64 {
-    let mut first = None;
-    for_each_prime_power(n, |p, _| {
-        first.get_or_insert(p);
-    });
-    first.expect("1 has no prime factor")
+    out
 }
 
 /// All divisors of `n` in increasing order.
@@ -132,45 +108,6 @@ pub fn nearest_divisor(n: u64, x: f64, cap: Option<u64>) -> u64 {
     best
 }
 
-/// Split `n` into `parts` cofactors whose product is `n`, distributing each
-/// prime factor to a slot chosen by `pick(upper_bound) -> index`.
-///
-/// `pick` is called once per prime factor with the number of slots and must
-/// return an index `< parts`. Deterministic given `pick`.
-///
-/// # Examples
-///
-/// ```
-/// use dosa_timeloop::split_into;
-/// // Send every factor to slot 0.
-/// let parts = split_into(24, 3, |_| 0);
-/// assert_eq!(parts, vec![24, 1, 1]);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `parts == 0` or if `pick` returns an out-of-range index.
-pub fn split_into(n: u64, parts: usize, pick: impl FnMut(usize) -> usize) -> Vec<u64> {
-    assert!(parts > 0, "need at least one part");
-    let mut out = vec![1u64; parts];
-    split_into_slice(n, &mut out, pick);
-    out
-}
-
-/// [`split_into`] into a caller-owned slice of ones, without allocating:
-/// `out[i]` is multiplied by every prime factor sent to slot `i`, with the
-/// same `pick` calls in the same order.
-pub(crate) fn split_into_slice(n: u64, out: &mut [u64], mut pick: impl FnMut(usize) -> usize) {
-    let parts = out.len();
-    for_each_prime_power(n, |p, e| {
-        for _ in 0..e {
-            let slot = pick(parts);
-            assert!(slot < parts, "pick returned out-of-range slot");
-            out[slot] *= p;
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,16 +144,5 @@ mod tests {
         assert_eq!(nearest_divisor(7, 3.4, None), 1); // divisors 1, 7; 3.4 closer to 1
         assert_eq!(nearest_divisor(7, 4.1, None), 7);
         assert_eq!(nearest_divisor(64, 64.0, Some(32)), 32);
-    }
-
-    #[test]
-    fn split_preserves_product() {
-        let mut i = 0usize;
-        let parts = split_into(360, 4, |n| {
-            i += 1;
-            i % n
-        });
-        assert_eq!(parts.iter().product::<u64>(), 360);
-        assert_eq!(parts.len(), 4);
     }
 }

@@ -10,7 +10,8 @@
 //!   [`evaluate_model`], Eqs. 12–14) including Timeloop's per-block DRAM
 //!   energy ceiling (§4.6),
 //! * minimal-hardware inference ([`min_hw`], Figure 3),
-//! * random and random-pruned mappers (§6.1), and divisor utilities.
+//! * the random mapper's precomputed [`MapSampler`] and the random-pruned
+//!   mapper (§6.1), and divisor utilities.
 //!
 //! ## Example
 //!
@@ -38,10 +39,12 @@ mod minhw;
 mod perf;
 mod traffic;
 
-pub use divisors::{divisors, factorize, nearest_divisor, split_into};
+pub use divisors::{divisors, factorize, nearest_divisor};
 pub use exhaustive::{enumerate_mappings, exhaustive_best, MAX_ENUMERATION};
-pub use mapper::{random_mapping, random_pruned_search, MapperResult};
+pub use mapper::{random_mapping, random_pruned_search, MapSampler, MapperResult};
 pub use mapping::{LoopOrder, Mapping, MappingError, Stationarity};
 pub use minhw::{fits, min_hw, min_hw_for_all};
 pub use perf::{evaluate_layer, evaluate_model, perf_from_traffic, LayerPerf, ModelPerf};
-pub use traffic::{compute_traffic, refetch, tile_words, DramStream, TensorFlows, Traffic};
+pub use traffic::{
+    compute_traffic, refetch, tile_words, DramStream, DramStreams, TensorFlows, Traffic,
+};

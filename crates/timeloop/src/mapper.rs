@@ -2,7 +2,7 @@
 //! baseline and the random-pruned mapper used to evaluate fixed accelerators
 //! (§6.1, §6.3).
 
-use crate::divisors::{smallest_prime_factor, split_into_slice};
+use crate::divisors::factorize;
 use crate::mapping::{LoopOrder, Mapping, Stationarity};
 use crate::minhw::fits;
 use crate::perf::{evaluate_layer, LayerPerf};
@@ -10,78 +10,153 @@ use dosa_accel::{HardwareConfig, Hierarchy, MAX_PE_SIDE, NUM_LEVELS};
 use dosa_workload::{Dim, Problem, NUM_DIMS};
 use rand::Rng;
 
-/// Slot identifiers in the per-dimension factor split, innermost first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    Temporal(usize),
-    Spatial(usize),
+/// Most slots a dimension's factors can go to: every temporal level plus
+/// two (double-weighted) spatial slots per level.
+const MAX_SLOTS: usize = 3 * NUM_LEVELS;
+
+/// One dimension's share of a [`MapSampler`].
+#[derive(Debug, Clone, Copy)]
+struct DimSlots {
+    /// End of this dimension's run in the sampler's `primes`.
+    primes_end: usize,
+    /// Number of slots, the bound of each factor's `gen_range` draw.
+    n: usize,
+    /// Row of the draw's factor table each slot multiplies: temporal
+    /// level `i` is row `i`, spatial level `i` row `NUM_LEVELS + i`.
+    rows: [usize; MAX_SLOTS],
 }
 
-/// Sample a structurally valid random mapping for `problem`.
+/// A random-mapping sampler for one `(problem, hierarchy, spatial cap)`,
+/// with everything that does not depend on the random draws worked out
+/// once: each dimension's prime factors and the table of slots they are
+/// dealt to.
 ///
-/// Each dimension's prime factors are distributed across the temporal slots
-/// of levels 0..3 plus the architecturally allowed spatial slots (spatial
-/// slots get double weight so that random samples exercise the array).
-/// Spatial factors are capped at `spatial_cap` by demoting excess primes to
-/// the same level's temporal slot. Loop orders are drawn uniformly from the
+/// A draw deals each dimension's prime factors (in increasing order) over
+/// the temporal slots of levels 0..3 plus the architecturally allowed
+/// spatial slots, with one `gen_range` call per factor; spatial slots are
+/// listed twice so that random samples exercise the array. Spatial factors
+/// are capped at `spatial_cap` by demoting their smallest primes to the
+/// same level's temporal slot. Loop orders are drawn uniformly from the
 /// canonical WS/IS/OS orderings per level (the DOSA search space, §5.2.1).
+///
+/// Building a sampler allocates; a [`draw`](MapSampler::draw) does not.
+///
+/// # Examples
+///
+/// ```
+/// use dosa_accel::Hierarchy;
+/// use dosa_timeloop::MapSampler;
+/// use dosa_workload::Problem;
+/// use rand::rngs::StdRng;
+/// use rand::SeedableRng;
+///
+/// let p = Problem::conv("l", 3, 3, 28, 28, 64, 64, 1)?;
+/// let hier = Hierarchy::gemmini();
+/// let sampler = MapSampler::new(&p, &hier, 16);
+/// let mut rng = StdRng::seed_from_u64(1);
+/// let m = sampler.draw(&mut rng);
+/// assert!(m.validate(&p, &hier).is_ok());
+/// # Ok::<(), dosa_workload::ProblemError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct MapSampler {
+    /// Every dimension's prime factors with multiplicity, dimensions in
+    /// canonical order, primes increasing within a dimension.
+    primes: Vec<u64>,
+    dims: [DimSlots; NUM_DIMS],
+    /// Largest spatial factor a draw keeps.
+    cap: u64,
+    /// The canonical loop order of each [`Stationarity`].
+    orders: [LoopOrder; 3],
+}
+
+impl MapSampler {
+    /// Precompute the sampler for `problem` on `hier`, capping spatial
+    /// factors at `spatial_cap` (clamped to `1..=MAX_PE_SIDE`).
+    pub fn new(problem: &Problem, hier: &Hierarchy, spatial_cap: u64) -> MapSampler {
+        let mut primes = Vec::new();
+        let mut dims = [DimSlots {
+            primes_end: 0,
+            n: 0,
+            rows: [0; MAX_SLOTS],
+        }; NUM_DIMS];
+        for (slots, d) in dims.iter_mut().zip(Dim::ALL) {
+            for (p, e) in factorize(problem.size(d)) {
+                primes.extend((0..e).map(|_| p));
+            }
+            slots.primes_end = primes.len();
+            for i in 0..NUM_LEVELS {
+                slots.rows[slots.n] = i;
+                slots.n += 1;
+            }
+            for i in 0..NUM_LEVELS {
+                if hier.spatial_dims(i).contains(d) {
+                    slots.rows[slots.n] = NUM_LEVELS + i;
+                    slots.rows[slots.n + 1] = NUM_LEVELS + i;
+                    slots.n += 2;
+                }
+            }
+        }
+        MapSampler {
+            primes,
+            dims,
+            cap: spatial_cap.clamp(1, MAX_PE_SIDE),
+            orders: Stationarity::ALL.map(LoopOrder::canonical),
+        }
+    }
+
+    /// Draw one structurally valid random mapping.
+    pub fn draw(&self, rng: &mut impl Rng) -> Mapping {
+        let mut rows = [[1u64; NUM_DIMS]; 2 * NUM_LEVELS];
+        let mut start = 0;
+        for (d, slots) in self.dims.iter().enumerate() {
+            let primes = &self.primes[start..slots.primes_end];
+            start = slots.primes_end;
+            for &p in primes {
+                rows[slots.rows[rng.gen_range(0..slots.n)]][d] *= p;
+            }
+            // Enforce the spatial cap by demoting the smallest prime
+            // factors to the same level's temporal slot.
+            for i in 0..NUM_LEVELS {
+                for &p in primes {
+                    let s = rows[NUM_LEVELS + i][d];
+                    if s <= self.cap {
+                        break;
+                    }
+                    if s % p == 0 {
+                        rows[NUM_LEVELS + i][d] = s / p;
+                        rows[i][d] *= p;
+                    }
+                }
+            }
+        }
+
+        let mut orders = [LoopOrder::default(); NUM_LEVELS];
+        for o in orders.iter_mut() {
+            *o = self.orders[rng.gen_range(0..3usize)];
+        }
+
+        let mut m = Mapping {
+            temporal: [[1; NUM_DIMS]; NUM_LEVELS],
+            spatial: [[1; NUM_DIMS]; NUM_LEVELS],
+            orders,
+        };
+        m.temporal.copy_from_slice(&rows[..NUM_LEVELS]);
+        m.spatial.copy_from_slice(&rows[NUM_LEVELS..]);
+        m
+    }
+}
+
+/// Sample one structurally valid random mapping for `problem`: a single
+/// [`MapSampler::draw`]. Loops that draw many mappings for one problem
+/// should build the sampler once instead.
 pub fn random_mapping(
     rng: &mut impl Rng,
     problem: &Problem,
     hier: &Hierarchy,
     spatial_cap: u64,
 ) -> Mapping {
-    let cap = spatial_cap.clamp(1, MAX_PE_SIDE);
-    let mut temporal = [[1u64; NUM_DIMS]; NUM_LEVELS];
-    let mut spatial = [[1u64; NUM_DIMS]; NUM_LEVELS];
-
-    for d in Dim::ALL {
-        // Build the slot list for this dimension: all temporal levels plus
-        // any level that may spatially unroll `d`. Spatial slots are listed
-        // twice to weight them up. Fixed arrays keep a draw allocation-free.
-        let mut slots = [Slot::Temporal(0); 3 * NUM_LEVELS];
-        let mut n = 0;
-        for i in 0..NUM_LEVELS {
-            slots[n] = Slot::Temporal(i);
-            n += 1;
-        }
-        for i in 0..NUM_LEVELS {
-            if hier.spatial_dims(i).contains(d) {
-                slots[n] = Slot::Spatial(i);
-                slots[n + 1] = Slot::Spatial(i);
-                n += 2;
-            }
-        }
-        let mut factors = [1u64; 3 * NUM_LEVELS];
-        split_into_slice(problem.size(d), &mut factors[..n], |k| rng.gen_range(0..k));
-        for (slot, &f) in slots[..n].iter().zip(&factors[..n]) {
-            match slot {
-                Slot::Temporal(i) => temporal[*i][d.index()] *= f,
-                Slot::Spatial(i) => spatial[*i][d.index()] *= f,
-            }
-        }
-        // Enforce the spatial cap by demoting prime factors to the same
-        // level's temporal slot.
-        for i in 0..NUM_LEVELS {
-            while spatial[i][d.index()] > cap {
-                let p = smallest_prime_factor(spatial[i][d.index()]);
-                spatial[i][d.index()] /= p;
-                temporal[i][d.index()] *= p;
-            }
-        }
-    }
-
-    let mut orders = [LoopOrder::default(); NUM_LEVELS];
-    for o in orders.iter_mut() {
-        let s = Stationarity::ALL[rng.gen_range(0..3usize)];
-        *o = LoopOrder::canonical(s);
-    }
-
-    Mapping {
-        temporal,
-        spatial,
-        orders,
-    }
+    MapSampler::new(problem, hier, spatial_cap).draw(rng)
 }
 
 /// Result of a pruned random mapspace search.
@@ -107,10 +182,11 @@ pub fn random_pruned_search(
     hier: &Hierarchy,
     samples: usize,
 ) -> Option<MapperResult> {
+    let sampler = MapSampler::new(problem, hier, hw.pe_side());
     let mut best: Option<MapperResult> = None;
     let mut valid = 0usize;
     for _ in 0..samples {
-        let m = random_mapping(rng, problem, hier, hw.pe_side());
+        let m = sampler.draw(rng);
         if !fits(problem, &m, hw, hier) {
             continue;
         }

@@ -2,9 +2,9 @@
 //! two-loop search into one (Figure 3, §4.1).
 
 use crate::mapping::Mapping;
-use crate::traffic::tile_words;
+use crate::traffic::Extents;
 use dosa_accel::{level, HardwareConfig, Hierarchy, ACC_WORD_BYTES, SPAD_WORD_BYTES};
-use dosa_workload::{Dim, Problem, Tensor};
+use dosa_workload::{Problem, Tensor};
 
 /// The minimal hardware configuration able to execute `mapping` on
 /// `problem` (Eqs. 1–5 plus the KB rounding of §6.1).
@@ -21,29 +21,43 @@ use dosa_workload::{Dim, Problem, Tensor};
 /// assert_eq!(hw.pe_side(), 1); // no spatial unrolling
 /// # Ok::<(), dosa_workload::ProblemError>(())
 /// ```
+///
+/// # Panics
+///
+/// Panics if a spatial factor exceeds
+/// [`MAX_PE_SIDE`](dosa_accel::MAX_PE_SIDE): no array can hold such a
+/// mapping ([`Mapping::validate`] rejects it; [`fits`] returns `false`).
 pub fn min_hw(problem: &Problem, mapping: &Mapping, hier: &Hierarchy) -> HardwareConfig {
-    // Eq. 1: the square array must fit the larger spatial factor.
-    let side = Dim::ALL
-        .into_iter()
-        .flat_map(|d| (0..dosa_accel::NUM_LEVELS).map(move |i| mapping.spatial(i, d)))
+    let _ = hier;
+    let (acc_kb, spad_kb) = buffer_kb(problem, mapping);
+    HardwareConfig::new(array_side(mapping), acc_kb, spad_kb)
+        .expect("min-HW inference produces valid configurations")
+}
+
+/// Eq. 1: the square array must fit the largest spatial factor.
+fn array_side(mapping: &Mapping) -> u64 {
+    mapping
+        .spatial
+        .iter()
+        .flatten()
+        .copied()
         .max()
         .unwrap_or(1)
-        .max(1);
+        .max(1)
+}
 
-    let acc_words = tile_words(problem, mapping, level::ACCUMULATOR, Tensor::Outputs);
-    let spad_words = tile_words(problem, mapping, level::SCRATCHPAD, Tensor::Weights)
-        + tile_words(problem, mapping, level::SCRATCHPAD, Tensor::Inputs);
-    let _ = hier;
-
-    let acc_kb = ((acc_words * ACC_WORD_BYTES) as f64 / 1024.0)
-        .ceil()
-        .max(1.0);
-    let spad_kb = ((spad_words * SPAD_WORD_BYTES) as f64 / 1024.0)
-        .ceil()
-        .max(1.0);
-
-    HardwareConfig::new(side, acc_kb, spad_kb)
-        .expect("min-HW inference produces valid configurations")
+/// Accumulator and scratchpad KB needed by `mapping` (Eqs. 2–5), rounded
+/// up to whole KB and at least 1.
+fn buffer_kb(problem: &Problem, mapping: &Mapping) -> (f64, f64) {
+    let extents = Extents::new(mapping);
+    let acc_words = extents.words(problem, level::ACCUMULATOR, Tensor::Outputs);
+    let spad_words = extents.words(problem, level::SCRATCHPAD, Tensor::Weights)
+        + extents.words(problem, level::SCRATCHPAD, Tensor::Inputs);
+    let kb = |bytes: u64| (bytes as f64 / 1024.0).ceil().max(1.0);
+    (
+        kb(acc_words * ACC_WORD_BYTES),
+        kb(spad_words * SPAD_WORD_BYTES),
+    )
 }
 
 /// The minimal configuration supporting every `(problem, mapping)` pair:
@@ -60,18 +74,23 @@ pub fn min_hw_for_all<'a>(
 }
 
 /// Whether `mapping` can execute on fixed hardware `hw` (used by the
-/// two-loop baselines and the fixed-hardware RTL experiments).
+/// two-loop baselines and the fixed-hardware RTL experiments). The array
+/// side is checked first, so a spatial factor too large for any array
+/// gives `false`.
 pub fn fits(problem: &Problem, mapping: &Mapping, hw: &HardwareConfig, hier: &Hierarchy) -> bool {
-    let need = min_hw(problem, mapping, hier);
-    need.pe_side() <= hw.pe_side()
-        && need.acc_kb() <= hw.acc_kb().ceil()
-        && need.spad_kb() <= hw.spad_kb().ceil()
+    let _ = hier;
+    if array_side(mapping) > hw.pe_side() {
+        return false;
+    }
+    let (acc_kb, spad_kb) = buffer_kb(problem, mapping);
+    acc_kb <= hw.acc_kb().ceil() && spad_kb <= hw.spad_kb().ceil()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mapping::fig3_mapping;
+    use dosa_workload::Dim;
 
     #[test]
     fn fig3_min_hw_matches_paper() {
@@ -107,5 +126,16 @@ mod tests {
         assert!(fits(&p, &m, &bigger, &h));
         let smaller = HardwareConfig::new(32, exact.acc_kb(), exact.spad_kb()).unwrap();
         assert!(!fits(&p, &m, &smaller, &h));
+    }
+
+    #[test]
+    fn a_spatial_factor_above_every_array_does_not_fit() {
+        let h = Hierarchy::gemmini();
+        let p = Problem::conv("wide", 1, 1, 1, 1, 256, 256, 1).unwrap();
+        let mut m = Mapping::all_at_dram(&p);
+        m.temporal[level::DRAM][Dim::K.index()] = 1;
+        m.spatial[level::SCRATCHPAD][Dim::K.index()] = 256;
+        let biggest = HardwareConfig::new(dosa_accel::MAX_PE_SIDE, 1024.0, 1024.0).unwrap();
+        assert!(!fits(&p, &m, &biggest, &h));
     }
 }

@@ -26,7 +26,8 @@
 
 use crate::mapping::Mapping;
 use dosa_accel::{Hierarchy, NUM_LEVELS};
-use dosa_workload::{Dim, DimSet, Problem, Tensor};
+use dosa_workload::{Dim, DimSet, Problem, Tensor, NUM_DIMS};
+use std::ops::Deref;
 
 /// Directional access counts for one (level, tensor) pair.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,6 +62,46 @@ pub struct DramStream {
     pub transfers: u64,
 }
 
+/// Most DRAM streams a layer can have: one fill stream each for weights
+/// and inputs, and a drain plus a reload stream for outputs.
+const MAX_DRAM_STREAMS: usize = 4;
+
+/// A layer's DRAM transfer streams, held inline (at most four, so
+/// evaluating a mapping never allocates). Derefs to a slice of the streams
+/// in the order they were found; unused slots hold an empty stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DramStreams {
+    len: usize,
+    slots: [DramStream; MAX_DRAM_STREAMS],
+}
+
+impl DramStreams {
+    fn new() -> DramStreams {
+        let empty = DramStream {
+            tensor: Tensor::Weights,
+            tile_words: 0,
+            transfers: 0,
+        };
+        DramStreams {
+            len: 0,
+            slots: [empty; MAX_DRAM_STREAMS],
+        }
+    }
+
+    fn push(&mut self, s: DramStream) {
+        self.slots[self.len] = s;
+        self.len += 1;
+    }
+}
+
+impl Deref for DramStreams {
+    type Target = [DramStream];
+
+    fn deref(&self) -> &[DramStream] {
+        &self.slots[..self.len]
+    }
+}
+
 /// Complete traffic summary for one layer under one mapping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Traffic {
@@ -69,7 +110,7 @@ pub struct Traffic {
     /// Per-level, per-tensor directional flows.
     pub flows: [[TensorFlows; 3]; NUM_LEVELS],
     /// DRAM transfer streams for block-granularity energy accounting.
-    pub dram_streams: Vec<DramStream>,
+    pub dram_streams: DramStreams,
 }
 
 impl Traffic {
@@ -84,35 +125,61 @@ impl Traffic {
     }
 }
 
+/// Per-level tile extents of a mapping: `extents[i][d]` is the product of
+/// dimension `d`'s temporal factors at levels below `i` and all of its
+/// spatial factors — the span of `d` in the tile resident at level `i`
+/// (Eq. 2). Built once per mapping as prefix products; the capacity check
+/// and the traffic analysis both read their tile sizes from it.
+pub(crate) struct Extents([[u64; NUM_DIMS]; NUM_LEVELS]);
+
+impl Extents {
+    pub(crate) fn new(mapping: &Mapping) -> Extents {
+        let mut ext = [1u64; NUM_DIMS];
+        for lvl in &mapping.spatial {
+            for (x, &f) in ext.iter_mut().zip(lvl) {
+                *x *= f;
+            }
+        }
+        let mut e = [[1u64; NUM_DIMS]; NUM_LEVELS];
+        for (row, lvl) in e.iter_mut().zip(&mapping.temporal) {
+            *row = ext;
+            for (x, &f) in ext.iter_mut().zip(lvl) {
+                *x *= f;
+            }
+        }
+        Extents(e)
+    }
+
+    /// Words of tensor `t`'s tile at level `i`; inputs include the stride
+    /// halo (Eqs. 2–4).
+    pub(crate) fn words(&self, problem: &Problem, i: usize, t: Tensor) -> u64 {
+        let e = |d: Dim| self.0[i][d.index()];
+        match t {
+            Tensor::Weights => e(Dim::R) * e(Dim::S) * e(Dim::C) * e(Dim::K),
+            Tensor::Outputs => e(Dim::P) * e(Dim::Q) * e(Dim::K) * e(Dim::N),
+            Tensor::Inputs => {
+                let h = problem.stride_p() * (e(Dim::P) - 1) + e(Dim::R);
+                let w = problem.stride_q() * (e(Dim::Q) - 1) + e(Dim::S);
+                e(Dim::C) * e(Dim::N) * h * w
+            }
+        }
+    }
+}
+
 /// The tile footprint (in words) of tensor `t` at level `i`: temporal
 /// factors at levels below `i` times all spatial factors, for the
 /// dimensions indexing `t`; inputs include the stride halo (Eqs. 2–4).
 pub fn tile_words(problem: &Problem, mapping: &Mapping, i: usize, t: Tensor) -> u64 {
-    let inner = |d: Dim| -> u64 {
-        let mut f = 1u64;
-        for j in 0..i {
-            f *= mapping.temporal(j, d);
-        }
-        for j in 0..NUM_LEVELS {
-            f *= mapping.spatial(j, d);
-        }
-        f
-    };
-    match t {
-        Tensor::Weights => inner(Dim::R) * inner(Dim::S) * inner(Dim::C) * inner(Dim::K),
-        Tensor::Outputs => inner(Dim::P) * inner(Dim::Q) * inner(Dim::K) * inner(Dim::N),
-        Tensor::Inputs => {
-            let h = problem.stride_p() * (inner(Dim::P) - 1) + inner(Dim::R);
-            let w = problem.stride_q() * (inner(Dim::Q) - 1) + inner(Dim::S);
-            inner(Dim::C) * inner(Dim::N) * h * w
-        }
-    }
+    Extents::new(mapping).words(problem, i, t)
 }
 
 /// Refetch analysis over the temporal loops above level `i` (subnests
 /// `i..=3`, innermost first): returns `(rel, x)` where `rel` is the product
 /// of relevant factors and `x` the product of irrelevant factors outer to
 /// the innermost non-unit relevant loop (1 if no such loop).
+///
+/// This is the per-level definition; [`compute_traffic`] derives every
+/// level's pair in one pass and is tested against it.
 pub fn refetch(mapping: &Mapping, i: usize, relevant: DimSet) -> (u64, u64) {
     let mut rel = 1u64;
     let mut x = 1u64;
@@ -135,19 +202,40 @@ pub fn refetch(mapping: &Mapping, i: usize, relevant: DimSet) -> (u64, u64) {
     (rel, x)
 }
 
-/// Product of spatial factors over irrelevant dimensions at levels in
-/// `lo..=hi` — the broadcast / spatial-reduction discount `F_{S,t}`
-/// (Eqs. 8, 10).
-fn spatial_discount(mapping: &Mapping, lo: usize, hi: usize, relevant: DimSet) -> u64 {
-    let mut f = 1u64;
-    for j in lo..=hi {
-        for d in Dim::ALL {
-            if !relevant.contains(d) {
-                f *= mapping.spatial(j, d);
-            }
+/// [`refetch`]'s `rel` and `x` for every level from `lo` up, in one pass
+/// over the loops from the outermost inward. `irr` multiplies the
+/// irrelevant factors seen so far, all outer to the current loop, so at
+/// each non-unit relevant loop it is that loop's `x`; the innermost such
+/// loop at or above a level sets the level's `x`. Entries below `lo` stay 1.
+fn refetches(
+    mapping: &Mapping,
+    lo: usize,
+    relevant: DimSet,
+) -> ([u64; NUM_LEVELS], [u64; NUM_LEVELS]) {
+    let (mut rels, mut xs) = ([1u64; NUM_LEVELS], [1u64; NUM_LEVELS]);
+    let (mut rel, mut irr, mut x) = (1u64, 1u64, 1u64);
+    for j in (lo..NUM_LEVELS).rev() {
+        for &d in mapping.orders[j].dims().iter().rev() {
+            let f = mapping.temporal(j, d);
+            let r = relevant.contains(d);
+            rel *= if r { f } else { 1 };
+            x = if r && f > 1 { irr } else { x };
+            irr *= if r { 1 } else { f };
         }
+        (rels[j], xs[j]) = (rel, x);
     }
-    f
+    (rels, xs)
+}
+
+/// `n / d`, skipping the division when a spatial discount is 1 (the
+/// common case: most levels carry no irrelevant spatial fanout).
+#[inline]
+fn discounted(n: u64, d: u64) -> u64 {
+    if d == 1 {
+        n
+    } else {
+        n / d
+    }
 }
 
 /// Compute the full traffic summary for `mapping` on `problem`.
@@ -156,13 +244,13 @@ fn spatial_discount(mapping: &Mapping, lo: usize, hi: usize, relevant: DimSet) -
 /// mappings produce meaningless counts but do not panic.
 pub fn compute_traffic(problem: &Problem, mapping: &Mapping, hier: &Hierarchy) -> Traffic {
     let macs: u64 = problem.sizes().iter().product();
+    let extents = Extents::new(mapping);
     let mut flows = [[TensorFlows::default(); 3]; NUM_LEVELS];
-    let mut dram_streams = Vec::new();
+    let mut dram_streams = DramStreams::new();
 
     for t in Tensor::ALL {
         let rel_dims = t.dims();
-        // The levels holding `t`, innermost first, in a fixed array so
-        // evaluating a mapping allocates only its DRAM stream list.
+        // The levels holding `t`, innermost first.
         let mut held = [0usize; NUM_LEVELS];
         let mut n = 0;
         for i in (0..NUM_LEVELS).filter(|&i| hier.level(i).stores(t)) {
@@ -174,14 +262,25 @@ pub fn compute_traffic(problem: &Problem, mapping: &Mapping, hier: &Hierarchy) -
 
         // Per holding level: tile size and refetch counts.
         let mut tiles = [0u64; NUM_LEVELS];
-        let mut rels = [1u64; NUM_LEVELS];
-        let mut xs = [1u64; NUM_LEVELS];
         for &i in holding {
-            tiles[i] = tile_words(problem, mapping, i, t);
-            let (r, x) = refetch(mapping, i, rel_dims);
-            rels[i] = r;
-            xs[i] = x;
+            tiles[i] = extents.words(problem, i, t);
         }
+        let (rels, xs) = refetches(mapping, holding[0], rel_dims);
+
+        // Spatial fanout over irrelevant dimensions per level: the
+        // broadcast / spatial-reduction discount `F_{S,t}` of levels
+        // `lo..=hi` is the product over that range (Eqs. 8, 10).
+        let mut fanout = [1u64; NUM_LEVELS];
+        for (f, lvl) in fanout.iter_mut().zip(&mapping.spatial) {
+            for d in Dim::ALL {
+                *f *= if rel_dims.contains(d) {
+                    1
+                } else {
+                    lvl[d.index()]
+                };
+            }
+        }
+        let discount = |lo: usize, hi: usize| -> u64 { fanout[lo..=hi].iter().product() };
 
         for (pos, &i) in holding.iter().enumerate() {
             let child = if pos > 0 {
@@ -203,10 +302,10 @@ pub fn compute_traffic(problem: &Problem, mapping: &Mapping, hier: &Hierarchy) -
                     };
                     // Reads serving the level below (or the MACs).
                     f.reads = match child {
-                        None => macs / spatial_discount(mapping, 0, i, rel_dims),
+                        None => discounted(macs, discount(0, i)),
                         Some(c) => {
                             let child_fills = tiles[c] * rels[c] * xs[c];
-                            child_fills / spatial_discount(mapping, c + 1, i, rel_dims)
+                            discounted(child_fills, discount(c + 1, i))
                         }
                     };
                     if i == outermost && i == dosa_accel::level::DRAM {
@@ -232,10 +331,10 @@ pub fn compute_traffic(problem: &Problem, mapping: &Mapping, hier: &Hierarchy) -
                     };
                     // Updates from below.
                     f.updates = match child {
-                        None => macs / spatial_discount(mapping, 0, i, rel_dims),
+                        None => discounted(macs, discount(0, i)),
                         Some(c) => {
                             let child_drains = tiles[c] * rels[c] * xs[c];
-                            child_drains / spatial_discount(mapping, c + 1, i, rel_dims)
+                            discounted(child_drains, discount(c + 1, i))
                         }
                     };
                     // Reads: RMW partial reads at the innermost level (first
@@ -249,7 +348,7 @@ pub fn compute_traffic(problem: &Problem, mapping: &Mapping, hier: &Hierarchy) -
                     let serve_child = match child {
                         Some(c) => {
                             let child_refills = tiles[c] * rels[c] * (xs[c] - 1);
-                            child_refills / spatial_discount(mapping, c + 1, i, rel_dims)
+                            discounted(child_refills, discount(c + 1, i))
                         }
                         None => 0,
                     };
@@ -377,6 +476,26 @@ mod tests {
         m.set_orders([crate::mapping::Stationarity::OutputStationary; NUM_LEVELS]);
         let (rel, x) = refetch(&m, 0, Tensor::Weights.dims());
         assert_eq!((rel, x), (8, 4));
+    }
+
+    #[test]
+    fn one_pass_refetches_match_the_per_level_walk() {
+        use crate::mapper::MapSampler;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let h = Hierarchy::gemmini();
+        let p = Problem::conv("r", 3, 3, 28, 28, 64, 96, 2).unwrap();
+        let sampler = MapSampler::new(&p, &h, 16);
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..300 {
+            let m = sampler.draw(&mut rng);
+            for t in Tensor::ALL {
+                let (rels, xs) = refetches(&m, 0, t.dims());
+                for i in 0..NUM_LEVELS {
+                    assert_eq!((rels[i], xs[i]), refetch(&m, i, t.dims()), "{t} at {i}");
+                }
+            }
+        }
     }
 
     #[test]
