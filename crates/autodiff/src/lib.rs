@@ -32,9 +32,7 @@
 //! * [`Tape::backward_into`] — one serial reverse sweep into a
 //!   caller-owned adjoint buffer, reused across optimizer steps.
 //! * [`Scalar`] / [`Ctx`] — write model code once, instantiate it against
-//!   the tape ([`Var`]), an eval-only `f64` path ([`Values`]), or the
-//!   preserved pre-rewrite baseline ([`LegacyTape`]) used by parity tests
-//!   and the `BENCH_*.json` speedup measurements.
+//!   the tape ([`Var`]) or an eval-only `f64` path ([`Values`]).
 //! * [`Gradients::wrt_into`] — gather leaf gradients into a caller-owned
 //!   buffer, so a step's leaf-gradient gather allocates nothing.
 //!
@@ -59,14 +57,12 @@
 #![warn(missing_docs)]
 
 mod check;
-mod legacy;
 mod scalar;
 mod seg;
 mod tape;
 mod var;
 
 pub use check::check_gradients;
-pub use legacy::{LegacyGradients, LegacyTape, LegacyVar};
 pub use scalar::{Ctx, Scalar, Values};
 pub use seg::{SegScratch, SegmentPlan};
 pub use tape::{Gradients, GradientsView, Tape};

@@ -1,12 +1,10 @@
 //! The [`Scalar`] / [`Ctx`] abstraction: write a differentiable model
-//! once, instantiate it three ways.
+//! once, instantiate it two ways.
 //!
 //! * `Ctx = &Tape` → `N = Var`: records onto the node-record tape for gradients.
 //! * `Ctx = Values` → `N = f64`: the eval-only path — same arithmetic,
 //!   same tie-breaking, zero tape overhead. Used for value-only
 //!   re-evaluations (e.g. scoring rounded candidates).
-//! * `Ctx = &LegacyTape` → `N = LegacyVar`: the pre-rewrite baseline kept for
-//!   bit-parity tests and the benchmarked speedup trajectory.
 //!
 //! The f64 implementations of [`Scalar::max`] / [`Scalar::min`] /
 //! [`Scalar::relu`] / [`Scalar::hinge_below`] spell out the exact
@@ -15,7 +13,7 @@
 //! side wins a tie.
 
 /// A differentiable-model number: either a recorded [`Var`](crate::Var)
-/// (new or legacy tape) or a plain `f64` on the eval-only path.
+/// or a plain `f64` on the eval-only path.
 ///
 /// Implementations must agree *bitwise* on forward values: `f64` here is
 /// not "roughly the same math", it is the same operation sequence.
@@ -144,17 +142,11 @@ impl Scalar for f64 {
 
 /// A recording context: where [`Scalar`]s come from.
 ///
-/// `&Tape` and `&LegacyTape` record; [`Values`] is the no-op eval-only
-/// context. `Copy` so model code can thread it by value.
+/// `&Tape` records; [`Values`] is the no-op eval-only context. `Copy` so
+/// model code can thread it by value.
 pub trait Ctx: Copy {
     /// The scalar this context produces.
     type N: Scalar;
-    /// Whether model code may skip multiplications by constants it knows
-    /// are exactly one (a pure node-count optimisation; skipping is
-    /// value-exact because `a * 1.0 == a` bitwise). The legacy tape sets
-    /// this `false` to preserve the pre-refactor encoding, so benchmarks
-    /// against it measure the real before/after node counts.
-    const UNIT_SKIP: bool = true;
     /// A constant (zero gradient).
     fn constant(self, value: f64) -> Self::N;
     /// A differentiable leaf.

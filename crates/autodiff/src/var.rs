@@ -161,8 +161,8 @@ macro_rules! impl_binop {
         }
 
         // Var ⊕ f64: a fused single node. The gradient it stores is
-        // exactly the product the two-node legacy encoding (constant node +
-        // binary op) feeds back to the variable, so fusing changes no
+        // exactly the product a two-node encoding (constant node + binary
+        // op) would feed back to the variable, so fusing changes no
         // accumulated bit — it only skips recording a constant leaf nobody
         // differentiates.
         impl<'t> $trait<f64> for Var<'t> {

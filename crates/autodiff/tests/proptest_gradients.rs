@@ -107,6 +107,26 @@ fn op_family_loss_reproduces_its_pinned_bits() {
     }
 }
 
+fn layer_shapes() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    proptest::collection::vec(proptest::collection::vec(0.3f64..2.0, 2..6), 1..5)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Reverse mode agrees with central finite differences on randomized
+    /// multi-layer op-family losses.
+    #[test]
+    fn layered_loss_matches_fd(layers in layer_shapes()) {
+        let sizes: Vec<usize> = layers.iter().map(Vec::len).collect();
+        let flat: Vec<f64> = layers.iter().flatten().copied().collect();
+        let err = check_gradients(&flat, 1e-6, |tape, vs| {
+            layered_loss_on(tape, vs, &sizes)
+        });
+        prop_assert!(err < 1e-4, "finite-difference mismatch: err={err}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

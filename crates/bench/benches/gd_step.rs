@@ -1,20 +1,19 @@
 //! End-to-end descent-step benchmark: set params, record the loss,
 //! backward sweep, gather gradients, update — the per-step work of a
-//! recording step of the engine's `run_segment` — on the current hot path
-//! and the pre-refactor legacy tape, at several depths. The
+//! recording step of the engine's `run_segment` — at several depths. The
 //! `gd_step_replay` cases run the same step through the engine's
 //! `ProgramCache`, which replays the recorded program while its guards
-//! hold and records again when they do not. After the Criterion display the run
-//! regenerates `BENCH_6.json` at the repository root via
-//! [`dosa_bench::perf`], so the checked-in perf trajectory always comes
-//! from the same kernels the bench just showed.
+//! hold and records again when they do not.
+//!
+//! The authoritative medians live in `BENCH_6.json`, regenerated only by
+//! `repro bench`; this bench is the interactive view of the same kernels
+//! and writes no file.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dosa_accel::Hierarchy;
-use dosa_autodiff::{LegacyTape, LegacyVar, SegmentPlan, Tape, Var};
-use dosa_bench::perf;
+use dosa_autodiff::{Tape, Var};
 use dosa_bench::perf::{fixture_layers, fixture_starts, LAYER_COUNTS};
-use dosa_model::{build_loss_in, LossOptions, PARAMS_PER_LAYER};
+use dosa_model::{analytical, build_loss_with, LossOptions, PARAMS_PER_LAYER};
 use dosa_search::{EdpLoss, LoopOrderStrategy, ProgramCache, PROGRAM_SLOTS};
 use std::hint::black_box;
 use std::time::Duration;
@@ -41,14 +40,14 @@ fn bench(c: &mut Criterion) {
                 }
                 tape.clear();
                 leaves.clear();
-                let built = build_loss_in(
+                let built = build_loss_with(
                     &tape,
                     &layers,
                     &relaxed,
                     &hier,
                     &opts,
-                    &mut SegmentPlan,
                     &mut leaves,
+                    analytical,
                 );
                 let view = tape.backward_into(built.loss, &mut adj);
                 view.wrt_into(&leaves, &mut flat);
@@ -87,56 +86,12 @@ fn bench(c: &mut Criterion) {
                 black_box(params[0])
             })
         });
-
-        let legacy = LegacyTape::new();
-        let mut lrelaxed = fixture_starts(&layers);
-        let mut lparams: Vec<f64> = lrelaxed.iter().flat_map(|r| r.params()).collect();
-        c.bench_function(&format!("legacy_gd_step_{n}layers"), |b| {
-            b.iter(|| {
-                for (r, chunk) in lrelaxed.iter_mut().zip(lparams.chunks(PARAMS_PER_LAYER)) {
-                    r.set_params(chunk);
-                }
-                legacy.clear();
-                let mut step_leaves: Vec<LegacyVar<'_>> = Vec::new();
-                let built = build_loss_in(
-                    &legacy,
-                    &layers,
-                    &lrelaxed,
-                    &hier,
-                    &opts,
-                    &mut SegmentPlan,
-                    &mut step_leaves,
-                );
-                let grads = legacy.backward(built.loss);
-                let step_flat: Vec<f64> = step_leaves
-                    .iter()
-                    .map(|l| {
-                        let g = grads.wrt(*l);
-                        if g.is_finite() {
-                            g
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect();
-                lparams = lparams
-                    .iter()
-                    .zip(&step_flat)
-                    .map(|(p, g)| p - 1e-4 * g)
-                    .collect();
-                black_box(lparams[0])
-            })
-        });
     }
-}
-
-fn regenerate_bench_json(_c: &mut Criterion) {
-    perf::run();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(2)).warm_up_time(Duration::from_millis(300));
-    targets = bench, regenerate_bench_json
+    targets = bench
 }
 criterion_main!(benches);

@@ -1,16 +1,15 @@
 //! Criterion microbenchmarks of the autodiff tape itself: forward
-//! recording of the model loss and the backward sweep, on the current
-//! node-record tape and the pre-refactor [`LegacyTape`], at several depths.
+//! recording of the model loss and the backward sweep on the node-record
+//! tape, at several depths.
 //!
 //! The authoritative medians live in `BENCH_6.json` (regenerated by
-//! `repro bench` or the `gd_step` bench); this bench is the interactive
-//! view of the same kernels.
+//! `repro bench`); this bench is the interactive view of the same kernels.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dosa_accel::Hierarchy;
-use dosa_autodiff::{LegacyTape, LegacyVar, SegmentPlan, Tape, Var};
+use dosa_autodiff::{Tape, Var};
 use dosa_bench::perf::{fixture_layers, fixture_starts, LAYER_COUNTS};
-use dosa_model::{build_loss_in, LossOptions};
+use dosa_model::{analytical, build_loss_with, LossOptions};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -27,14 +26,14 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 tape.clear();
                 leaves.clear();
-                let built = build_loss_in(
+                let built = build_loss_with(
                     &tape,
                     &layers,
                     &relaxed,
                     &hier,
                     &opts,
-                    &mut SegmentPlan,
                     &mut leaves,
+                    analytical,
                 );
                 black_box(built.loss.value())
             })
@@ -42,14 +41,14 @@ fn bench(c: &mut Criterion) {
 
         tape.clear();
         leaves.clear();
-        let built = build_loss_in(
+        let built = build_loss_with(
             &tape,
             &layers,
             &relaxed,
             &hier,
             &opts,
-            &mut SegmentPlan,
             &mut leaves,
+            analytical,
         );
         let loss = built.loss;
         let mut adj: Vec<f64> = Vec::new();
@@ -57,44 +56,6 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let view = tape.backward_into(loss, &mut adj);
                 black_box(view.wrt(leaves[0]))
-            })
-        });
-
-        let legacy = LegacyTape::new();
-        let mut lleaves: Vec<LegacyVar<'_>> = Vec::new();
-        c.bench_function(&format!("legacy_record_{n}layers"), |b| {
-            b.iter(|| {
-                legacy.clear();
-                lleaves.clear();
-                let built = build_loss_in(
-                    &legacy,
-                    &layers,
-                    &relaxed,
-                    &hier,
-                    &opts,
-                    &mut SegmentPlan,
-                    &mut lleaves,
-                );
-                black_box(built.loss.value())
-            })
-        });
-
-        legacy.clear();
-        lleaves.clear();
-        let lbuilt = build_loss_in(
-            &legacy,
-            &layers,
-            &relaxed,
-            &hier,
-            &opts,
-            &mut SegmentPlan,
-            &mut lleaves,
-        );
-        let lloss = lbuilt.loss;
-        c.bench_function(&format!("legacy_sweep_{n}layers"), |b| {
-            b.iter(|| {
-                let grads = legacy.backward(lloss);
-                black_box(grads.wrt(lleaves[0]))
             })
         });
     }

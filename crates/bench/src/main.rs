@@ -96,13 +96,14 @@ fn usage() {
            fig12   Gemmini-RTL optimization + Table 7\n\
            ablation  design-choice ablations (rounding, lr, start points)\n\
            bench   measure the autodiff hot path (record / sweep /\n\
-                   full GD step vs the legacy tape) and regenerate\n\
-                   BENCH_6.json at the repository root\n\
+                   full GD step) and regenerate BENCH_6.json at the\n\
+                   repository root\n\
            lint    run the workspace invariant checker (dosa-lint):\n\
                    determinism, panic-perimeter, and unsafe-audit\n\
                    rules over every workspace .rs file; exits nonzero\n\
                    on any unsuppressed violation\n\
-           all     everything above\n\
+           all     info, fig4, fig6, fig7, fig8, fig9, fig10 and fig12\n\
+                   (not table2, ablation, bench or lint)\n\
          workloads: unet | resnet50 | bert | retinanet\n\
          --threads N caps the service's worker threads (results are\n\
          identical for every N; only wall-clock time changes)\n\

@@ -1,26 +1,19 @@
 //! Hot-path performance trajectory: measured medians for tape recording,
 //! the backward sweep, and a full gradient-descent step at several network
-//! depths, on both the current node-record tape and the pre-refactor
-//! [`LegacyTape`] — written to `BENCH_6.json` at the repository root.
+//! depths, on the node-record tape — written to `BENCH_6.json` at the
+//! repository root.
 //!
-//! The legacy path runs the *same* generic loss builder
-//! ([`build_loss_in`]) on the `RefCell`-based AoS tape with the
-//! allocation pattern of the pre-PR descent loop (fresh leaf/gradient
-//! vectors every step), so `gd_step_speedup` isolates exactly what this
-//! refactor changed: single-borrow bump recording, one-node fused
-//! scalar ops, the backward sweep on a reused adjoint buffer, and
-//! allocation-free parameter updates.
-//!
-//! `repro bench` regenerates the file; `repro --smoke bench` re-runs a
-//! seconds-scale measurement to prove the kernels still execute, then
-//! validates every checked-in `BENCH_*.json` at the repository root by
-//! its schema tag without overwriting any: [`SCHEMA`] for this module's
-//! kernel record, [`E2E_SCHEMA`] for end-to-end before/after records of
-//! the repository benchmark.
+//! `repro bench` regenerates the file under [`SCHEMA`]; `repro --smoke
+//! bench` re-runs a seconds-scale measurement to prove the kernels still
+//! execute, then validates every checked-in `BENCH_*.json` at the
+//! repository root by its schema tag without overwriting any: [`SCHEMA`]
+//! or the older [`SCHEMA_V1`] for this module's kernel record,
+//! [`E2E_SCHEMA`] for end-to-end before/after records of the repository
+//! benchmark.
 
 use dosa_accel::{HardwareConfig, Hierarchy};
-use dosa_autodiff::{LegacyTape, LegacyVar, SegmentPlan, Tape, Var};
-use dosa_model::{build_loss_in, LossOptions, RelaxedMapping};
+use dosa_autodiff::{Tape, Var};
+use dosa_model::{analytical, build_loss_with, LossOptions, RelaxedMapping, PARAMS_PER_LAYER};
 use dosa_search::cosa_mapping;
 use dosa_workload::{Layer, Problem};
 use std::path::{Path, PathBuf};
@@ -30,7 +23,27 @@ use std::time::Instant;
 pub const LAYER_COUNTS: [usize; 3] = [1, 4, 16];
 
 /// Identifies the JSON layout; bumped on any incompatible change.
-pub const SCHEMA: &str = "dosa-hotpath-bench-v1";
+pub const SCHEMA: &str = "dosa-hotpath-bench-v2";
+
+/// The kernel record's first layout, which also measured the pre-refactor
+/// tape: each row adds `legacy_record_ns`, `legacy_sweep_ns`,
+/// `legacy_gd_step_ns` and their `gd_step_speedup`. Still validated, so a
+/// record written under it stays checkable.
+pub const SCHEMA_V1: &str = "dosa-hotpath-bench-v1";
+
+/// The keys of a [`SCHEMA`] result row.
+const KEYS: [&str; 3] = ["record_ns", "sweep_ns", "gd_step_ns"];
+
+/// The keys of a [`SCHEMA_V1`] result row.
+const KEYS_V1: [&str; 7] = [
+    "record_ns",
+    "sweep_ns",
+    "gd_step_ns",
+    "legacy_record_ns",
+    "legacy_sweep_ns",
+    "legacy_gd_step_ns",
+    "gd_step_speedup",
+];
 
 /// Identifies an end-to-end before/after record: one row per line, each
 /// carrying a `"parent"` and a `"change"` side (a number, or an object of
@@ -48,19 +61,6 @@ pub struct PerfRow {
     pub sweep_ns: f64,
     /// Full descent step: set params, record, sweep, gather, update.
     pub gd_step_ns: f64,
-    /// Forward recording on the pre-refactor AoS tape.
-    pub legacy_record_ns: f64,
-    /// Allocating backward sweep on the pre-refactor tape.
-    pub legacy_sweep_ns: f64,
-    /// Full descent step with pre-refactor tape and allocations.
-    pub legacy_gd_step_ns: f64,
-}
-
-impl PerfRow {
-    /// Legacy-over-new ratio for the full descent step.
-    pub fn gd_step_speedup(&self) -> f64 {
-        self.legacy_gd_step_ns / self.gd_step_ns
-    }
 }
 
 /// One full measurement run across all [`LAYER_COUNTS`].
@@ -123,7 +123,7 @@ fn measure_depth(n: usize, samples: usize, batch: usize) -> PerfRow {
     let hier = Hierarchy::gemmini();
     let opts = LossOptions::default();
 
-    // --- Current tape: record / sweep / full step, all on reused buffers. ---
+    // Record / sweep / full step, all on reused buffers.
     let tape = Tape::new();
     let mut leaves: Vec<Var<'_>> = Vec::new();
     let mut adj: Vec<f64> = Vec::new();
@@ -131,28 +131,28 @@ fn measure_depth(n: usize, samples: usize, batch: usize) -> PerfRow {
     let record_ns = median_ns(samples, batch, || {
         tape.clear();
         leaves.clear();
-        let built = build_loss_in(
+        let built = build_loss_with(
             &tape,
             &layers,
             &relaxed,
             &hier,
             &opts,
-            &mut SegmentPlan,
             &mut leaves,
+            analytical,
         );
         std::hint::black_box(built.loss.value());
     });
 
     tape.clear();
     leaves.clear();
-    let built = build_loss_in(
+    let built = build_loss_with(
         &tape,
         &layers,
         &relaxed,
         &hier,
         &opts,
-        &mut SegmentPlan,
         &mut leaves,
+        analytical,
     );
     let loss = built.loss;
     let sweep_ns = median_ns(samples, batch, || {
@@ -167,20 +167,19 @@ fn measure_depth(n: usize, samples: usize, batch: usize) -> PerfRow {
     }
     let mut flat: Vec<f64> = Vec::new();
     let gd_step_ns = median_ns(samples, batch, || {
-        use dosa_model::PARAMS_PER_LAYER;
         for (r, chunk) in relaxed_step.iter_mut().zip(params.chunks(PARAMS_PER_LAYER)) {
             r.set_params(chunk);
         }
         tape.clear();
         leaves.clear();
-        let built = build_loss_in(
+        let built = build_loss_with(
             &tape,
             &layers,
             &relaxed_step,
             &hier,
             &opts,
-            &mut SegmentPlan,
             &mut leaves,
+            analytical,
         );
         let view = tape.backward_into(built.loss, &mut adj);
         view.wrt_into(&leaves, &mut flat);
@@ -192,91 +191,11 @@ fn measure_depth(n: usize, samples: usize, batch: usize) -> PerfRow {
         std::hint::black_box(params[0]);
     });
 
-    // --- Legacy AoS tape: same loss, pre-PR allocation pattern. ---
-    let legacy = LegacyTape::new();
-    let mut lleaves: Vec<LegacyVar<'_>> = Vec::new();
-
-    let legacy_record_ns = median_ns(samples, batch, || {
-        legacy.clear();
-        lleaves.clear();
-        let built = build_loss_in(
-            &legacy,
-            &layers,
-            &relaxed,
-            &hier,
-            &opts,
-            &mut SegmentPlan,
-            &mut lleaves,
-        );
-        std::hint::black_box(built.loss.value());
-    });
-
-    legacy.clear();
-    lleaves.clear();
-    let lbuilt = build_loss_in(
-        &legacy,
-        &layers,
-        &relaxed,
-        &hier,
-        &opts,
-        &mut SegmentPlan,
-        &mut lleaves,
-    );
-    let lloss = lbuilt.loss;
-    let legacy_sweep_ns = median_ns(samples, batch, || {
-        let grads = legacy.backward(lloss);
-        std::hint::black_box(grads.wrt(lleaves[0]));
-    });
-
-    let mut lrelaxed_step = relaxed.clone();
-    let mut lparams: Vec<f64> = lrelaxed_step.iter().flat_map(|r| r.params()).collect();
-    let legacy_gd_step_ns = median_ns(samples, batch, || {
-        use dosa_model::PARAMS_PER_LAYER;
-        for (r, chunk) in lrelaxed_step
-            .iter_mut()
-            .zip(lparams.chunks(PARAMS_PER_LAYER))
-        {
-            r.set_params(chunk);
-        }
-        legacy.clear();
-        let mut step_leaves: Vec<LegacyVar<'_>> = Vec::new();
-        let built = build_loss_in(
-            &legacy,
-            &layers,
-            &lrelaxed_step,
-            &hier,
-            &opts,
-            &mut SegmentPlan,
-            &mut step_leaves,
-        );
-        let grads = legacy.backward(built.loss);
-        let step_flat: Vec<f64> = step_leaves
-            .iter()
-            .map(|l| {
-                let g = grads.wrt(*l);
-                if g.is_finite() {
-                    g
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        lparams = lparams
-            .iter()
-            .zip(&step_flat)
-            .map(|(p, g)| p - 1e-4 * g)
-            .collect();
-        std::hint::black_box(lparams[0]);
-    });
-
     PerfRow {
         layers: n,
         record_ns,
         sweep_ns,
         gd_step_ns,
-        legacy_record_ns,
-        legacy_sweep_ns,
-        legacy_gd_step_ns,
     }
 }
 
@@ -303,17 +222,11 @@ impl PerfReport {
         for (i, r) in self.rows.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"layers\": {}, \"record_ns\": {:.1}, \"sweep_ns\": {:.1}, \
-                 \"gd_step_ns\": {:.1}, \"legacy_record_ns\": {:.1}, \
-                 \"legacy_sweep_ns\": {:.1}, \"legacy_gd_step_ns\": {:.1}, \
-                 \"gd_step_speedup\": {:.3}}}{}\n",
+                 \"gd_step_ns\": {:.1}}}{}\n",
                 r.layers,
                 r.record_ns,
                 r.sweep_ns,
                 r.gd_step_ns,
-                r.legacy_record_ns,
-                r.legacy_sweep_ns,
-                r.legacy_gd_step_ns,
-                r.gd_step_speedup(),
                 if i + 1 < self.rows.len() { "," } else { "" },
             ));
         }
@@ -324,27 +237,13 @@ impl PerfReport {
     /// Print the report as an aligned terminal table.
     pub fn print(&self) {
         println!(
-            "{:>7} {:>12} {:>12} {:>12} {:>14} {:>14} {:>16} {:>9}",
-            "layers",
-            "record_ns",
-            "sweep_ns",
-            "gd_step_ns",
-            "legacy_rec_ns",
-            "legacy_swp_ns",
-            "legacy_step_ns",
-            "speedup"
+            "{:>7} {:>12} {:>12} {:>12}",
+            "layers", "record_ns", "sweep_ns", "gd_step_ns"
         );
         for r in &self.rows {
             println!(
-                "{:>7} {:>12.1} {:>12.1} {:>12.1} {:>14.1} {:>14.1} {:>16.1} {:>8.2}x",
-                r.layers,
-                r.record_ns,
-                r.sweep_ns,
-                r.gd_step_ns,
-                r.legacy_record_ns,
-                r.legacy_sweep_ns,
-                r.legacy_gd_step_ns,
-                r.gd_step_speedup()
+                "{:>7} {:>12.1} {:>12.1} {:>12.1}",
+                r.layers, r.record_ns, r.sweep_ns, r.gd_step_ns
             );
         }
     }
@@ -366,29 +265,23 @@ fn scan_number(line: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Validate a `BENCH_6.json` body: schema tag, one result row per entry
-/// of [`LAYER_COUNTS`], and finite positive medians throughout. The
-/// scanning parser mirrors [`PerfReport::to_json`]'s line-oriented layout.
+/// Validate a `BENCH_6.json` body: a [`SCHEMA`] or [`SCHEMA_V1`] tag,
+/// one result row per entry of [`LAYER_COUNTS`], and every key of that
+/// schema's rows present with a finite positive value. The scanning
+/// parser mirrors [`PerfReport::to_json`]'s line-oriented layout.
 pub fn validate_json(text: &str) -> Result<(), String> {
-    if !text.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-        return Err(format!("missing or stale schema tag (want {SCHEMA})"));
-    }
-    let keys = [
-        "record_ns",
-        "sweep_ns",
-        "gd_step_ns",
-        "legacy_record_ns",
-        "legacy_sweep_ns",
-        "legacy_gd_step_ns",
-        "gd_step_speedup",
-    ];
+    let keys: &[&str] = match schema_tag(text) {
+        Some(SCHEMA) => &KEYS,
+        Some(SCHEMA_V1) => &KEYS_V1,
+        _ => return Err(format!("missing or stale schema tag (want {SCHEMA})")),
+    };
     let mut seen = Vec::new();
     for line in text.lines() {
         let Some(layers) = scan_number(line, "layers") else {
             continue;
         };
         seen.push(layers as usize);
-        for key in keys {
+        for &key in keys {
             let v = scan_number(line, key)
                 .ok_or_else(|| format!("row layers={layers}: missing key {key}"))?;
             if !v.is_finite() || v <= 0.0 {
@@ -471,7 +364,7 @@ pub fn validate_e2e_json(text: &str) -> Result<(), String> {
 /// names; an unknown tag is an error.
 pub fn validate_bench(text: &str) -> Result<(), String> {
     match schema_tag(text) {
-        Some(SCHEMA) => validate_json(text),
+        Some(SCHEMA | SCHEMA_V1) => validate_json(text),
         Some(E2E_SCHEMA) => validate_e2e_json(text),
         Some(other) => Err(format!("unknown schema tag {other:?}")),
         None => Err("no schema tag".into()),
@@ -550,18 +443,53 @@ mod tests {
                     record_ns: 100.0,
                     sweep_ns: 50.0,
                     gd_step_ns: 200.0,
-                    legacy_record_ns: 250.0,
-                    legacy_sweep_ns: 120.0,
-                    legacy_gd_step_ns: 400.0,
                 })
                 .collect(),
         }
     }
 
+    /// A well-formed [`SCHEMA_V1`] body, in the layout that schema's
+    /// records were written in.
+    fn v1_sample() -> String {
+        let rows: Vec<String> = LAYER_COUNTS
+            .iter()
+            .map(|n| {
+                format!(
+                    "    {{\"layers\": {n}, \"record_ns\": 100.0, \"sweep_ns\": 50.0, \
+                     \"gd_step_ns\": 200.0, \"legacy_record_ns\": 250.0, \
+                     \"legacy_sweep_ns\": 120.0, \"legacy_gd_step_ns\": 400.0, \
+                     \"gd_step_speedup\": 2.000}}"
+                )
+            })
+            .collect();
+        format!(
+            "{{\n  \"schema\": \"{SCHEMA_V1}\",\n  \"unit\": \"ns_per_op_median\",\n  \
+             \"results\": [\n{}\n  ]\n}}\n",
+            rows.join(",\n")
+        )
+    }
+
     #[test]
     fn generated_json_roundtrips_through_validator() {
-        let report = sample_report();
-        validate_json(&report.to_json()).unwrap();
+        let json = sample_report().to_json();
+        assert!(json.contains(&format!("\"schema\": \"{SCHEMA}\"")));
+        validate_json(&json).unwrap();
+        validate_bench(&json).unwrap();
+    }
+
+    #[test]
+    fn v1_records_keep_their_full_key_list() {
+        validate_bench(&v1_sample()).unwrap();
+        for key in &KEYS_V1[KEYS.len()..] {
+            let text = v1_sample().replace(&format!("\"{key}\":"), "\"dropped\":");
+            assert!(
+                validate_bench(&text).is_err(),
+                "v1 row without {key} accepted"
+            );
+        }
+        // A current row under the old tag lacks the legacy columns.
+        let relabelled = sample_report().to_json().replace(SCHEMA, SCHEMA_V1);
+        assert!(validate_bench(&relabelled).is_err());
     }
 
     #[test]
@@ -617,6 +545,7 @@ mod tests {
         // Each body fails the other schema's validator.
         assert!(validate_json(&e2e_sample()).is_err());
         assert!(validate_e2e_json(&report.to_json()).is_err());
+        assert!(validate_e2e_json(&v1_sample()).is_err());
         let unknown = e2e_sample().replace(E2E_SCHEMA, "dosa-e2e-delta-v0");
         assert!(validate_bench(&unknown).is_err());
         assert!(validate_bench("{\"results\": []}").is_err());
@@ -637,14 +566,7 @@ mod tests {
     #[test]
     fn quick_measurement_is_finite_and_positive() {
         let row = measure_depth(1, 3, 2);
-        for v in [
-            row.record_ns,
-            row.sweep_ns,
-            row.gd_step_ns,
-            row.legacy_record_ns,
-            row.legacy_sweep_ns,
-            row.legacy_gd_step_ns,
-        ] {
+        for v in [row.record_ns, row.sweep_ns, row.gd_step_ns] {
             assert!(v.is_finite() && v > 0.0);
         }
     }

@@ -9,11 +9,11 @@
 //! differs only by the DRAM block ceiling, reproducing Figure 4.
 //!
 //! Everything here is generic over a [`Ctx`]: instantiate with `&Tape` for
-//! gradients, [`Values`](dosa_autodiff::Values) for a tape-free forward
-//! evaluation, or `&LegacyTape` for the pre-rewrite parity baseline. The
-//! model knows which factors are exactly one (the *unit* mask) and skips
-//! recording those multiplications — `x * 1` is `x` down to the last bit,
-//! and unit factors are always constants, so no gradient is lost.
+//! gradients or [`Values`](dosa_autodiff::Values) for a tape-free forward
+//! evaluation. The model knows which factors are exactly one (the *unit*
+//! mask) and skips recording those multiplications — `x * 1` is `x` down
+//! to the last bit, and unit factors are always constants, so no gradient
+//! is lost.
 
 use crate::relaxed::RelaxedMapping;
 use dosa_accel::{
@@ -106,12 +106,7 @@ impl<N: Scalar> FactorVars<N> {
         spatial[level::SCRATCHPAD][Dim::K.index()] = leaves[3 * NUM_DIMS + 1].exp();
         // Every temporal factor is a live exp (or the inferred DRAM ratio
         // below); among spatial factors only ACC/C and SPAD/K are live.
-        let all: u8 = if C::UNIT_SKIP {
-            (1u8 << NUM_DIMS) - 1
-        } else {
-            0
-        };
-        let mut spatial_unit = [all; NUM_LEVELS];
+        let mut spatial_unit = [(1u8 << NUM_DIMS) - 1; NUM_LEVELS];
         spatial_unit[level::ACCUMULATOR] &= !(1 << Dim::C.index());
         spatial_unit[level::SCRATCHPAD] &= !(1 << Dim::K.index());
         let fv_partial = FactorVars {
@@ -160,7 +155,7 @@ impl<N: Scalar> FactorVars<N> {
                 // dosa-lint: allow(float-eq) — `t` is an integer tile factor
                 // cast to f64; 1.0 is exactly representable, so `== 1.0` is an
                 // exact unit-factor test, not a tolerance question.
-                if t == 1.0 && C::UNIT_SKIP {
+                if t == 1.0 {
                     temporal_unit[i] |= 1 << d;
                 } else {
                     temporal[i][d] = cx.constant(t);
@@ -168,7 +163,7 @@ impl<N: Scalar> FactorVars<N> {
                 let s = mapping.spatial[i][d] as f64;
                 // dosa-lint: allow(float-eq) — same as the temporal factor
                 // above: integer-valued f64, exact unit test.
-                if s == 1.0 && C::UNIT_SKIP {
+                if s == 1.0 {
                     spatial_unit[i] |= 1 << d;
                 } else {
                     spatial[i][d] = cx.constant(s);

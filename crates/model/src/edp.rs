@@ -16,14 +16,13 @@
 //! each layer's performance terms and the final sums, and the caller runs
 //! one flat `Tape::backward_into` sweep over the result. A per-layer
 //! latency hook lets a learned latency model replace or correct the
-//! analytical latency inside the same loss (§6.5). [`build_loss_in`] is
-//! the analytical form with an ignored [`SegmentPlan`] placeholder
-//! parameter, kept so existing callers still compile.
+//! analytical latency inside the same loss (§6.5); [`analytical`] is the
+//! hook that keeps the model's own latency.
 
 use crate::diff::{layer_perf_vars, FactorVars, HwVars};
 use crate::relaxed::{RelaxedMapping, PARAMS_PER_LAYER};
 use dosa_accel::{HardwareConfig, Hierarchy};
-use dosa_autodiff::{sum, Ctx, Scalar, SegmentPlan, Tape, Values, Var};
+use dosa_autodiff::{sum, Ctx, Scalar, Tape, Values, Var};
 use dosa_timeloop::{LoopOrder, Stationarity};
 use dosa_workload::Layer;
 
@@ -88,28 +87,9 @@ pub struct BuiltLoss<'t> {
     pub penalty: f64,
 }
 
-/// Assemble the differentiable loss for `layers` at the point `relaxed`,
-/// appending every leaf (layer by layer, [`RelaxedMapping::params`] order)
-/// to `leaves_out`: [`build_loss_with`] on the analytical latency. `_plan`
-/// is an ignored placeholder.
-///
-/// # Panics
-///
-/// Panics if `layers` and `relaxed` have different lengths or are empty.
-pub fn build_loss_in<C: Ctx>(
-    cx: C,
-    layers: &[Layer],
-    relaxed: &[RelaxedMapping],
-    hier: &Hierarchy,
-    opts: &LossOptions,
-    _plan: &mut SegmentPlan,
-    leaves_out: &mut Vec<C::N>,
-) -> BuiltLossG<C::N> {
-    build_loss_with(cx, layers, relaxed, hier, opts, leaves_out, analytical)
-}
-
-/// The latency hook that keeps the analytical model's latency.
-fn analytical<N>(_: &Layer, _: &[N], _: &HwVars<N>, latency: N) -> N {
+/// The latency hook of [`build_loss_with`] that keeps the analytical
+/// model's latency.
+pub fn analytical<N>(_: &Layer, _: &[N], _: &HwVars<N>, latency: N) -> N {
     latency
 }
 

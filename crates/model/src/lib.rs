@@ -37,6 +37,6 @@ mod relaxed;
 
 pub use diff::{layer_perf_vars, tile_words_var, FactorVars, HwVars, LayerPerfVars};
 pub use edp::{
-    build_loss, build_loss_in, build_loss_with, predict, BuiltLoss, BuiltLossG, LossOptions,
+    analytical, build_loss, build_loss_with, predict, BuiltLoss, BuiltLossG, LossOptions,
 };
 pub use relaxed::{round_all, RelaxedMapping, PARAMS_PER_LAYER};

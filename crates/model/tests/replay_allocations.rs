@@ -9,8 +9,8 @@
 //! loop-ordering losses.
 
 use dosa_accel::Hierarchy;
-use dosa_autodiff::{SegmentPlan, Tape, Var};
-use dosa_model::{build_loss_in, LossOptions, RelaxedMapping};
+use dosa_autodiff::{Tape, Var};
+use dosa_model::{analytical, build_loss_with, LossOptions, RelaxedMapping};
 use dosa_timeloop::Stationarity;
 use dosa_workload::{unique_layers, Layer, Network};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -55,14 +55,14 @@ fn third_replay_allocations(layers: &[Layer], opts: &LossOptions) -> u64 {
     let hier = Hierarchy::gemmini();
     let tape = Tape::new();
     let mut leaves: Vec<Var<'_>> = Vec::new();
-    let built = build_loss_in(
+    let built = build_loss_with(
         &tape,
         layers,
         &relaxed,
         &hier,
         opts,
-        &mut SegmentPlan,
         &mut leaves,
+        analytical,
     );
     let mut params: Vec<f64> = Vec::new();
     for r in &relaxed {

@@ -1,16 +1,16 @@
 //! Heap allocations of one recorded gradient step.
 //!
-//! A descent step re-records the loss on a reused tape, segment plan and
-//! leaf buffer. This test counts the heap allocations of the third such
-//! `build_loss_in` (the first two grow the reused buffers) with a counting
+//! A descent step re-records the loss on a reused tape and leaf buffer.
+//! This test counts the heap allocations of the third such
+//! `build_loss_with` (the first two grow the reused buffers) with a counting
 //! global allocator, and asserts that the count does not depend on the
 //! number of layers: 1, 2 and 21 ResNet-50 layers must allocate equally
 //! often, under both loop-ordering losses. Whatever a step still allocates
 //! is per step, never per layer.
 
 use dosa_accel::Hierarchy;
-use dosa_autodiff::{SegmentPlan, Tape, Var};
-use dosa_model::{build_loss_in, LossOptions, RelaxedMapping};
+use dosa_autodiff::{Tape, Var};
+use dosa_model::{analytical, build_loss_with, LossOptions, RelaxedMapping};
 use dosa_timeloop::Stationarity;
 use dosa_workload::{unique_layers, Layer, Network};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -49,21 +49,27 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations made by the third `build_loss_in` on one reused tape, plan
-/// and leaf buffer.
+/// Allocations made by the third `build_loss_with` on one reused tape and
+/// leaf buffer.
 fn third_step_allocations(layers: &[Layer], opts: &LossOptions) -> u64 {
     let relaxed = vec![RelaxedMapping::identity(Stationarity::WeightStationary); layers.len()];
     let hier = Hierarchy::gemmini();
     let tape = Tape::new();
-    let mut plan = SegmentPlan::new();
     let mut leaves: Vec<Var<'_>> = Vec::new();
     let mut count = 0;
     for _ in 0..3 {
         tape.clear();
-        plan.clear();
         leaves.clear();
         let before = ALLOCS.with(Cell::get);
-        let built = build_loss_in(&tape, layers, &relaxed, &hier, opts, &mut plan, &mut leaves);
+        let built = build_loss_with(
+            &tape,
+            layers,
+            &relaxed,
+            &hier,
+            opts,
+            &mut leaves,
+            analytical,
+        );
         count = ALLOCS.with(Cell::get) - before;
         assert!(built.loss.value().is_finite());
     }

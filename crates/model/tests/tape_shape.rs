@@ -1,18 +1,19 @@
 //! The exact shape of one recorded ResNet-50 gradient step.
 //!
-//! `build_loss_in` over the 21 unique ResNet-50 layers at the identity
-//! weight-stationary mapping, under both loop-ordering losses. Per case
-//! the test pins three numbers: the tape length, the loss bits and an
-//! FNV-1a hash over the leaf-gradient bits. The search goldens only see
-//! final EDPs; this table names the step if the recorder ever adds, drops
-//! or reorders a node, or changes a forward value or a partial.
+//! `build_loss_with` on the analytical latency over the 21 unique
+//! ResNet-50 layers at the identity weight-stationary mapping, under both
+//! loop-ordering losses. Per case the test pins three numbers: the tape
+//! length, the loss bits and an FNV-1a hash over the leaf-gradient bits.
+//! The search goldens only see final EDPs; this table names the step if
+//! the recorder ever adds, drops or reorders a node, or changes a forward
+//! value or a partial.
 //!
 //! Regenerating is a deliberate hand edit, only for a change meant to
 //! alter the recorded graph; the mismatch report prints the new row.
 
 use dosa_accel::Hierarchy;
-use dosa_autodiff::{SegmentPlan, Tape, Var};
-use dosa_model::{build_loss_in, LossOptions, RelaxedMapping};
+use dosa_autodiff::{Tape, Var};
+use dosa_model::{analytical, build_loss_with, LossOptions, RelaxedMapping};
 use dosa_timeloop::Stationarity;
 use dosa_workload::{unique_layers, Network};
 
@@ -48,16 +49,15 @@ fn resnet50_step_records_the_pinned_graph() {
                 ..LossOptions::default()
             };
             let tape = Tape::new();
-            let mut plan = SegmentPlan::new();
             let mut leaves: Vec<Var<'_>> = Vec::new();
-            let built = build_loss_in(
+            let built = build_loss_with(
                 &tape,
                 &layers,
                 &relaxed,
                 &hier,
                 &opts,
-                &mut plan,
                 &mut leaves,
+                analytical,
             );
             let mut adj = Vec::new();
             let mut grads = Vec::new();

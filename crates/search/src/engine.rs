@@ -43,7 +43,7 @@ use crate::gd::{
 use crate::latency_model::LatencyPredictor;
 use dosa_accel::{HardwareConfig, Hierarchy};
 use dosa_autodiff::{SegmentPlan, Tape, Var};
-use dosa_model::{build_loss_in, build_loss_with, LossOptions, RelaxedMapping, PARAMS_PER_LAYER};
+use dosa_model::{analytical, build_loss_with, LossOptions, RelaxedMapping, PARAMS_PER_LAYER};
 use dosa_timeloop::{evaluate_layer, evaluate_model, LoopOrder, Mapping, Stationarity};
 use dosa_workload::Layer;
 use rand::rngs::StdRng;
@@ -125,7 +125,7 @@ pub struct EdpLoss<'a> {
     pub layers: &'a [Layer],
     /// The memory hierarchy.
     pub hier: &'a Hierarchy,
-    /// Options of the underlying [`build_loss_in`].
+    /// Options of the underlying [`build_loss_with`].
     pub opts: LossOptions,
     /// Loop-ordering strategy applied at each rounding.
     pub strategy: LoopOrderStrategy,
@@ -158,17 +158,17 @@ impl DiffLoss for EdpLoss<'_> {
         &self,
         tape: &'t Tape,
         relaxed: &[RelaxedMapping],
-        plan: &mut SegmentPlan,
+        _plan: &mut SegmentPlan,
         leaves: &mut Vec<Var<'t>>,
     ) -> Var<'t> {
-        build_loss_in(
+        build_loss_with(
             tape,
             self.layers,
             relaxed,
             self.hier,
             &self.opts,
-            plan,
             leaves,
+            analytical,
         )
         .loss
     }
