@@ -103,8 +103,7 @@ pub fn run_network(scale: Scale, network: Network, seed: u64) -> Fig9Result {
         let mut rng = StdRng::seed_from_u64(run_seed);
         let start = generate_start_point(&mut rng, &layers, &hier, &LossOptions::default());
         let start_mappings = round_all(&start.relaxed, &problems, &hier);
-        let paired: Vec<_> = layers.iter().cloned().zip(start_mappings).collect();
-        let start_perf = evaluate_model(&paired, &start.seed_hw, &hier);
+        let start_perf = evaluate_model(&layers, &start_mappings, &start.seed_hw, &hier);
         start_edps.push(start_perf.edp());
         full_edps.push(dosa.best_edp);
 

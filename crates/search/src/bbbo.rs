@@ -16,13 +16,12 @@
 use crate::engine::StartControl;
 use crate::gd::SearchResult;
 use crate::gp::{GaussianProcess, EI_LANES};
-use crate::random_search::samplers;
+use crate::random_search::DesignSearch;
 use crate::request::SearchRequest;
 use crate::service::run_blocking;
 use crate::startpoints::random_hw;
 use crate::strategy::{stream_seed, Strategy};
 use dosa_accel::{HardwareConfig, Hierarchy};
-use dosa_timeloop::{evaluate_layer, fits, Mapping};
 use dosa_workload::Layer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,10 +66,6 @@ fn hw_features(hw: &HardwareConfig) -> [f64; 3] {
     ]
 }
 
-/// One layer's best candidate so far: the mapping and its count-scaled
-/// energy / latency, or `None` while no sampled mapping has fit.
-type LayerCandidate = Option<(Mapping, f64, f64)>;
-
 /// The inner random-mapper loop of one BB-BO design, shared by every
 /// outer step: joint samples are drawn from per-sample RNG streams and
 /// folded in sample order.
@@ -88,8 +83,7 @@ impl InnerLoop<'_> {
     /// large finite penalty when no sample fit, so the GP learns to avoid
     /// the region).
     fn search(&self, hw: &HardwareConfig, design_seed: u64, result: &mut SearchResult) -> f64 {
-        let mut best: Vec<LayerCandidate> = vec![None; self.layers.len()];
-        let samplers = samplers(self.layers, self.hier, hw.pe_side());
+        let mut search = DesignSearch::new(self.layers, self.hier, *hw);
         for s in 0..self.samples {
             // Cancellation stops at a sample boundary, so the fold is a
             // prefix of the uncancelled run.
@@ -97,39 +91,9 @@ impl InnerLoop<'_> {
                 break;
             }
             let mut rng = StdRng::seed_from_u64(stream_seed(design_seed, s as u64));
-            for ((layer, sampler), best) in self.layers.iter().zip(&samplers).zip(best.iter_mut()) {
-                let m = sampler.draw(&mut rng);
-                if !fits(&layer.problem, &m, hw, self.hier) {
-                    continue;
-                }
-                let perf = evaluate_layer(&layer.problem, &m, hw, self.hier);
-                let e = perf.energy_uj * layer.count as f64;
-                let l = perf.latency_cycles * layer.count as f64;
-                let better = match best {
-                    None => true,
-                    Some((_, be, bl)) => e * l < *be * *bl,
-                };
-                if better {
-                    *best = Some((m, e, l));
-                }
-            }
-            result.samples += 1;
-            self.ctrl.count_samples(1);
-            let edp = model_edp(&best);
-            if edp < result.best_edp {
-                result.best_edp = edp;
-                result.best_hw = *hw;
-                result.best_mappings = best
-                    .iter()
-                    .filter_map(|b| b.as_ref().map(|(m, _, _)| m.clone()))
-                    .collect();
-                self.ctrl.observe_best(edp);
-            }
-            if s % self.record_every == 0 {
-                result.record();
-            }
+            search.sample(&mut rng, s, self.record_every, result, self.ctrl);
         }
-        let edp = model_edp(&best);
+        let edp = search.model_edp();
         if edp.is_finite() {
             edp.ln()
         } else {
@@ -138,21 +102,6 @@ impl InnerLoop<'_> {
             1e3
         }
     }
-}
-
-fn model_edp(best: &[LayerCandidate]) -> f64 {
-    let mut energy = 0.0;
-    let mut latency = 0.0;
-    for b in best {
-        match b {
-            None => return f64::INFINITY,
-            Some((_, e, l)) => {
-                energy += e;
-                latency += l;
-            }
-        }
-    }
-    energy * latency
 }
 
 /// One BO step's design proposal: fit the GP, draw `candidates` random

@@ -212,13 +212,8 @@ impl DiffLoss for EdpLoss<'_> {
             }
             LoopOrderStrategy::Baseline => {}
         }
-        let paired: Vec<(Layer, Mapping)> = self
-            .layers
-            .iter()
-            .cloned()
-            .zip(mappings.iter().cloned())
-            .collect();
-        (hw, evaluate_model(&paired, &hw, self.hier).edp())
+        let edp = evaluate_model(self.layers, mappings, &hw, self.hier).edp();
+        (hw, edp)
     }
 }
 

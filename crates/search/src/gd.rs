@@ -376,19 +376,9 @@ mod tests {
             .iter()
             .map(|l| crate::cosa::cosa_mapping(&l.problem, &hw, &hier))
             .collect();
-        let paired: Vec<(Layer, Mapping)> = layers
-            .iter()
-            .cloned()
-            .zip(mappings.iter().cloned())
-            .collect();
-        let before = evaluate_model(&paired, &hw, &hier).edp();
+        let before = evaluate_model(&layers, &mappings, &hw, &hier).edp();
         choose_best_orderings(&layers, &mut mappings, &hw, &hier);
-        let paired: Vec<(Layer, Mapping)> = layers
-            .iter()
-            .cloned()
-            .zip(mappings.iter().cloned())
-            .collect();
-        let after = evaluate_model(&paired, &hw, &hier).edp();
+        let after = evaluate_model(&layers, &mappings, &hw, &hier).edp();
         assert!(after <= before * (1.0 + 1e-9), "{after} vs {before}");
     }
 }

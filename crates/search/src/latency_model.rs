@@ -12,7 +12,7 @@ use dosa_autodiff::{Tape, Var};
 use dosa_model::{HwVars, RelaxedMapping, PARAMS_PER_LAYER};
 use dosa_nn::{train, Dataset, Mlp, TrainConfig};
 use dosa_rtl::{simulate_latency, RtlConfig};
-use dosa_timeloop::{evaluate_layer, fits, Mapping, ModelPerf};
+use dosa_timeloop::{evaluate_layer, fits, LayerPerf, Mapping, ModelPerf};
 use dosa_workload::{Dim, Layer, Problem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -263,17 +263,13 @@ impl LatencyPredictor {
         hw: &HardwareConfig,
         hier: &Hierarchy,
     ) -> ModelPerf {
-        let mut energy = 0.0;
-        let mut latency = 0.0;
-        for (layer, m) in layers.iter().zip(mappings) {
-            let ref_perf = evaluate_layer(&layer.problem, m, hw, hier);
-            energy += ref_perf.energy_uj * layer.count as f64;
-            latency += self.predict(&layer.problem, m, hw, hier) * layer.count as f64;
-        }
-        ModelPerf {
-            latency_cycles: latency,
-            energy_uj: energy,
-        }
+        ModelPerf::sum(layers.iter().zip(mappings).map(|(layer, m)| {
+            let perf = LayerPerf {
+                latency_cycles: self.predict(&layer.problem, m, hw, hier),
+                energy_uj: evaluate_layer(&layer.problem, m, hw, hier).energy_uj,
+            };
+            (layer, perf)
+        }))
     }
 }
 
@@ -286,17 +282,13 @@ pub fn evaluate_rtl(
     hier: &Hierarchy,
     rtl_cfg: &RtlConfig,
 ) -> ModelPerf {
-    let mut energy = 0.0;
-    let mut latency = 0.0;
-    for (layer, m) in layers.iter().zip(mappings) {
-        let ref_perf = evaluate_layer(&layer.problem, m, hw, hier);
-        energy += ref_perf.energy_uj * layer.count as f64;
-        latency += simulate_latency(&layer.problem, m, hw, hier, rtl_cfg) * layer.count as f64;
-    }
-    ModelPerf {
-        latency_cycles: latency,
-        energy_uj: energy,
-    }
+    ModelPerf::sum(layers.iter().zip(mappings).map(|(layer, m)| {
+        let perf = LayerPerf {
+            latency_cycles: simulate_latency(&layer.problem, m, hw, hier, rtl_cfg),
+            energy_uj: evaluate_layer(&layer.problem, m, hw, hier).energy_uj,
+        };
+        (layer, perf)
+    }))
 }
 
 /// One-loop GD search against a (possibly learned) latency model, with the
@@ -420,8 +412,7 @@ mod tests {
         let perf = evaluate_rtl(&ls, &mappings, &hw, &hier, &RtlConfig::default());
         assert!(perf.edp() > 0.0);
         // RTL latency must exceed the analytical roofline.
-        let paired: Vec<(Layer, Mapping)> = ls.iter().cloned().zip(mappings).collect();
-        let ref_perf = dosa_timeloop::evaluate_model(&paired, &hw, &hier);
+        let ref_perf = dosa_timeloop::evaluate_model(&ls, &mappings, &hw, &hier);
         assert!(perf.latency_cycles > ref_perf.latency_cycles);
         assert!((perf.energy_uj - ref_perf.energy_uj).abs() < 1e-9);
     }

@@ -21,7 +21,7 @@ use dosa_accel::{HardwareConfig, Hierarchy};
 use dosa_timeloop::{evaluate_layer, fits, LayerPerf, MapSampler, Mapping, ModelPerf};
 use dosa_workload::Layer;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Configuration of the random-search baseline
 /// ([`Strategy::Random`]). Validated by
@@ -45,53 +45,6 @@ impl Default for RandomSearchConfig {
             samples_per_hw: 1000,
             seed: 0,
         }
-    }
-}
-
-/// Per-layer best-so-far tracker for a fixed hardware design.
-struct PerLayerBest {
-    perf: Vec<Option<(Mapping, LayerPerf)>>,
-}
-
-impl PerLayerBest {
-    fn new(n: usize) -> PerLayerBest {
-        PerLayerBest {
-            perf: (0..n).map(|_| None).collect(),
-        }
-    }
-
-    fn offer(&mut self, i: usize, mapping: Mapping, perf: LayerPerf) {
-        let better = match &self.perf[i] {
-            None => true,
-            Some((_, old)) => perf.edp() < old.edp(),
-        };
-        if better {
-            self.perf[i] = Some((mapping, perf));
-        }
-    }
-
-    /// Whole-model EDP of the current per-layer bests (Eq. 14), infinite
-    /// until every layer has a fitting mapping.
-    fn model_edp(&self, layers: &[Layer]) -> f64 {
-        let mut energy = 0.0;
-        let mut latency = 0.0;
-        for (layer, slot) in layers.iter().zip(&self.perf) {
-            match slot {
-                None => return f64::INFINITY,
-                Some((_, p)) => {
-                    energy += p.energy_uj * layer.count as f64;
-                    latency += p.latency_cycles * layer.count as f64;
-                }
-            }
-        }
-        energy * latency
-    }
-
-    fn mappings(&self) -> Option<Vec<Mapping>> {
-        self.perf
-            .iter()
-            .map(|s| s.as_ref().map(|(m, _)| m.clone()))
-            .collect()
     }
 }
 
@@ -126,6 +79,77 @@ pub(crate) fn samplers(layers: &[Layer], hier: &Hierarchy, pe_side: u64) -> Vec<
         .collect()
 }
 
+/// One hardware design's joint-sample search, the kernel of both
+/// black-box baselines: each joint sample draws one mapping per layer,
+/// keeps each layer's best fitting mapping by [`LayerPerf::edp`], and
+/// scores the design by the whole-model EDP of those bests (Eq. 14).
+pub(crate) struct DesignSearch<'a> {
+    layers: &'a [Layer],
+    hier: &'a Hierarchy,
+    hw: HardwareConfig,
+    samplers: Vec<MapSampler>,
+    best: Vec<Option<(Mapping, LayerPerf)>>,
+}
+
+impl<'a> DesignSearch<'a> {
+    pub(crate) fn new(layers: &'a [Layer], hier: &'a Hierarchy, hw: HardwareConfig) -> Self {
+        DesignSearch {
+            layers,
+            hier,
+            hw,
+            samplers: samplers(layers, hier, hw.pe_side()),
+            best: vec![None; layers.len()],
+        }
+    }
+
+    /// Joint sample `s`: draw one mapping per layer from `rng`, keep the
+    /// fitting ones that beat their layer's best, then count the sample
+    /// in `result`, take this design into it if the model EDP improved,
+    /// and record a history point every `record_every` samples.
+    pub(crate) fn sample(
+        &mut self,
+        rng: &mut impl Rng,
+        s: usize,
+        record_every: usize,
+        result: &mut SearchResult,
+        ctrl: StartControl<'_>,
+    ) {
+        let (hw, hier) = (&self.hw, self.hier);
+        for ((layer, sampler), best) in self.layers.iter().zip(&self.samplers).zip(&mut self.best) {
+            let m = sampler.draw(rng);
+            if !fits(&layer.problem, &m, hw, hier) {
+                continue;
+            }
+            let perf = evaluate_layer(&layer.problem, &m, hw, hier);
+            if best.as_ref().is_none_or(|(_, old)| perf.edp() < old.edp()) {
+                *best = Some((m, perf));
+            }
+        }
+        result.samples += 1;
+        ctrl.count_samples(1);
+        let edp = self.model_edp();
+        if edp < result.best_edp {
+            result.best_edp = edp;
+            result.best_hw = self.hw;
+            result.best_mappings = self.best.iter().flatten().map(|(m, _)| m.clone()).collect();
+            ctrl.observe_best(edp);
+        }
+        if s.is_multiple_of(record_every) {
+            result.record();
+        }
+    }
+
+    /// Whole-model EDP of the per-layer bests, infinite until every layer
+    /// has a fitting mapping.
+    pub(crate) fn model_edp(&self) -> f64 {
+        if self.best.iter().any(Option::is_none) {
+            return f64::INFINITY;
+        }
+        let parts = self.layers.iter().zip(self.best.iter().flatten());
+        ModelPerf::sum(parts.map(|(layer, (_, perf))| (layer, *perf))).edp()
+    }
+}
+
 /// Search one hardware design with random mappings: one work item of a
 /// [`Strategy::Random`] job. Returns a design-local [`SearchResult`]
 /// whose history offsets and running minima are restored by the
@@ -140,34 +164,13 @@ pub(crate) fn run_random_design(
 ) -> SearchResult {
     let record_every = (samples / 20).max(1);
     let mut rng = StdRng::seed_from_u64(design.rng_seed);
-    let mut best = PerLayerBest::new(layers.len());
+    let mut search = DesignSearch::new(layers, hier, design.hw);
     let mut result = SearchResult::empty();
-    let samplers = samplers(layers, hier, design.hw.pe_side());
     for s in 0..samples {
         if ctrl.cancelled() {
             break;
         }
-        for (i, (layer, sampler)) in layers.iter().zip(&samplers).enumerate() {
-            let m = sampler.draw(&mut rng);
-            if fits(&layer.problem, &m, &design.hw, hier) {
-                let perf = evaluate_layer(&layer.problem, &m, &design.hw, hier);
-                best.offer(i, m, perf);
-            }
-        }
-        result.samples += 1;
-        ctrl.count_samples(1);
-        let edp = best.model_edp(layers);
-        if edp < result.best_edp {
-            if let Some(mappings) = best.mappings() {
-                result.best_edp = edp;
-                result.best_hw = design.hw;
-                result.best_mappings = mappings;
-                ctrl.observe_best(edp);
-            }
-        }
-        if s % record_every == 0 {
-            result.record();
-        }
+        search.sample(&mut rng, s, record_every, &mut result, ctrl);
     }
     result
 }
@@ -197,11 +200,11 @@ pub fn random_search(layers: &[Layer], hier: &Hierarchy, cfg: &RandomSearchConfi
 /// Evaluate `layers` on fixed hardware with CoSA as a constant mapper
 /// (§6.4). Returns whole-model performance.
 pub fn evaluate_with_cosa(layers: &[Layer], hw: &HardwareConfig, hier: &Hierarchy) -> ModelPerf {
-    let paired: Vec<(Layer, Mapping)> = layers
+    let mappings: Vec<Mapping> = layers
         .iter()
-        .map(|l| (l.clone(), cosa_mapping(&l.problem, hw, hier)))
+        .map(|l| cosa_mapping(&l.problem, hw, hier))
         .collect();
-    dosa_timeloop::evaluate_model(&paired, hw, hier)
+    dosa_timeloop::evaluate_model(layers, &mappings, hw, hier)
 }
 
 /// Evaluate `layers` on fixed hardware with an N-sample random mapper per
@@ -215,7 +218,7 @@ pub fn evaluate_with_random_mapper(
     seed: u64,
 ) -> ModelPerf {
     let mut rng = StdRng::seed_from_u64(seed);
-    let paired: Vec<(Layer, Mapping)> = layers
+    let mappings: Vec<Mapping> = layers
         .iter()
         .map(|l| {
             let found = dosa_timeloop::random_pruned_search(
@@ -225,14 +228,13 @@ pub fn evaluate_with_random_mapper(
                 hier,
                 samples_per_layer,
             );
-            let m = match found {
+            match found {
                 Some(r) => r.mapping,
                 None => cosa_mapping(&l.problem, hw, hier),
-            };
-            (l.clone(), m)
+            }
         })
         .collect();
-    dosa_timeloop::evaluate_model(&paired, hw, hier)
+    dosa_timeloop::evaluate_model(layers, &mappings, hw, hier)
 }
 
 #[cfg(test)]

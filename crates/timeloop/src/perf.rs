@@ -32,6 +32,21 @@ pub struct ModelPerf {
 }
 
 impl ModelPerf {
+    /// Combine per-layer results per Eq. 14: each layer's latency and
+    /// energy, weighted by its repeat count, summed in iteration order.
+    pub fn sum<'a>(parts: impl IntoIterator<Item = (&'a Layer, LayerPerf)>) -> ModelPerf {
+        let mut latency = 0.0;
+        let mut energy = 0.0;
+        for (layer, p) in parts {
+            latency += p.latency_cycles * layer.count as f64;
+            energy += p.energy_uj * layer.count as f64;
+        }
+        ModelPerf {
+            latency_cycles: latency,
+            energy_uj: energy,
+        }
+    }
+
     /// Whole-model EDP (Eq. 14): `(Σ energy) × (Σ latency)`.
     pub fn edp(&self) -> f64 {
         self.latency_cycles * self.energy_uj
@@ -88,24 +103,26 @@ pub fn perf_from_traffic(
     }
 }
 
-/// Evaluate a set of layers sharing one hardware configuration, combining
-/// per-layer results per Eq. 14 (repeat counts weight both sums).
+/// Evaluate `layers` under `mappings` (one per layer) on one hardware
+/// configuration, combining per-layer results per Eq. 14
+/// ([`ModelPerf::sum`]).
+///
+/// # Panics
+///
+/// Panics if `layers` and `mappings` have different lengths.
 pub fn evaluate_model(
-    layers: &[(Layer, Mapping)],
+    layers: &[Layer],
+    mappings: &[Mapping],
     hw: &HardwareConfig,
     hier: &Hierarchy,
 ) -> ModelPerf {
-    let mut latency = 0.0;
-    let mut energy = 0.0;
-    for (layer, mapping) in layers {
-        let p = evaluate_layer(&layer.problem, mapping, hw, hier);
-        latency += p.latency_cycles * layer.count as f64;
-        energy += p.energy_uj * layer.count as f64;
-    }
-    ModelPerf {
-        latency_cycles: latency,
-        energy_uj: energy,
-    }
+    assert_eq!(layers.len(), mappings.len(), "one mapping per layer");
+    ModelPerf::sum(
+        layers
+            .iter()
+            .zip(mappings)
+            .map(|(l, m)| (l, evaluate_layer(&l.problem, m, hw, hier))),
+    )
 }
 
 #[cfg(test)]
@@ -136,11 +153,8 @@ mod tests {
         let lp = evaluate_layer(&p, &m, &hw, &h);
         assert!((lp.edp() - lp.latency_cycles * lp.energy_uj).abs() < 1e-9);
 
-        let layers = vec![
-            (Layer::repeated(p.clone(), 3), m.clone()),
-            (Layer::once(p.clone()), m.clone()),
-        ];
-        let mp = evaluate_model(&layers, &hw, &h);
+        let layers = [Layer::repeated(p.clone(), 3), Layer::once(p.clone())];
+        let mp = evaluate_model(&layers, &[m.clone(), m], &hw, &h);
         assert!((mp.latency_cycles - 4.0 * lp.latency_cycles).abs() < 1e-6);
         assert!((mp.energy_uj - 4.0 * lp.energy_uj).abs() < 1e-9);
         // Eq. 14: EDP of the model is (4E)(4L) = 16 * per-layer EDP.

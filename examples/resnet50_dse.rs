@@ -87,11 +87,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Compare against the hand-tuned Gemmini default with its heuristic
     // mapper (CoSA substitute), like Figure 8's last two bars.
     let default_hw = HardwareConfig::gemmini_default();
-    let paired: Vec<(Layer, Mapping)> = layers
+    let default_mappings: Vec<Mapping> = layers
         .iter()
-        .map(|l| (l.clone(), cosa_mapping(&l.problem, &default_hw, &hier)))
+        .map(|l| cosa_mapping(&l.problem, &default_hw, &hier))
         .collect();
-    let default_perf = evaluate_model(&paired, &default_hw, &hier);
+    let default_perf = evaluate_model(&layers, &default_mappings, &default_hw, &hier);
     println!(
         "\nGemmini default ({default_hw}): EDP {:.4e} => DOSA is {:.2}x better",
         default_perf.edp(),

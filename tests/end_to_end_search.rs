@@ -31,12 +31,7 @@ fn one_loop_search_produces_consistent_configuration() {
     }
 
     // The reported EDP is reproducible from the artifacts.
-    let paired: Vec<(Layer, Mapping)> = layers
-        .iter()
-        .cloned()
-        .zip(res.best_mappings.iter().cloned())
-        .collect();
-    let perf = evaluate_model(&paired, &res.best_hw, &hier);
+    let perf = evaluate_model(&layers, &res.best_mappings, &res.best_hw, &hier);
     assert!(
         (perf.edp() - res.best_edp).abs() / res.best_edp < 1e-9,
         "reported {} vs recomputed {}",
@@ -71,8 +66,7 @@ fn search_beats_the_trivial_mapping() {
         .map(|(l, m)| (&l.problem, m))
         .collect();
     let hw = min_hw_for_all(pairs, &hier);
-    let paired: Vec<(Layer, Mapping)> = layers.iter().cloned().zip(trivial).collect();
-    let trivial_edp = evaluate_model(&paired, &hw, &hier).edp();
+    let trivial_edp = evaluate_model(&layers, &trivial, &hw, &hier).edp();
 
     let cfg = GdConfig {
         start_points: 1,

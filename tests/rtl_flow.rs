@@ -60,12 +60,7 @@ fn rtl_search_produces_measurable_configurations() {
     let measured = evaluate_rtl(&layers(), &res.best_mappings, &res.best_hw, &hier, &rtl_cfg);
     assert!(measured.edp().is_finite() && measured.edp() > 0.0);
     // RTL latency strictly exceeds the analytical roofline.
-    let paired: Vec<(Layer, Mapping)> = layers()
-        .iter()
-        .cloned()
-        .zip(res.best_mappings.iter().cloned())
-        .collect();
-    let analytical = evaluate_model(&paired, &res.best_hw, &hier);
+    let analytical = evaluate_model(&layers(), &res.best_mappings, &res.best_hw, &hier);
     assert!(measured.latency_cycles > analytical.latency_cycles);
 }
 
