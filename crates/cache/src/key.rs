@@ -43,8 +43,8 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    /// The precomputed FNV-1a hash of the canonical bytes, for sharding
-    /// and bucketing.
+    /// The precomputed FNV-1a hash of the canonical bytes: a cheap first
+    /// check in equality, and a bucket for hash-based stores.
     pub fn hash(&self) -> u64 {
         self.hash
     }

@@ -3,21 +3,20 @@
 
 use crate::key::CacheKey;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Lock a shard, recovering the guard if a previous holder panicked. The
-/// critical sections below only move plain map entries — they can't be
-/// left mid-update by a panic — so a poisoned shard is always safe to
+/// Lock the store, recovering the guard if a previous holder panicked.
+/// The critical sections below only move plain map entries — they can't
+/// be left mid-update by a panic — so a poisoned store is always safe to
 /// keep serving rather than wedging every worker that shares the cache.
 ///
 /// This is the `dosa-cache` poisoning-recovery perimeter, the local
 /// equivalent of `fault::lock` in `dosa-search` (which this crate cannot
 /// depend on without inverting the crate graph).
-fn lock_shard<V>(shard: &Mutex<Shard<V>>) -> MutexGuard<'_, Shard<V>> {
-    // dosa-lint: allow(raw-mutex-lock) — this IS the shard-lock perimeter: the one
+fn lock<V>(lru: &Mutex<Lru<V>>) -> MutexGuard<'_, Lru<V>> {
+    // dosa-lint: allow(raw-mutex-lock) — this IS the store-lock perimeter: the one
     // place dosa-cache touches a raw Mutex, recovering poisoned guards for callers.
-    shard.lock().unwrap_or_else(PoisonError::into_inner)
+    lru.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A content-addressed store a result cache can journal into and replay
@@ -46,102 +45,85 @@ pub trait CacheStore<V>: Send + Sync {
 
 struct Entry<V> {
     value: V,
-    /// Global tick of the last touch (insert or hit); the smallest tick
-    /// in a shard is its least-recently-used entry.
+    /// Tick of the last touch (insert or hit); the smallest tick in the
+    /// map is its least-recently-used entry.
     last_used: u64,
 }
 
 // A BTreeMap rather than a HashMap (the `nondet-iteration` invariant):
-// eviction scans the shard, and on a recency tie the BTreeMap's key order
-// makes the evicted entry deterministic where HashMap iteration order
-// would pick a different victim run to run.
-struct Shard<V> {
+// eviction scans the map, and keeping every scan in key order keeps the
+// store's behavior independent of hash seeds.
+struct Lru<V> {
     map: BTreeMap<CacheKey, Entry<V>>,
+    /// Incremented under the lock on every touch, so ticks are unique.
+    tick: u64,
 }
 
-/// An in-memory, capacity-bounded, approximately-LRU [`CacheStore`].
+impl<V> Lru<V> {
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+}
+
+/// An in-memory, capacity-bounded, exact-LRU [`CacheStore`].
 ///
-/// Keys are spread over a fixed set of shards by their precomputed hash,
-/// so concurrent workers journaling results rarely contend on one lock.
-/// Recency is tracked with a global atomic tick stamped on every insert
-/// and hit; when an insert overflows a shard's capacity, that shard
-/// evicts its smallest-tick entry (an `O(shard len)` scan — shards are
-/// small and eviction is off the lookup fast path, so the simplicity is
-/// worth more than a doubly-linked intrusive list). LRU is approximate
-/// *across* shards (each shard evicts its own oldest) and exact within
-/// one.
+/// One map behind one lock holds every entry. Recency is a tick stamped
+/// under the lock on every insert and hit; an insert that would overflow
+/// the capacity first evicts the entry with the smallest tick (an
+/// `O(len)` scan — eviction is off the lookup fast path, so the
+/// simplicity is worth more than a doubly-linked intrusive list). The
+/// store keeps exactly `capacity` entries once full.
+///
+/// The name is kept for existing importers; the store is no longer
+/// sharded.
 pub struct ShardedLru<V> {
-    shards: Vec<Mutex<Shard<V>>>,
-    per_shard_cap: usize,
-    tick: AtomicU64,
+    inner: Mutex<Lru<V>>,
+    capacity: usize,
 }
-
-const NUM_SHARDS: usize = 16;
 
 impl<V: Clone + Send> ShardedLru<V> {
-    /// A store holding at most `capacity` entries (at least one per
-    /// shard), evicting the least-recently-used entry of the overflowing
-    /// shard on insert.
+    /// A store holding at most `capacity` entries (at least one),
+    /// evicting the least-recently-used entry on an insert that would
+    /// overflow it.
     pub fn new(capacity: usize) -> ShardedLru<V> {
-        let per_shard_cap = capacity.div_ceil(NUM_SHARDS).max(1);
         ShardedLru {
-            shards: (0..NUM_SHARDS)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: BTreeMap::new(),
-                    })
-                })
-                .collect(),
-            per_shard_cap,
-            tick: AtomicU64::new(0),
+            inner: Mutex::new(Lru {
+                map: BTreeMap::new(),
+                tick: 0,
+            }),
+            capacity: capacity.max(1),
         }
-    }
-
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard<V>> {
-        // The low bits of FNV-1a mix well; any fixed bit range works as
-        // long as it is derived from the canonical bytes.
-        &self.shards[(key.hash() as usize) % NUM_SHARDS]
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed)
     }
 }
 
 impl<V: Clone + Send + Sync> CacheStore<V> for ShardedLru<V> {
     fn get(&self, key: &CacheKey) -> Option<V> {
-        let tick = self.next_tick();
-        let mut shard = lock_shard(self.shard(key));
-        let entry = shard.map.get_mut(key)?;
+        let mut lru = lock(&self.inner);
+        let tick = lru.next_tick();
+        let entry = lru.map.get_mut(key)?;
         entry.last_used = tick;
         Some(entry.value.clone())
     }
 
     fn put(&self, key: CacheKey, value: V) {
-        let tick = self.next_tick();
-        let mut shard = lock_shard(self.shard(&key));
-        if shard.map.len() >= self.per_shard_cap && !shard.map.contains_key(&key) {
-            // Evict this shard's least-recently-used entry.
-            if let Some(oldest) = shard
+        let mut lru = lock(&self.inner);
+        let last_used = lru.next_tick();
+        if lru.map.len() >= self.capacity && !lru.map.contains_key(&key) {
+            let oldest = lru
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                shard.map.remove(&oldest);
+                .map(|(k, _)| k.clone());
+            if let Some(oldest) = oldest {
+                lru.map.remove(&oldest);
             }
         }
-        shard.map.insert(
-            key,
-            Entry {
-                value,
-                last_used: tick,
-            },
-        );
+        lru.map.insert(key, Entry { value, last_used });
     }
 
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_shard(s).map.len()).sum()
+        lock(&self.inner).map.len()
     }
 }
 
@@ -170,43 +152,39 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_bounded_and_recent_entries_survive() {
-        // One entry per shard, so every same-shard insert evicts.
-        let lru: ShardedLru<u64> = ShardedLru::new(1);
-        for n in 0..200 {
-            lru.put(key(n), n);
+    fn holds_exactly_its_capacity_and_evicts_the_least_recent() {
+        // Keys from several fingerprint prefixes, like a mixed job deck.
+        let keys: Vec<CacheKey> = ["gd-start-v1", "random-design-v1", "bbbo-network-v1"]
+            .iter()
+            .flat_map(|prefix| (0..30).map(move |n| Fingerprinter::new(prefix).u64(n).finish()))
+            .collect();
+        let lru: ShardedLru<usize> = ShardedLru::new(64);
+        for (i, k) in keys[..64].iter().enumerate() {
+            lru.put(k.clone(), i);
         }
-        assert!(lru.len() <= super::NUM_SHARDS);
-        // Each shard retains exactly the last key hashed into it.
-        let mut last_per_shard: BTreeMap<usize, u64> = BTreeMap::new();
-        for n in 0..200 {
-            last_per_shard.insert((key(n).hash() as usize) % super::NUM_SHARDS, n);
+        assert_eq!(lru.len(), 64);
+        for (i, k) in keys[..64].iter().enumerate() {
+            assert_eq!(lru.get(k), Some(i), "entry {i} evicted below capacity");
         }
-        for (_, n) in last_per_shard {
-            assert_eq!(lru.get(&key(n)), Some(n), "most recent key {n} evicted");
+        // Every entry was just refreshed in order, so entry 0 is the
+        // least recent: each further insert evicts exactly the oldest.
+        for (i, k) in keys[64..].iter().enumerate() {
+            lru.put(k.clone(), 64 + i);
+            assert_eq!(lru.len(), 64);
+            assert_eq!(lru.get(&keys[i]), None, "entry {i} should be evicted");
+            assert_eq!(lru.get(k), Some(64 + i));
         }
     }
 
     #[test]
     fn get_refreshes_recency() {
-        // Capacity 32 → two entries per shard, so a third same-shard
-        // insert evicts whichever of the first two is least recent.
-        let lru: ShardedLru<u64> = ShardedLru::new(32);
-        let shard_of = |n: u64| (key(n).hash() as usize) % super::NUM_SHARDS;
-        let target = shard_of(0);
-        let same: Vec<u64> = (0..1000)
-            .filter(|&n| shard_of(n) == target)
-            .take(3)
-            .collect();
-        let [a, b, c] = same[..] else {
-            panic!("expected three same-shard keys")
-        };
-        lru.put(key(a), a);
-        lru.put(key(b), b);
-        assert_eq!(lru.get(&key(a)), Some(a)); // refresh a: b is now oldest
-        lru.put(key(c), c); // evicts b, not a
-        assert_eq!(lru.get(&key(a)), Some(a));
-        assert_eq!(lru.get(&key(c)), Some(c));
-        assert_eq!(lru.get(&key(b)), None);
+        let lru: ShardedLru<u64> = ShardedLru::new(2);
+        lru.put(key(0), 0);
+        lru.put(key(1), 1);
+        assert_eq!(lru.get(&key(0)), Some(0)); // refresh 0: 1 is now oldest
+        lru.put(key(2), 2); // evicts 1, not 0
+        assert_eq!(lru.get(&key(0)), Some(0));
+        assert_eq!(lru.get(&key(2)), Some(2));
+        assert_eq!(lru.get(&key(1)), None);
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! | rule | invariant |
 //! | --- | --- |
-//! | `raw-mutex-lock` | poisoning recovery: all locking goes through `fault::lock`/`wait` or the `dosa-cache` shard-lock helper |
+//! | `raw-mutex-lock` | poisoning recovery: all locking goes through `fault::lock`/`wait` or the `dosa-cache` store-lock helper |
 //! | `undocumented-unsafe` | unsafe audit: every `unsafe` block/fn carries a `// SAFETY:` comment |
 //! | `nondet-iteration` | bit-exact determinism: no `HashMap`/`HashSet` in deterministic crates' non-test code |
 //! | `panic-perimeter` | panic containment: no `.unwrap()`/`.expect(`/`panic!` in service-facing library code |
@@ -425,7 +425,7 @@ fn raw_mutex_lock(tokens: &[Token], code: &[usize], out: &mut Vec<(Rule, u32, St
                 Rule::RawMutexLock,
                 b.line,
                 "raw `.lock()` bypasses poisoning recovery; use `fault::lock`/`wait` \
-                 (crates/search/src/fault.rs) or the dosa-cache shard-lock helper"
+                 (crates/search/src/fault.rs) or the dosa-cache store-lock helper"
                     .into(),
             ));
         }
