@@ -1,12 +1,13 @@
 //! Adam optimizer over a flat parameter vector — the descent algorithm DOSA
-//! uses (§6.1: "the specific descent algorithm DOSA uses is Adam").
+//! uses (§6.1: "the specific descent algorithm DOSA uses is Adam"), and
+//! the trainer of the latency-correction MLP (§6.5.1).
 
 /// Adam state for a fixed-size parameter vector.
 ///
 /// # Examples
 ///
 /// ```
-/// use dosa_search::Adam;
+/// use dosa_autodiff::Adam;
 /// let mut opt = Adam::new(2, 0.1);
 /// let mut params = vec![1.0, -2.0];
 /// for _ in 0..200 {
@@ -23,13 +24,14 @@ pub struct Adam {
     t: u64,
     /// Learning rate.
     pub learning_rate: f64,
-    /// First-moment decay (default 0.9).
-    pub beta1: f64,
-    /// Second-moment decay (default 0.999).
-    pub beta2: f64,
-    /// Numerical-stability epsilon.
-    pub epsilon: f64,
 }
+
+/// First-moment decay.
+const BETA1: f64 = 0.9;
+/// Second-moment decay.
+const BETA2: f64 = 0.999;
+/// Numerical-stability epsilon.
+const EPSILON: f64 = 1e-8;
 
 impl Adam {
     /// Create state for `n` parameters with the given learning rate.
@@ -39,9 +41,6 @@ impl Adam {
             v: vec![0.0; n],
             t: 0,
             learning_rate,
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
         }
     }
 
@@ -54,14 +53,14 @@ impl Adam {
         assert_eq!(params.len(), self.m.len());
         assert_eq!(grads.len(), self.m.len());
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
         for i in 0..params.len() {
             let g = grads[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g;
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g * g;
             params[i] -=
-                self.learning_rate * (self.m[i] / bc1) / ((self.v[i] / bc2).sqrt() + self.epsilon);
+                self.learning_rate * (self.m[i] / bc1) / ((self.v[i] / bc2).sqrt() + EPSILON);
         }
     }
 

@@ -36,6 +36,9 @@
 //! * [`Gradients::wrt_into`] — gather leaf gradients into a caller-owned
 //!   buffer, so a step's leaf-gradient gather allocates nothing.
 //!
+//! [`Adam`] is the optimizer that steps the leaves: DOSA's gradient
+//! descent and the latency-correction MLP's trainer both use it.
+//!
 //! [`SegmentPlan`], [`SegScratch`] and [`Tape::backward_segmented`] remain
 //! only as names for older callers: the plan is an ignored placeholder and
 //! the segmented sweep is [`Tape::backward_into`].
@@ -56,12 +59,14 @@
 
 #![warn(missing_docs)]
 
+mod adam;
 mod check;
 mod scalar;
 mod seg;
 mod tape;
 mod var;
 
+pub use adam::Adam;
 pub use check::check_gradients;
 pub use scalar::{Ctx, Scalar, Values};
 pub use seg::{SegScratch, SegmentPlan};

@@ -21,10 +21,13 @@
 
 use crate::diff::{layer_perf_vars, FactorVars, HwVars};
 use crate::relaxed::{RelaxedMapping, PARAMS_PER_LAYER};
-use dosa_accel::{HardwareConfig, Hierarchy};
+use dosa_accel::Hierarchy;
 use dosa_autodiff::{sum, Ctx, Scalar, Tape, Values, Var};
 use dosa_timeloop::{LoopOrder, Stationarity};
 use dosa_workload::Layer;
+
+/// Weight of the invalid-mapping penalty (Eq. 18) in the loss.
+const PENALTY_WEIGHT: f64 = 1.0;
 
 /// Configuration for [`build_loss`].
 #[derive(Debug, Clone, Copy)]
@@ -32,26 +35,19 @@ pub struct LossOptions {
     /// Pin the PE array side instead of deriving it from spatial factors
     /// (the Fig. 12 setting).
     pub fixed_pe_side: Option<u64>,
-    /// Evaluate on a fixed hardware configuration instead of the derived
-    /// minimal hardware.
-    pub fixed_hw: Option<HardwareConfig>,
     /// Use the gradient-based softmax loop-ordering loss (§5.2.2) instead
     /// of the fixed per-layer orderings.
     pub softmax_ordering: bool,
     /// Temperature `τ` of the softmax weighting.
     pub softmax_temperature: f64,
-    /// Weight of the invalid-mapping penalty (Eq. 18).
-    pub penalty_weight: f64,
 }
 
 impl Default for LossOptions {
     fn default() -> Self {
         LossOptions {
             fixed_pe_side: None,
-            fixed_hw: None,
             softmax_ordering: false,
             softmax_temperature: 4.0,
-            penalty_weight: 1.0,
         }
     }
 }
@@ -142,10 +138,7 @@ pub fn build_loss_with<C: Ctx>(
         .map(|(l, fv)| (&l.problem, fv))
         .collect();
     // Per-layer capacity terms, then the cross-layer max.
-    let hw = match opts.fixed_hw {
-        Some(cfg) => HwVars::fixed(cx, &cfg),
-        None => HwVars::derive_with_pe(cx, &refs, opts.fixed_pe_side),
-    };
+    let hw = HwVars::derive_with_pe(cx, &refs, opts.fixed_pe_side);
 
     // Per-layer performance terms (including the softmax ordering variants).
     let mut energies = Vec::with_capacity(layers.len());
@@ -197,7 +190,7 @@ pub fn build_loss_with<C: Ctx>(
     for fv in &factor_vars {
         pen = pen + fv.penalty(cx);
     }
-    let loss = edp.ln() + pen * opts.penalty_weight;
+    let loss = edp.ln() + pen * PENALTY_WEIGHT;
 
     BuiltLossG {
         loss,
@@ -349,20 +342,6 @@ mod tests {
         // with modest temperature should sit near the best.
         assert!(edp_soft >= best * 0.99);
         assert!(edp_soft <= best * 10.0);
-    }
-
-    #[test]
-    fn fixed_hw_changes_prediction() {
-        let layers = layers();
-        let relaxed = start(&layers);
-        let hier = Hierarchy::gemmini();
-        let (_, _, derived) = predict(&layers, &relaxed, &hier, &LossOptions::default());
-        let big = LossOptions {
-            fixed_hw: Some(HardwareConfig::new(64, 1024.0, 4096.0).unwrap()),
-            ..LossOptions::default()
-        };
-        let (_, _, fixed) = predict(&layers, &relaxed, &hier, &big);
-        assert_ne!(derived, fixed);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! Spearman rank-correlation metric used by Figures 10 and 11.
 
 use crate::mlp::Mlp;
+use dosa_autodiff::Adam;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -75,10 +76,7 @@ pub fn train(mlp: &mut Mlp, data: &Dataset, cfg: &TrainConfig, rng: &mut impl Rn
 
     let n_params = mlp.num_params();
     let mut params = mlp.params();
-    let mut m = vec![0.0; n_params];
-    let mut v = vec![0.0; n_params];
-    let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
-    let mut t = 0usize;
+    let mut adam = Adam::new(n_params, cfg.learning_rate);
 
     let mut history = Vec::with_capacity(cfg.epochs);
     let mut order: Vec<usize> = (0..data.len()).collect();
@@ -95,15 +93,8 @@ pub fn train(mlp: &mut Mlp, data: &Dataset, cfg: &TrainConfig, rng: &mut impl Rn
                 epoch_loss += 0.5 * d * d;
             }
             let scale = 1.0 / batch.len() as f64;
-            t += 1;
-            let bc1 = 1.0 - b1.powi(t as i32);
-            let bc2 = 1.0 - b2.powi(t as i32);
-            for i in 0..n_params {
-                let g = grads[i] * scale;
-                m[i] = b1 * m[i] + (1.0 - b1) * g;
-                v[i] = b2 * v[i] + (1.0 - b2) * g * g;
-                params[i] -= cfg.learning_rate * (m[i] / bc1) / ((v[i] / bc2).sqrt() + eps);
-            }
+            grads.iter_mut().for_each(|g| *g *= scale);
+            adam.step(&mut params, &grads);
             mlp.set_params(&params);
         }
         history.push(epoch_loss / data.len() as f64);

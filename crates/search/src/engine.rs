@@ -35,14 +35,13 @@
 //! ([`crate::cache`]) fingerprints exactly these inputs and replays a
 //! finished descent's output bit for bit.
 
-use crate::adam::Adam;
 use crate::fault::StopWord;
 use crate::gd::{
     choose_best_orderings, rounded_hw, GdConfig, LoopOrderStrategy, SearchPoint, SearchResult,
 };
 use crate::latency_model::LatencyPredictor;
 use dosa_accel::{HardwareConfig, Hierarchy};
-use dosa_autodiff::{SegmentPlan, Tape, Var};
+use dosa_autodiff::{Adam, SegmentPlan, Tape, Var};
 use dosa_model::{analytical, build_loss_with, LossOptions, RelaxedMapping, PARAMS_PER_LAYER};
 use dosa_timeloop::{evaluate_layer, evaluate_model, LoopOrder, Mapping, Stationarity};
 use dosa_workload::Layer;
@@ -450,8 +449,8 @@ impl ProgressCounters {
 }
 
 /// Control surface handed to every work item: the job's stop word
-/// (checked once per gradient step or black-box sample) and an optional
-/// progress sink.
+/// (checked once per gradient step or black-box sample) and the job's
+/// progress sinks.
 #[derive(Clone, Copy)]
 pub(crate) struct StartControl<'a> {
     /// Once it reports stopping (a cancel or a `Kill` deadline), descents
@@ -459,10 +458,10 @@ pub(crate) struct StartControl<'a> {
     /// not-yet-started work items return empty results.
     pub(crate) stop: &'a StopWord,
     /// Live observation counters for the network this start belongs to.
-    pub(crate) progress: Option<&'a ProgressCounters>,
+    pub(crate) progress: &'a ProgressCounters,
     /// The job's count of gradient steps that recorded their loss
     /// ([`JobStats::gd_steps_recorded`](crate::JobStats)).
-    pub(crate) steps_recorded: Option<&'a AtomicUsize>,
+    pub(crate) steps_recorded: &'a AtomicUsize,
     /// Fault injection ([`FaultKind::NonFiniteLoss`](crate::FaultKind)):
     /// report the first gradient step's loss as NaN *and* poison the
     /// rounding checkpoint's reference EDP, so the descent's real
@@ -477,21 +476,15 @@ impl StartControl<'_> {
     }
 
     pub(crate) fn count_samples(&self, n: usize) {
-        if let Some(p) = self.progress {
-            p.add_samples(n);
-        }
+        self.progress.add_samples(n);
     }
 
     fn count_recorded(&self) {
-        if let Some(n) = self.steps_recorded {
-            n.fetch_add(1, Ordering::Relaxed);
-        }
+        self.steps_recorded.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn observe_best(&self, edp: f64) {
-        if let Some(p) = self.progress {
-            p.update_best(edp);
-        }
+        self.progress.update_best(edp);
     }
 }
 

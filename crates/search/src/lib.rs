@@ -188,7 +188,6 @@
 
 #![warn(missing_docs)]
 
-mod adam;
 mod bbbo;
 pub mod cache;
 mod cosa;
@@ -204,10 +203,10 @@ pub mod service;
 mod startpoints;
 mod strategy;
 
-pub use adam::Adam;
 pub use bbbo::{bayesian_search, BbboConfig};
 pub use cache::{ResultCache, ResultCacheStats};
 pub use cosa::cosa_mapping;
+pub use dosa_autodiff::Adam;
 pub use engine::{DiffLoss, EdpLoss, PredictedLatencyLoss, ProgramCache, PROGRAM_SLOTS};
 pub use fault::{DeadlinePolicy, FaultKind, FaultPlan, JobError};
 pub use gd::{

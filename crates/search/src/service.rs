@@ -1381,8 +1381,8 @@ fn build_surrogate<'a>(
 fn network_ctrl(job: &JobShared, net_index: usize) -> StartControl<'_> {
     StartControl {
         stop: &job.stop,
-        progress: Some(&job.progress[net_index]),
-        steps_recorded: Some(&job.stats.gd_steps_recorded),
+        progress: &job.progress[net_index],
+        steps_recorded: &job.stats.gd_steps_recorded,
         force_non_finite: false,
     }
 }
