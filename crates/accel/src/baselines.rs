@@ -3,8 +3,7 @@
 //! The paper evaluates Eyeriss, NVDLA-small, NVDLA-large and the Gemmini
 //! default through the same Timeloop template used for Gemmini-TL. We model
 //! them the same way: as configurations of the shared memory-hierarchy
-//! template, sized from the public descriptions of each design
-//! (see DESIGN.md, substitution 4).
+//! template, sized from the public descriptions of each design.
 
 use crate::arch::HardwareConfig;
 

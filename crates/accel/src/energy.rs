@@ -5,7 +5,7 @@
 //! compute, register and DRAM access energy are constant per word; SRAM
 //! access energy scales with the SRAM geometry (capacity over array side for
 //! the accumulator, raw capacity for the scratchpad). Constants are Table 2's
-//! verbatim; capacity terms are interpreted in KB (see DESIGN.md §3.5).
+//! verbatim; capacity terms are interpreted in KB.
 //! All EPA values are in picojoules; reported energies are in microjoules.
 
 use crate::arch::HardwareConfig;

@@ -2,7 +2,6 @@
 //!
 //! * **rounding frequency** (§5.3.2: round every N steps — too often wastes
 //!   descent, too rarely drifts from the valid mapspace),
-//! * **invalid-mapping penalty** (Eq. 18 on/off),
 //! * **learning rate** of the Adam descent,
 //! * **start-point budget split** (many short descents vs. few long ones
 //!   at a fixed total sample budget),

@@ -2,8 +2,7 @@
 //!
 //! A deterministic, cycle-approximate simulator of the Gemmini
 //! weight-stationary systolic array — the substitute for FireSim-based
-//! cycle-exact RTL simulation in the paper's §6.5 experiments (see
-//! DESIGN.md, substitution 2).
+//! cycle-exact RTL simulation in the paper's §6.5 experiments.
 //!
 //! The simulator models the implementation effects a roofline misses:
 //! ROCC instruction issue, systolic fill/drain bubbles, DMA transaction

@@ -1,6 +1,6 @@
 //! Cycle-approximate simulation of the Gemmini weight-stationary systolic
 //! array — the stand-in for FireSim-measured Gemmini-RTL latency (§4.7,
-//! §6.5; DESIGN.md substitution 2).
+//! §6.5).
 //!
 //! The analytical model (Eq. 12) is a pure roofline: the maximum of compute
 //! and per-level memory latencies. Real RTL behaves differently in exactly

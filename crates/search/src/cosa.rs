@@ -1,5 +1,5 @@
 //! A deterministic constrained mapper standing in for CoSA (§3.2 step 1,
-//! §6.1, §6.4; DESIGN.md substitution 3).
+//! §6.1, §6.4).
 //!
 //! CoSA formulates scheduling as a mixed-integer program solved with
 //! Gurobi; neither is available offline. This substitute reproduces CoSA's

@@ -181,7 +181,7 @@ impl std::error::Error for MappingError {}
 /// An integer mapping: temporal and spatial tiling factors for every
 /// (memory level, dimension) pair, plus a loop order per level.
 ///
-/// Conventions (see `DESIGN.md` and the `traffic` module docs):
+/// Conventions (see also the `traffic` module docs):
 /// * `temporal[i][d]` is the bound of the temporal loop for dimension `d`
 ///   in level `i`'s subnest (level 3 = DRAM loops, level 0 = innermost).
 /// * `spatial[i][d]` is the spatial fanout below level `i` (Gemmini WS
