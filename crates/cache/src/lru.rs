@@ -43,27 +43,15 @@ pub trait CacheStore<V>: Send + Sync {
     }
 }
 
-struct Entry<V> {
-    value: V,
-    /// Tick of the last touch (insert or hit); the smallest tick in the
-    /// map is its least-recently-used entry.
-    last_used: u64,
-}
-
 // A BTreeMap rather than a HashMap (the `nondet-iteration` invariant):
 // eviction scans the map, and keeping every scan in key order keeps the
 // store's behavior independent of hash seeds.
 struct Lru<V> {
-    map: BTreeMap<CacheKey, Entry<V>>,
-    /// Incremented under the lock on every touch, so ticks are unique.
+    /// Each value with the tick of its last touch (insert or hit); the
+    /// smallest tick marks the least-recently-used entry.
+    map: BTreeMap<CacheKey, (u64, V)>,
+    /// Bumped under the lock on every touch, so ticks are unique.
     tick: u64,
-}
-
-impl<V> Lru<V> {
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
 }
 
 /// An in-memory, capacity-bounded, exact-LRU [`CacheStore`].
@@ -99,27 +87,27 @@ impl<V: Clone + Send> ShardedLru<V> {
 
 impl<V: Clone + Send + Sync> CacheStore<V> for ShardedLru<V> {
     fn get(&self, key: &CacheKey) -> Option<V> {
-        let mut lru = lock(&self.inner);
-        let tick = lru.next_tick();
-        let entry = lru.map.get_mut(key)?;
-        entry.last_used = tick;
-        Some(entry.value.clone())
+        let lru = &mut *lock(&self.inner);
+        lru.tick += 1;
+        let (last_used, value) = lru.map.get_mut(key)?;
+        *last_used = lru.tick;
+        Some(value.clone())
     }
 
     fn put(&self, key: CacheKey, value: V) {
-        let mut lru = lock(&self.inner);
-        let last_used = lru.next_tick();
+        let lru = &mut *lock(&self.inner);
+        lru.tick += 1;
         if lru.map.len() >= self.capacity && !lru.map.contains_key(&key) {
             let oldest = lru
                 .map
                 .iter()
-                .min_by_key(|(_, e)| e.last_used)
+                .min_by_key(|(_, e)| e.0)
                 .map(|(k, _)| k.clone());
             if let Some(oldest) = oldest {
                 lru.map.remove(&oldest);
             }
         }
-        lru.map.insert(key, Entry { value, last_used });
+        lru.map.insert(key, (lru.tick, value));
     }
 
     fn len(&self) -> usize {
