@@ -63,8 +63,8 @@ struct Lru<V> {
 /// simplicity is worth more than a doubly-linked intrusive list). The
 /// store keeps exactly `capacity` entries once full.
 ///
-/// The name is kept for existing importers; the store is no longer
-/// sharded.
+/// Despite its name the store is not sharded; the name stays for
+/// existing importers.
 pub struct ShardedLru<V> {
     inner: Mutex<Lru<V>>,
     capacity: usize,
