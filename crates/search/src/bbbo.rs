@@ -110,9 +110,10 @@ impl InnerLoop<'_> {
 /// improvement (ties and all-NaN scores resolve to the lowest candidate
 /// index).
 ///
-/// Candidates are drawn and scored one lane of eight at a time, so no
-/// candidate list is built, and the stop word is checked between lanes:
-/// `None` means the job stopped mid-proposal and the step is abandoned.
+/// Candidates are drawn and scored sixteen at a time (`EI_LANES`), so
+/// no candidate list is built, and the stop word is checked between
+/// groups: `None` means the job stopped mid-proposal and the step is
+/// abandoned.
 fn propose_by_ei(
     rng: &mut impl Rng,
     observed_x: &[Vec<f64>],

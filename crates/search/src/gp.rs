@@ -32,7 +32,7 @@ pub struct GaussianProcess {
 
 /// Candidates an [`EiScorer`] carries through one pass over the Cholesky
 /// factor.
-pub(crate) const EI_LANES: usize = 8;
+pub(crate) const EI_LANES: usize = 16;
 
 impl GaussianProcess {
     /// Fit a GP to `(xs, ys)` with the given kernel lengthscale (in
@@ -155,6 +155,35 @@ impl GaussianProcess {
     /// Posterior mean and variance of `L` standardized points at once
     /// (`z` holds one row per feature, `v` is `n` rows of scratch).
     ///
+    /// Runs an AVX2-compiled instance of [`posterior_body`] when the CPU
+    /// has AVX2, and otherwise the portable one, inlined here. The two
+    /// give the same bits: the body fixes every lane's operation order,
+    /// AVX2 brings no fused multiply-add, and Rust never contracts a
+    /// multiply and an add.
+    ///
+    /// [`posterior_body`]: GaussianProcess::posterior_body
+    fn posterior<const L: usize>(&self, z: &[[f64; L]], v: &mut [[f64; L]]) -> [(f64, f64); L] {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the running CPU supports AVX2, checked just above,
+            // which is the only requirement of a `target_feature` function.
+            return unsafe { self.posterior_avx2(z, v) };
+        }
+        self.posterior_body(z, v)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn posterior_avx2<const L: usize>(
+        &self,
+        z: &[[f64; L]],
+        v: &mut [[f64; L]],
+    ) -> [(f64, f64); L] {
+        self.posterior_body(z, v)
+    }
+
+    /// The posterior of [`posterior`](GaussianProcess::posterior).
+    ///
     /// One pass over the training rows computes each lane's kernel
     /// column entry, adds it to the mean, and forward-substitutes it in
     /// place (`v = L⁻¹ k*`), so a Cholesky row is read once for all `L`
@@ -162,7 +191,12 @@ impl GaussianProcess {
     /// lane performs the one-point operation sequence — the same sums in
     /// the same order, starting from `Sum`'s `-0.0` — so its bits do not
     /// depend on `L` or on the other lanes.
-    fn posterior<const L: usize>(&self, z: &[[f64; L]], v: &mut [[f64; L]]) -> [(f64, f64); L] {
+    #[inline(always)]
+    fn posterior_body<const L: usize>(
+        &self,
+        z: &[[f64; L]],
+        v: &mut [[f64; L]],
+    ) -> [(f64, f64); L] {
         let n = self.n;
         let two_l2 = 2.0 * self.lengthscale * self.lengthscale;
         let mut mean = [-0.0; L];
@@ -213,8 +247,10 @@ fn ei(mean: f64, var: f64, best: f64) -> f64 {
     (best - mean) * norm_cdf(z) + sd * norm_pdf(z)
 }
 
-/// Scores candidates' expected improvement eight at a time with reused
-/// buffers; made by [`GaussianProcess::ei_scorer`].
+/// Scores candidates' expected improvement sixteen at a time with reused
+/// buffers; made by [`GaussianProcess::ei_scorer`]. Each group of sixteen
+/// shares one pass over the Cholesky factor, compiled for AVX2 when the
+/// CPU has it.
 ///
 /// Each score is bit-identical to
 /// [`GaussianProcess::expected_improvement`] of the same point: batching
@@ -380,6 +416,58 @@ mod tests {
         assert!((erf(1.0) - 0.8427007).abs() < 1e-5);
         assert!((erf(-1.0) + 0.8427007).abs() < 1e-5);
         assert!((norm_cdf(0.0) - 0.5).abs() < 1e-6);
+    }
+
+    /// The portable and AVX2 instances of the posterior give the same
+    /// bits, so a host's instruction set cannot move a BB-BO result.
+    #[test]
+    fn the_portable_and_avx2_posteriors_agree_bit_for_bit() {
+        use crate::startpoints::random_hw;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if !avx2 {
+            println!("this host lacks AVX2: only the portable posterior runs");
+        }
+        let features = |rng: &mut StdRng| {
+            let hw = random_hw(rng);
+            vec![
+                (hw.pe_side() as f64).ln(),
+                hw.acc_kb().ln(),
+                hw.spad_kb().ln(),
+            ]
+        };
+        let mut rng = StdRng::seed_from_u64(16);
+        for n in 1..=99 {
+            let xs: Vec<Vec<f64>> = (0..n).map(|_| features(&mut rng)).collect();
+            let ys: Vec<f64> = (0..n).map(|_| rng.gen_range(20.0..40.0)).collect();
+            let gp = GaussianProcess::fit(xs, ys, 1.0, 0.05);
+            let mut z = vec![[0.0; EI_LANES]; gp.dim];
+            let mut v = vec![[0.0; EI_LANES]; gp.n];
+            for count in [1, 15, 16, 17, 1000] {
+                let cands: Vec<Vec<f64>> = (0..count).map(|_| features(&mut rng)).collect();
+                for chunk in cands.chunks(EI_LANES) {
+                    for (lane, x) in chunk.iter().enumerate() {
+                        gp.standardize(x, lane, &mut z);
+                    }
+                    // Inlined here, the body is the portable instance.
+                    let portable = gp.posterior_body(&z, &mut v);
+                    let bits =
+                        |p: [(f64, f64); EI_LANES]| p.map(|(m, s)| (m.to_bits(), s.to_bits()));
+                    assert_eq!(bits(gp.posterior(&z, &mut v)), bits(portable), "n={n}");
+                    #[cfg(target_arch = "x86_64")]
+                    if avx2 {
+                        // SAFETY: the running CPU supports AVX2, checked
+                        // above.
+                        let fast = unsafe { gp.posterior_avx2(&z, &mut v) };
+                        assert_eq!(bits(fast), bits(portable), "n={n} count={count}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::service::run_blocking;
 use crate::startpoints::random_hw;
 use crate::strategy::{stream_seed, Strategy};
 use dosa_accel::{HardwareConfig, Hierarchy};
-use dosa_timeloop::{evaluate_layer, fits, LayerPerf, MapSampler, Mapping, ModelPerf};
+use dosa_timeloop::{LayerEvaluator, LayerPerf, MapSampler, Mapping, ModelPerf};
 use dosa_workload::Layer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -83,21 +83,29 @@ pub(crate) fn samplers(layers: &[Layer], hier: &Hierarchy, pe_side: u64) -> Vec<
 /// black-box baselines: each joint sample draws one mapping per layer,
 /// keeps each layer's best fitting mapping by [`LayerPerf::edp`], and
 /// scores the design by the whole-model EDP of those bests (Eq. 14).
+///
+/// A draw is evaluated only if the lower bound of
+/// [`LayerEvaluator::evaluate_below`] says it could beat its layer's
+/// best; one that cannot would not be kept, so skipping it moves no
+/// result bit.
 pub(crate) struct DesignSearch<'a> {
     layers: &'a [Layer],
-    hier: &'a Hierarchy,
     hw: HardwareConfig,
     samplers: Vec<MapSampler>,
+    evaluators: Vec<LayerEvaluator<'a>>,
     best: Vec<Option<(Mapping, LayerPerf)>>,
 }
 
 impl<'a> DesignSearch<'a> {
-    pub(crate) fn new(layers: &'a [Layer], hier: &'a Hierarchy, hw: HardwareConfig) -> Self {
+    pub(crate) fn new(layers: &'a [Layer], hier: &Hierarchy, hw: HardwareConfig) -> Self {
         DesignSearch {
             layers,
-            hier,
             hw,
             samplers: samplers(layers, hier, hw.pe_side()),
+            evaluators: layers
+                .iter()
+                .map(|l| LayerEvaluator::new(&l.problem, &hw, hier))
+                .collect(),
             best: vec![None; layers.len()],
         }
     }
@@ -114,13 +122,13 @@ impl<'a> DesignSearch<'a> {
         result: &mut SearchResult,
         ctrl: StartControl<'_>,
     ) {
-        let (hw, hier) = (&self.hw, self.hier);
-        for ((layer, sampler), best) in self.layers.iter().zip(&self.samplers).zip(&mut self.best) {
+        let kernels = self.samplers.iter().zip(&self.evaluators);
+        for ((sampler, eval), best) in kernels.zip(&mut self.best) {
             let m = sampler.draw(rng);
-            if !fits(&layer.problem, &m, hw, hier) {
+            let threshold = best.as_ref().map_or(f64::INFINITY, |(_, old)| old.edp());
+            let Some(perf) = eval.evaluate_below(&m, threshold) else {
                 continue;
-            }
-            let perf = evaluate_layer(&layer.problem, &m, hw, hier);
+            };
             if best.as_ref().is_none_or(|(_, old)| perf.edp() < old.edp()) {
                 *best = Some((m, perf));
             }

@@ -44,7 +44,9 @@ pub use exhaustive::{enumerate_mappings, exhaustive_best, MAX_ENUMERATION};
 pub use mapper::{random_mapping, random_pruned_search, MapSampler, MapperResult};
 pub use mapping::{LoopOrder, Mapping, MappingError, Stationarity};
 pub use minhw::{fits, min_hw, min_hw_for_all};
-pub use perf::{evaluate_layer, evaluate_model, perf_from_traffic, LayerPerf, ModelPerf};
+pub use perf::{
+    evaluate_layer, evaluate_model, perf_from_traffic, LayerEvaluator, LayerPerf, ModelPerf,
+};
 pub use traffic::{
     compute_traffic, refetch, tile_words, DramStream, DramStreams, TensorFlows, Traffic,
 };

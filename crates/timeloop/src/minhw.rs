@@ -29,7 +29,7 @@ use dosa_workload::{Problem, Tensor};
 /// mapping ([`Mapping::validate`] rejects it; [`fits`] returns `false`).
 pub fn min_hw(problem: &Problem, mapping: &Mapping, hier: &Hierarchy) -> HardwareConfig {
     let _ = hier;
-    let (acc_kb, spad_kb) = buffer_kb(problem, mapping);
+    let (acc_kb, spad_kb) = buffer_kb(problem, &Extents::new(mapping));
     HardwareConfig::new(array_side(mapping), acc_kb, spad_kb)
         .expect("min-HW inference produces valid configurations")
 }
@@ -46,10 +46,9 @@ fn array_side(mapping: &Mapping) -> u64 {
         .max(1)
 }
 
-/// Accumulator and scratchpad KB needed by `mapping` (Eqs. 2–5), rounded
-/// up to whole KB and at least 1.
-fn buffer_kb(problem: &Problem, mapping: &Mapping) -> (f64, f64) {
-    let extents = Extents::new(mapping);
+/// Accumulator and scratchpad KB needed by a mapping with `extents`
+/// (Eqs. 2–5), rounded up to whole KB and at least 1.
+fn buffer_kb(problem: &Problem, extents: &Extents) -> (f64, f64) {
     let acc_words = extents.words(problem, level::ACCUMULATOR, Tensor::Outputs);
     let spad_words = extents.words(problem, level::SCRATCHPAD, Tensor::Weights)
         + extents.words(problem, level::SCRATCHPAD, Tensor::Inputs);
@@ -79,11 +78,36 @@ pub fn min_hw_for_all<'a>(
 /// gives `false`.
 pub fn fits(problem: &Problem, mapping: &Mapping, hw: &HardwareConfig, hier: &Hierarchy) -> bool {
     let _ = hier;
-    if array_side(mapping) > hw.pe_side() {
-        return false;
+    Capacity::new(hw).admit(problem, mapping).is_some()
+}
+
+/// A design's limits as [`fits`] compares them: the array side and the
+/// buffer sizes rounded up to whole KB.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Capacity {
+    pe_side: u64,
+    acc_kb: f64,
+    spad_kb: f64,
+}
+
+impl Capacity {
+    pub(crate) fn new(hw: &HardwareConfig) -> Capacity {
+        Capacity {
+            pe_side: hw.pe_side(),
+            acc_kb: hw.acc_kb().ceil(),
+            spad_kb: hw.spad_kb().ceil(),
+        }
     }
-    let (acc_kb, spad_kb) = buffer_kb(problem, mapping);
-    acc_kb <= hw.acc_kb().ceil() && spad_kb <= hw.spad_kb().ceil()
+
+    /// The tile extents of `mapping` if it fits, `None` if not.
+    pub(crate) fn admit(&self, problem: &Problem, mapping: &Mapping) -> Option<Extents> {
+        if array_side(mapping) > self.pe_side {
+            return None;
+        }
+        let extents = Extents::new(mapping);
+        let (acc_kb, spad_kb) = buffer_kb(problem, &extents);
+        (acc_kb <= self.acc_kb && spad_kb <= self.spad_kb).then_some(extents)
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,9 @@
 //! role of Timeloop + Accelergy.
 
 use crate::mapping::Mapping;
-use crate::traffic::{compute_traffic, Traffic};
+use crate::minhw::Capacity;
+use crate::traffic::{compute_traffic, DramStream, DramTraffic, Extents, LayerNest, Traffic};
+use dosa_accel::level::DRAM;
 use dosa_accel::{pj_to_uj, EnergyModel, HardwareConfig, Hierarchy, DRAM_BLOCK_WORDS, NUM_LEVELS};
 use dosa_workload::{Layer, Problem};
 
@@ -72,34 +74,147 @@ pub fn perf_from_traffic(
     hw: &HardwareConfig,
     hier: &Hierarchy,
 ) -> LayerPerf {
-    let energy = EnergyModel::for_config(hw);
+    Costs::new(hw, hier).perf(traffic, mapping)
+}
 
-    // Latency: roofline over compute and each memory level (Eq. 12).
-    let compute = traffic.macs as f64 / mapping.spatial_product() as f64;
-    let mut latency = compute;
-    for i in 0..NUM_LEVELS {
-        let mem = traffic.accesses(i) as f64 / hier.bandwidth(i, hw);
-        latency = latency.max(mem);
+/// A hardware design's per-access energies and per-level bandwidths.
+#[derive(Debug, Clone, Copy)]
+struct Costs {
+    energy: EnergyModel,
+    bandwidth: [f64; NUM_LEVELS],
+}
+
+impl Costs {
+    fn new(hw: &HardwareConfig, hier: &Hierarchy) -> Costs {
+        Costs {
+            energy: EnergyModel::for_config(hw),
+            bandwidth: std::array::from_fn(|i| hier.bandwidth(i, hw)),
+        }
     }
 
-    // Energy (Eq. 13); DRAM counted per block transferred, like Timeloop.
-    let mut pj = traffic.macs as f64 * energy.epa_mac();
-    for i in 0..NUM_LEVELS - 1 {
-        pj += traffic.accesses(i) as f64 * energy.epa(i);
+    fn perf(&self, traffic: &Traffic, mapping: &Mapping) -> LayerPerf {
+        // Latency: roofline over compute and each memory level (Eq. 12).
+        let mut latency = compute_cycles(traffic.macs, mapping);
+        for i in 0..NUM_LEVELS {
+            let mem = traffic.accesses(i) as f64 / self.bandwidth[i];
+            latency = latency.max(mem);
+        }
+
+        // Energy (Eq. 13); DRAM counted per block transferred, like Timeloop.
+        let mut pj = traffic.macs as f64 * self.energy.epa_mac();
+        for i in 0..NUM_LEVELS - 1 {
+            pj += traffic.accesses(i) as f64 * self.energy.epa(i);
+        }
+        pj += dram_block_words(&traffic.dram_streams) as f64 * self.energy.epa(DRAM);
+
+        LayerPerf {
+            latency_cycles: latency,
+            energy_uj: pj_to_uj(pj),
+        }
     }
-    // Timeloop counts DRAM energy per block accessed: each tensor stream's
-    // total word count is rounded up to whole blocks (§4.6 — the source of
-    // the small-layer divergence in Figure 4).
-    let dram_words: u64 = traffic
-        .dram_streams
+
+    /// [`perf`](Costs::perf)'s EDP with every on-chip term left out:
+    /// latency `max(compute, DRAM accesses / DRAM bandwidth)` and energy
+    /// from the MACs and DRAM blocks alone. Each omitted term is a
+    /// non-negative `max` operand or addend, and rounded `max`, `+` and
+    /// `×` are monotone, so the bound never exceeds the computed EDP. It
+    /// is finite: its factors come from `u64` counts.
+    fn edp_lower_bound(&self, macs: u64, dram: &DramTraffic, mapping: &Mapping) -> f64 {
+        let mem = dram.accesses as f64 / self.bandwidth[DRAM];
+        let latency = compute_cycles(macs, mapping).max(mem);
+        let pj = macs as f64 * self.energy.epa_mac()
+            + dram_block_words(&dram.streams) as f64 * self.energy.epa(DRAM);
+        latency * pj_to_uj(pj)
+    }
+}
+
+/// Cycles of the MACs alone, spread over the mapping's spatial fanout.
+#[inline]
+fn compute_cycles(macs: u64, mapping: &Mapping) -> f64 {
+    macs as f64 / mapping.spatial_product() as f64
+}
+
+/// Timeloop counts DRAM energy per block accessed: each tensor stream's
+/// total word count is rounded up to whole blocks (§4.6 — the source of
+/// the small-layer divergence in Figure 4).
+fn dram_block_words(streams: &[DramStream]) -> u64 {
+    streams
         .iter()
         .map(|s| (s.tile_words * s.transfers).div_ceil(DRAM_BLOCK_WORDS) * DRAM_BLOCK_WORDS)
-        .sum();
-    pj += dram_words as f64 * energy.epa(NUM_LEVELS - 1);
+        .sum()
+}
 
-    LayerPerf {
-        latency_cycles: latency,
-        energy_uj: pj_to_uj(pj),
+/// One layer's reference evaluation on one hardware design, for loops
+/// that evaluate many mappings of the layer and keep the best: everything
+/// that does not depend on the mapping (energies per access, bandwidths,
+/// capacities, the MAC count and the levels holding each tensor) is
+/// worked out once, in [`new`](LayerEvaluator::new).
+///
+/// [`evaluate_below`](LayerEvaluator::evaluate_below) checks that a
+/// mapping fits, computes its DRAM traffic and from it a lower bound on
+/// its EDP, and evaluates the rest only if the bound is below a
+/// threshold. An evaluation returns [`evaluate_layer`]'s result bit for
+/// bit. Building an evaluator or evaluating with it allocates nothing.
+///
+/// # Examples
+///
+/// ```
+/// use dosa_accel::{HardwareConfig, Hierarchy};
+/// use dosa_timeloop::{evaluate_layer, fits, LayerEvaluator, Mapping};
+/// use dosa_workload::Problem;
+///
+/// let p = Problem::conv("l", 3, 3, 28, 28, 64, 64, 1)?;
+/// let (hw, hier) = (HardwareConfig::gemmini_default(), Hierarchy::gemmini());
+/// let m = Mapping::all_at_dram(&p);
+/// assert!(fits(&p, &m, &hw, &hier));
+/// let eval = LayerEvaluator::new(&p, &hw, &hier);
+/// let exact = evaluate_layer(&p, &m, &hw, &hier);
+/// assert_eq!(eval.evaluate_below(&m, f64::INFINITY), Some(exact));
+/// assert!(eval.edp_lower_bound(&m) <= exact.edp());
+/// assert_eq!(eval.evaluate_below(&m, eval.edp_lower_bound(&m)), None);
+/// # Ok::<(), dosa_workload::ProblemError>(())
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct LayerEvaluator<'a> {
+    nest: LayerNest<'a>,
+    capacity: Capacity,
+    costs: Costs,
+}
+
+impl<'a> LayerEvaluator<'a> {
+    /// The evaluator of `problem` on design `hw` of `hier`.
+    pub fn new(problem: &'a Problem, hw: &HardwareConfig, hier: &Hierarchy) -> LayerEvaluator<'a> {
+        LayerEvaluator {
+            nest: LayerNest::new(problem, hier),
+            capacity: Capacity::new(hw),
+            costs: Costs::new(hw, hier),
+        }
+    }
+
+    /// `Some(evaluate_layer(..))` of `mapping` if it [`fits`](crate::fits)
+    /// and its [`edp_lower_bound`](LayerEvaluator::edp_lower_bound) is below
+    /// `threshold` (or NaN); `None` otherwise. A search keeping a mapping
+    /// only if its EDP beats the best so far can pass that best as the
+    /// threshold and lose no keeper. The bound is finite, so an infinite
+    /// threshold evaluates every fitting mapping.
+    pub fn evaluate_below(&self, mapping: &Mapping, threshold: f64) -> Option<LayerPerf> {
+        let extents = self.capacity.admit(self.nest.problem(), mapping)?;
+        let nests = self.nest.dram_nests(mapping, &extents);
+        let dram = self.nest.dram_traffic(&nests);
+        if self.costs.edp_lower_bound(self.nest.macs(), &dram, mapping) >= threshold {
+            return None;
+        }
+        let traffic = self.nest.traffic(nests, mapping, &extents);
+        Some(self.costs.perf(&traffic, mapping))
+    }
+
+    /// A lower bound on `evaluate_layer(..).edp()` of `mapping` from its
+    /// MACs and DRAM traffic alone: at most the EDP as computed, rounding
+    /// included.
+    pub fn edp_lower_bound(&self, mapping: &Mapping) -> f64 {
+        let nests = self.nest.dram_nests(mapping, &Extents::new(mapping));
+        let dram = self.nest.dram_traffic(&nests);
+        self.costs.edp_lower_bound(self.nest.macs(), &dram, mapping)
     }
 }
 

@@ -25,7 +25,7 @@
 //!   identically on both sides of the Figure 4 correlation.
 
 use crate::mapping::Mapping;
-use dosa_accel::{Hierarchy, NUM_LEVELS};
+use dosa_accel::{level, Hierarchy, NUM_LEVELS};
 use dosa_workload::{Dim, DimSet, Problem, Tensor, NUM_DIMS};
 use std::ops::Deref;
 
@@ -202,31 +202,6 @@ pub fn refetch(mapping: &Mapping, i: usize, relevant: DimSet) -> (u64, u64) {
     (rel, x)
 }
 
-/// [`refetch`]'s `rel` and `x` for every level from `lo` up, in one pass
-/// over the loops from the outermost inward. `irr` multiplies the
-/// irrelevant factors seen so far, all outer to the current loop, so at
-/// each non-unit relevant loop it is that loop's `x`; the innermost such
-/// loop at or above a level sets the level's `x`. Entries below `lo` stay 1.
-fn refetches(
-    mapping: &Mapping,
-    lo: usize,
-    relevant: DimSet,
-) -> ([u64; NUM_LEVELS], [u64; NUM_LEVELS]) {
-    let (mut rels, mut xs) = ([1u64; NUM_LEVELS], [1u64; NUM_LEVELS]);
-    let (mut rel, mut irr, mut x) = (1u64, 1u64, 1u64);
-    for j in (lo..NUM_LEVELS).rev() {
-        for &d in mapping.orders[j].dims().iter().rev() {
-            let f = mapping.temporal(j, d);
-            let r = relevant.contains(d);
-            rel *= if r { f } else { 1 };
-            x = if r && f > 1 { irr } else { x };
-            irr *= if r { 1 } else { f };
-        }
-        (rels[j], xs[j]) = (rel, x);
-    }
-    (rels, xs)
-}
-
 /// `n / d`, skipping the division when a spatial discount is 1 (the
 /// common case: most levels carry no irrelevant spatial fanout).
 #[inline]
@@ -238,148 +213,302 @@ fn discounted(n: u64, d: u64) -> u64 {
     }
 }
 
+/// One tensor's view of a mapping, level by level: tile words at the
+/// levels holding it, refetch `(rel, x)` (see [`refetch`]) and the spatial
+/// fanout over the tensor's irrelevant dimensions. Levels are filled from
+/// DRAM inward, one [`step`](TensorNest::step) each; entries below the
+/// lowest filled level hold 0 and are never read.
+#[derive(Debug, Clone, Copy, Default)]
+struct TensorNest {
+    tiles: [u64; NUM_LEVELS],
+    rels: [u64; NUM_LEVELS],
+    xs: [u64; NUM_LEVELS],
+    fanout: [u64; NUM_LEVELS],
+}
+
+impl TensorNest {
+    /// Fill level `j` of tensor `t`, every level above it being filled.
+    ///
+    /// The refetch walk visits the loops from the outermost inward. `irr`
+    /// multiplies the irrelevant factors seen so far, all outer to the
+    /// current loop, so at each non-unit relevant loop it is that loop's
+    /// `x`; the innermost such loop at or above a level sets the level's
+    /// `x`. The fanout product over a range of levels is the broadcast /
+    /// spatial-reduction discount `F_{S,t}` (Eqs. 8, 10).
+    fn step(&mut self, walk: &mut (u64, u64, u64), mapping: &Mapping, t: Tensor, j: usize) {
+        let relevant = t.dims();
+        let (mut rel, mut irr, mut x) = *walk;
+        for &d in mapping.orders[j].dims().iter().rev() {
+            let f = mapping.temporal(j, d);
+            let r = relevant.contains(d);
+            rel *= if r { f } else { 1 };
+            x = if r && f > 1 { irr } else { x };
+            irr *= if r { 1 } else { f };
+        }
+        *walk = (rel, irr, x);
+        (self.rels[j], self.xs[j]) = (rel, x);
+        self.fanout[j] = Dim::ALL
+            .iter()
+            .map(|&d| {
+                if relevant.contains(d) {
+                    1
+                } else {
+                    mapping.spatial(j, d)
+                }
+            })
+            .product();
+    }
+
+    fn discount(&self, lo: usize, hi: usize) -> u64 {
+        self.fanout[lo..=hi].iter().product()
+    }
+
+    /// Words moved into level `i` from its parent over the whole nest:
+    /// one tile per residency.
+    fn fetched(&self, i: usize) -> u64 {
+        self.tiles[i] * self.rels[i] * self.xs[i]
+    }
+
+    /// Words of level `i`'s revisits, the residencies after each
+    /// distinct tile's first.
+    fn refetched(&self, i: usize) -> u64 {
+        self.tiles[i] * self.rels[i] * (self.xs[i] - 1)
+    }
+
+    /// Flows of tensor `t` at `holding[pos]`.
+    #[inline]
+    fn flows(&self, t: Tensor, holding: &[usize], pos: usize, macs: u64) -> TensorFlows {
+        let i = holding[pos];
+        let child = pos.checked_sub(1).map(|c| holding[c]);
+        let is_outer = pos + 1 == holding.len();
+        // What the level below (or the MACs) moves across this level.
+        let from_child = match child {
+            None => discounted(macs, self.discount(0, i)),
+            Some(c) => discounted(self.fetched(c), self.discount(c + 1, i)),
+        };
+        match t {
+            Tensor::Weights | Tensor::Inputs => TensorFlows {
+                // Fills from the parent (paper's Writes), zero at the
+                // outermost level where the data originates.
+                fills: if is_outer { 0 } else { self.fetched(i) },
+                // Reads serving the level below (or the MACs).
+                reads: from_child,
+                updates: 0,
+            },
+            Tensor::Outputs => {
+                let residencies = self.rels[i] * self.xs[i];
+                // Drains: every residency ends by writing the tile up.
+                let drains = if is_outer {
+                    0
+                } else {
+                    self.tiles[i] * residencies
+                };
+                // Updates from below.
+                let updates = from_child;
+                // Reads: RMW partial reads at the innermost level (first
+                // update of each element per residency is elided), plus
+                // drain reads, plus serving the child's partial reloads.
+                let rmw = if child.is_none() {
+                    updates.saturating_sub(self.tiles[i] * residencies)
+                } else {
+                    0
+                };
+                let serve_child = match child {
+                    Some(c) => discounted(self.refetched(c), self.discount(c + 1, i)),
+                    None => 0,
+                };
+                TensorFlows {
+                    // Fills: partial-sum reloads on revisits (first
+                    // residency per distinct tile starts from zeros).
+                    fills: if is_outer { 0 } else { self.refetched(i) },
+                    reads: rmw + drains + serve_child,
+                    updates,
+                }
+            }
+        }
+    }
+}
+
+/// Everything of a layer's traffic analysis that does not depend on the
+/// mapping: the problem, its MAC count (Eq. 7) and the levels holding each
+/// tensor, innermost first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LayerNest<'a> {
+    problem: &'a Problem,
+    macs: u64,
+    held: [[usize; NUM_LEVELS]; 3],
+    held_len: [usize; 3],
+    /// Per tensor, whether the flows read its tile at each level: at
+    /// every holding level below DRAM, and at DRAM only if DRAM alone
+    /// holds it.
+    tiled: [[bool; NUM_LEVELS]; 3],
+    /// Per tensor, the lowest level its DRAM flows read: its holding
+    /// level just below DRAM (level 0 if DRAM alone holds it, since its
+    /// DRAM reads are discounted from level 0 up).
+    dram_lo: [usize; 3],
+}
+
+/// The three tensors' nests of one mapping, each filled from DRAM down
+/// to its level in `lo`. A level's entries depend only on the loops at
+/// and above it, so the DRAM traffic needs each nest only down to the
+/// tensor's holding level just below DRAM, and the rest can be filled
+/// later.
+pub(crate) struct Nests {
+    by_tensor: [TensorNest; 3],
+    /// Each tensor's refetch walk so far: the products of its relevant
+    /// and irrelevant factors, and the `x` of its innermost non-unit
+    /// relevant loop.
+    walks: [(u64, u64, u64); 3],
+    lo: [usize; 3],
+}
+
+/// A mapping's DRAM traffic: its accesses at DRAM (Eq. 12's
+/// `Accesses(DRAM)`) and its DRAM transfer streams.
+pub(crate) struct DramTraffic {
+    pub(crate) accesses: u64,
+    pub(crate) streams: DramStreams,
+}
+
+impl<'a> LayerNest<'a> {
+    pub(crate) fn new(problem: &'a Problem, hier: &Hierarchy) -> LayerNest<'a> {
+        let mut held = [[0usize; NUM_LEVELS]; 3];
+        let mut held_len = [0usize; 3];
+        let mut tiled = [[false; NUM_LEVELS]; 3];
+        let mut dram_lo = [0usize; 3];
+        for t in Tensor::ALL {
+            assert!(hier.level(level::DRAM).stores(t), "DRAM stores everything");
+            let (h, n) = (&mut held[t.index()], &mut held_len[t.index()]);
+            for i in (0..NUM_LEVELS).filter(|&i| hier.level(i).stores(t)) {
+                h[*n] = i;
+                *n += 1;
+            }
+            for &i in &h[..(*n - 1).max(1)] {
+                tiled[t.index()][i] = true;
+            }
+            dram_lo[t.index()] = if *n > 1 { h[*n - 2] } else { 0 };
+        }
+        LayerNest {
+            problem,
+            macs: problem.sizes().iter().product(),
+            held,
+            held_len,
+            tiled,
+            dram_lo,
+        }
+    }
+
+    pub(crate) fn problem(&self) -> &'a Problem {
+        self.problem
+    }
+
+    pub(crate) fn macs(&self) -> u64 {
+        self.macs
+    }
+
+    /// The levels holding `t`, innermost first; the last is DRAM.
+    fn holding(&self, t: Tensor) -> &[usize] {
+        &self.held[t.index()][..self.held_len[t.index()]]
+    }
+
+    /// The nests of `mapping`, whose tile extents are `extents`, filled
+    /// down to the levels [`dram_traffic`](LayerNest::dram_traffic) reads.
+    #[inline]
+    pub(crate) fn dram_nests(&self, mapping: &Mapping, extents: &Extents) -> Nests {
+        let mut nests = Nests {
+            by_tensor: Default::default(),
+            walks: [(1, 1, 1); 3],
+            lo: [NUM_LEVELS; 3],
+        };
+        self.descend(&mut nests, mapping, extents, self.dram_lo);
+        nests
+    }
+
+    /// Fill each tensor's nest down to its level in `to`.
+    fn descend(&self, nests: &mut Nests, mapping: &Mapping, extents: &Extents, to: [usize; 3]) {
+        for t in Tensor::ALL {
+            let k = t.index();
+            let (nest, walk) = (&mut nests.by_tensor[k], &mut nests.walks[k]);
+            for j in (to[k]..nests.lo[k]).rev() {
+                nest.step(walk, mapping, t, j);
+                if self.tiled[k][j] {
+                    nest.tiles[j] = extents.words(self.problem, j, t);
+                }
+            }
+            nests.lo[k] = nests.lo[k].min(to[k]);
+        }
+    }
+
+    /// Tensor `t`'s flows at DRAM, with its DRAM streams pushed onto
+    /// `streams`. Both come from the holding level just below DRAM: the
+    /// tile words there, the refetch `(rel, x)` there and the spatial
+    /// discount above it.
+    fn dram_flows(&self, nests: &Nests, t: Tensor, streams: &mut DramStreams) -> TensorFlows {
+        let (holding, nest) = (self.holding(t), &nests.by_tensor[t.index()]);
+        let outer = holding.len() - 1;
+        if outer > 0 {
+            let c = holding[outer - 1];
+            streams.push(DramStream {
+                tensor: t,
+                tile_words: nest.tiles[c],
+                transfers: nest.rels[c] * nest.xs[c],
+            });
+            // Outputs: a drain stream up plus a reload stream down.
+            if t == Tensor::Outputs && nest.xs[c] > 1 {
+                streams.push(DramStream {
+                    tensor: t,
+                    tile_words: nest.tiles[c],
+                    transfers: nest.rels[c] * (nest.xs[c] - 1),
+                });
+            }
+        }
+        nest.flows(t, holding, outer, self.macs)
+    }
+
+    /// The DRAM traffic of the mapping of `nests`.
+    #[inline]
+    pub(crate) fn dram_traffic(&self, nests: &Nests) -> DramTraffic {
+        let mut streams = DramStreams::new();
+        let mut accesses = 0;
+        for t in Tensor::ALL {
+            accesses += self.dram_flows(nests, t, &mut streams).total();
+        }
+        DramTraffic { accesses, streams }
+    }
+
+    /// The full traffic of `mapping`, filling `nests` the rest of the way
+    /// down.
+    pub(crate) fn traffic(
+        &self,
+        mut nests: Nests,
+        mapping: &Mapping,
+        extents: &Extents,
+    ) -> Traffic {
+        self.descend(&mut nests, mapping, extents, [0; 3]);
+        let mut flows = [[TensorFlows::default(); 3]; NUM_LEVELS];
+        let mut dram_streams = DramStreams::new();
+        for t in Tensor::ALL {
+            let (holding, nest) = (self.holding(t), &nests.by_tensor[t.index()]);
+            for (pos, &i) in holding[..holding.len() - 1].iter().enumerate() {
+                flows[i][t.index()] = nest.flows(t, holding, pos, self.macs);
+            }
+            flows[level::DRAM][t.index()] = self.dram_flows(&nests, t, &mut dram_streams);
+        }
+        Traffic {
+            macs: self.macs,
+            flows,
+            dram_streams,
+        }
+    }
+}
+
 /// Compute the full traffic summary for `mapping` on `problem`.
 ///
 /// The mapping should be valid (see [`Mapping::validate`]); invalid
 /// mappings produce meaningless counts but do not panic.
 pub fn compute_traffic(problem: &Problem, mapping: &Mapping, hier: &Hierarchy) -> Traffic {
-    let macs: u64 = problem.sizes().iter().product();
+    let layer = LayerNest::new(problem, hier);
     let extents = Extents::new(mapping);
-    let mut flows = [[TensorFlows::default(); 3]; NUM_LEVELS];
-    let mut dram_streams = DramStreams::new();
-
-    for t in Tensor::ALL {
-        let rel_dims = t.dims();
-        // The levels holding `t`, innermost first.
-        let mut held = [0usize; NUM_LEVELS];
-        let mut n = 0;
-        for i in (0..NUM_LEVELS).filter(|&i| hier.level(i).stores(t)) {
-            held[n] = i;
-            n += 1;
-        }
-        let holding = &held[..n];
-        let outermost = *holding.last().expect("DRAM stores everything");
-
-        // Per holding level: tile size and refetch counts.
-        let mut tiles = [0u64; NUM_LEVELS];
-        for &i in holding {
-            tiles[i] = extents.words(problem, i, t);
-        }
-        let (rels, xs) = refetches(mapping, holding[0], rel_dims);
-
-        // Spatial fanout over irrelevant dimensions per level: the
-        // broadcast / spatial-reduction discount `F_{S,t}` of levels
-        // `lo..=hi` is the product over that range (Eqs. 8, 10).
-        let mut fanout = [1u64; NUM_LEVELS];
-        for (f, lvl) in fanout.iter_mut().zip(&mapping.spatial) {
-            for d in Dim::ALL {
-                *f *= if rel_dims.contains(d) {
-                    1
-                } else {
-                    lvl[d.index()]
-                };
-            }
-        }
-        let discount = |lo: usize, hi: usize| -> u64 { fanout[lo..=hi].iter().product() };
-
-        for (pos, &i) in holding.iter().enumerate() {
-            let child = if pos > 0 {
-                Some(holding[pos - 1])
-            } else {
-                None
-            };
-            let is_outer = i == outermost;
-            let f = &mut flows[i][t.index()];
-
-            match t {
-                Tensor::Weights | Tensor::Inputs => {
-                    // Fills from the parent (paper's Writes), zero at the
-                    // outermost level where the data originates.
-                    f.fills = if is_outer {
-                        0
-                    } else {
-                        tiles[i] * rels[i] * xs[i]
-                    };
-                    // Reads serving the level below (or the MACs).
-                    f.reads = match child {
-                        None => discounted(macs, discount(0, i)),
-                        Some(c) => {
-                            let child_fills = tiles[c] * rels[c] * xs[c];
-                            discounted(child_fills, discount(c + 1, i))
-                        }
-                    };
-                    if i == outermost && i == dosa_accel::level::DRAM {
-                        if let Some(c) = child {
-                            dram_streams.push(DramStream {
-                                tensor: t,
-                                tile_words: tiles[c],
-                                transfers: rels[c] * xs[c],
-                            });
-                        }
-                    }
-                }
-                Tensor::Outputs => {
-                    let residencies = rels[i] * xs[i];
-                    // Drains: every residency ends by writing the tile up.
-                    let drains = if is_outer { 0 } else { tiles[i] * residencies };
-                    // Fills: partial-sum reloads on revisits (first
-                    // residency per distinct tile starts from zeros).
-                    f.fills = if is_outer {
-                        0
-                    } else {
-                        tiles[i] * rels[i] * (xs[i] - 1)
-                    };
-                    // Updates from below.
-                    f.updates = match child {
-                        None => discounted(macs, discount(0, i)),
-                        Some(c) => {
-                            let child_drains = tiles[c] * rels[c] * xs[c];
-                            discounted(child_drains, discount(c + 1, i))
-                        }
-                    };
-                    // Reads: RMW partial reads at the innermost level (first
-                    // update of each element per residency is elided), plus
-                    // drain reads, plus serving the child's partial reloads.
-                    let rmw = if child.is_none() {
-                        f.updates.saturating_sub(tiles[i] * residencies)
-                    } else {
-                        0
-                    };
-                    let serve_child = match child {
-                        Some(c) => {
-                            let child_refills = tiles[c] * rels[c] * (xs[c] - 1);
-                            discounted(child_refills, discount(c + 1, i))
-                        }
-                        None => 0,
-                    };
-                    f.reads = rmw + drains + serve_child;
-                    if i == outermost && i == dosa_accel::level::DRAM {
-                        if let Some(c) = child {
-                            // Drain stream up + reload stream down.
-                            dram_streams.push(DramStream {
-                                tensor: t,
-                                tile_words: tiles[c],
-                                transfers: rels[c] * xs[c],
-                            });
-                            if xs[c] > 1 {
-                                dram_streams.push(DramStream {
-                                    tensor: t,
-                                    tile_words: tiles[c],
-                                    transfers: rels[c] * (xs[c] - 1),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    Traffic {
-        macs,
-        flows,
-        dram_streams,
-    }
+    layer.traffic(layer.dram_nests(mapping, &extents), mapping, &extents)
 }
 
 #[cfg(test)]
@@ -490,9 +619,14 @@ mod tests {
         for _ in 0..300 {
             let m = sampler.draw(&mut rng);
             for t in Tensor::ALL {
-                let (rels, xs) = refetches(&m, 0, t.dims());
-                for i in 0..NUM_LEVELS {
-                    assert_eq!((rels[i], xs[i]), refetch(&m, i, t.dims()), "{t} at {i}");
+                let (mut nest, mut walk) = (TensorNest::default(), (1, 1, 1));
+                for i in (0..NUM_LEVELS).rev() {
+                    nest.step(&mut walk, &m, t, i);
+                    assert_eq!(
+                        (nest.rels[i], nest.xs[i]),
+                        refetch(&m, i, t.dims()),
+                        "{t} at {i}"
+                    );
                 }
             }
         }
