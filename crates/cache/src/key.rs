@@ -1,5 +1,5 @@
 //! Canonical cache keys: an injective, tagged byte encoding of a work
-//! item's inputs plus a precomputed bucket hash.
+//! item's inputs, with an FNV-1a hash of it computed on demand.
 
 use std::fmt;
 use std::sync::Arc;
@@ -28,25 +28,26 @@ enum Tag {
     Field = 0x06,
 }
 
-/// A finished content-address: the canonical bytes of a fingerprint and
-/// their 64-bit FNV-1a hash.
+/// A finished content-address: the canonical bytes of a fingerprint.
 ///
-/// Equality and `Hash` are **collision-proof by construction**: `Eq`
-/// compares the full canonical bytes (the precomputed hash is only a fast
-/// reject / bucket index), so two distinct fingerprints can never be
-/// conflated no matter how the 64-bit hashes land. Cloning is cheap — the
-/// bytes are behind an `Arc`.
-#[derive(Clone)]
+/// Equality and order compare the full canonical bytes, so two distinct
+/// fingerprints can never be conflated, and deterministic containers
+/// (`BTreeMap`) visit keys in one fixed, run-independent order. Nothing
+/// is hashed while a key is built: [`hash`](CacheKey::hash) computes the
+/// bytes' 64-bit FNV-1a when asked, for `Hash`, `Debug` and callers that
+/// want a digest. Cloning is cheap — the bytes are behind an `Arc`.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CacheKey {
     bytes: Arc<[u8]>,
-    hash: u64,
 }
 
 impl CacheKey {
-    /// The precomputed FNV-1a hash of the canonical bytes: a cheap first
-    /// check in equality, and a bucket for hash-based stores.
+    /// The 64-bit FNV-1a hash of the canonical bytes, computed on each
+    /// call.
     pub fn hash(&self) -> u64 {
-        self.hash
+        self.bytes.iter().fold(FNV_OFFSET, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+        })
     }
 
     /// The canonical byte encoding this key addresses.
@@ -55,35 +56,9 @@ impl CacheKey {
     }
 }
 
-impl PartialEq for CacheKey {
-    fn eq(&self, other: &CacheKey) -> bool {
-        // Hash first (cheap reject), then the bytes (correctness).
-        self.hash == other.hash && self.bytes == other.bytes
-    }
-}
-
-impl Eq for CacheKey {}
-
-// Keys order by their canonical bytes — a total order consistent with
-// `Eq` (the hash is a pure function of the bytes, so it never needs to
-// participate). This is what lets deterministic containers (`BTreeMap`)
-// hold keys: any scan over cached entries visits them in one fixed,
-// run-independent order.
-impl PartialOrd for CacheKey {
-    fn partial_cmp(&self, other: &CacheKey) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for CacheKey {
-    fn cmp(&self, other: &CacheKey) -> std::cmp::Ordering {
-        self.bytes.cmp(&other.bytes)
-    }
-}
-
 impl std::hash::Hash for CacheKey {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
+        state.write_u64(CacheKey::hash(self));
     }
 }
 
@@ -92,7 +67,7 @@ impl fmt::Debug for CacheKey {
         write!(
             f,
             "CacheKey({:016x}, {} bytes)",
-            self.hash,
+            self.hash(),
             self.bytes.len()
         )
     }
@@ -119,15 +94,12 @@ impl fmt::Debug for CacheKey {
 /// assert_ne!(c, d); // type tags keep distinct types apart
 /// ```
 ///
-/// The hash is folded as bytes are written, so a clone of a shared prefix
-/// carries the prefix's hash: extending the clone hashes only the bytes
-/// it appends, and finishing yields the same key as writing every field
-/// from scratch.
+/// Writing a field only appends its bytes, so a clone of a shared prefix
+/// extended by more fields finishes to the same key as writing every
+/// field from scratch.
 #[derive(Debug, Clone)]
 pub struct Fingerprinter {
     buf: Vec<u8>,
-    /// FNV-1a of `buf`.
-    hash: u64,
 }
 
 impl Fingerprinter {
@@ -136,31 +108,28 @@ impl Fingerprinter {
     /// of the downstream fields changes, so stale persisted entries can
     /// never alias new keys.
     pub fn new(schema: &str) -> Fingerprinter {
+        Fingerprinter::with_capacity(schema, 64)
+    }
+
+    /// [`new`](Fingerprinter::new), with room for `capacity` bytes before
+    /// the buffer grows.
+    pub fn with_capacity(schema: &str, capacity: usize) -> Fingerprinter {
         let mut fp = Fingerprinter {
-            buf: Vec::with_capacity(64),
-            hash: FNV_OFFSET,
+            buf: Vec::with_capacity(capacity),
         };
         fp.write_len_prefixed(Tag::Str, schema.as_bytes());
         fp
     }
 
-    /// Append `bytes` and fold them into the hash.
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    fn write_tag(&mut self, tag: Tag) {
-        self.write(&[tag as u8]);
+    /// Append one value: its tag byte, then `payload`.
+    fn write<const N: usize>(&mut self, tag: Tag, payload: [u8; N]) {
+        self.buf.push(tag as u8);
+        self.buf.extend_from_slice(&payload);
     }
 
     fn write_len_prefixed(&mut self, tag: Tag, bytes: &[u8]) {
-        self.write_tag(tag);
-        self.write(&(bytes.len() as u64).to_le_bytes());
-        self.write(bytes);
+        self.write(tag, (bytes.len() as u64).to_le_bytes());
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Mark the start of a named field. Purely structural — it keeps
@@ -173,15 +142,13 @@ impl Fingerprinter {
 
     /// Append an unsigned integer.
     pub fn u64(mut self, v: u64) -> Fingerprinter {
-        self.write_tag(Tag::U64);
-        self.write(&v.to_le_bytes());
+        self.write(Tag::U64, v.to_le_bytes());
         self
     }
 
     /// Append a signed integer.
     pub fn i64(mut self, v: i64) -> Fingerprinter {
-        self.write_tag(Tag::I64);
-        self.write(&v.to_le_bytes());
+        self.write(Tag::I64, v.to_le_bytes());
         self
     }
 
@@ -200,15 +167,13 @@ impl Fingerprinter {
         } else {
             v.to_bits()
         };
-        self.write_tag(Tag::F64);
-        self.write(&bits.to_le_bytes());
+        self.write(Tag::F64, bits.to_le_bytes());
         self
     }
 
     /// Append a boolean.
     pub fn bool(mut self, v: bool) -> Fingerprinter {
-        self.write_tag(Tag::Bool);
-        self.write(&[v as u8]);
+        self.write(Tag::Bool, [v as u8]);
         self
     }
 
@@ -219,13 +184,36 @@ impl Fingerprinter {
         self
     }
 
-    /// Finish: return the key of the canonical bytes and their FNV-1a
-    /// (64-bit) hash, folded as they were written.
+    /// Finish: return the key of the canonical bytes.
     pub fn finish(self) -> CacheKey {
         CacheKey {
             bytes: self.buf.into(),
-            hash: self.hash,
         }
+    }
+
+    /// The key `extend(self.clone()).finish()` returns, with the bytes
+    /// written once, straight into a buffer of the key's exact size: a
+    /// shared prefix extended per item costs one copy of the prefix per
+    /// key.
+    ///
+    /// ```
+    /// use dosa_cache::Fingerprinter;
+    /// let prefix = Fingerprinter::new("demo-v1").str("network");
+    /// let a = prefix.finish_extended(|fp| fp.field("item").u64(3));
+    /// assert_eq!(a, prefix.field("item").u64(3).finish());
+    /// ```
+    pub fn finish_extended(&self, extend: impl FnOnce(Fingerprinter) -> Fingerprinter) -> CacheKey {
+        let suffix = extend(Fingerprinter {
+            buf: Vec::with_capacity(32),
+        })
+        .buf;
+        let len = self.buf.len() + suffix.len();
+        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        // Not yet shared, so this borrows the new buffer and copies nothing.
+        let (head, tail) = Arc::make_mut(&mut bytes).split_at_mut(self.buf.len());
+        head.copy_from_slice(&self.buf);
+        tail.copy_from_slice(&suffix);
+        CacheKey { bytes }
     }
 }
 

@@ -17,10 +17,10 @@
 //!   sequences can never serialize to the same bytes, and floats are
 //!   canonicalized (`-0.0` → `0.0`, every NaN → one quiet-NaN bit
 //!   pattern) before their bits are written.
-//! * [`CacheKey`] — the finished key: the canonical bytes plus a
-//!   precomputed 64-bit FNV-1a hash. Equality compares the **full
-//!   bytes**, so hash collisions can never alias two different work
-//!   items; the hash only buckets.
+//! * [`CacheKey`] — the finished key: the canonical bytes. Equality and
+//!   order compare the **full bytes**, so two different work items can
+//!   never alias; [`CacheKey::hash`] computes a 64-bit FNV-1a of them on
+//!   demand and no store reads it.
 //! * [`CacheStore`] — the storage trait ([`get`](CacheStore::get) /
 //!   [`put`](CacheStore::put)), implemented today by the in-memory
 //!   [`ShardedLru`] and designed so a persistent backend (disk, redis,

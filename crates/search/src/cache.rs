@@ -42,11 +42,12 @@
 //!
 //! Every field but the item index (`start`, `design`) is the same for all
 //! of a network's items, and the index is written last. Planning
-//! therefore fingerprints each network once into a key prefix and extends
-//! a clone of it per item (the fingerprinter folds its hash as it writes,
-//! so an item's key hashes only its index). The public builders are thin
-//! wrappers over the same prefixes, so a key has the same bytes and hash
-//! however it was built; `tests/cache_keys.rs` pins them.
+//! therefore fingerprints each network once into a key prefix and writes
+//! each item's key as the prefix plus its index, straight into one buffer
+//! of the key's size ([`Fingerprinter::finish_extended`]). The public
+//! builders are thin wrappers over the same prefixes, so a key has the
+//! same bytes and hash however it was built; `tests/cache_keys.rs` pins
+//! them.
 //!
 //! Not everything has a stable canonical identity: a learned
 //! [`LatencyPredictor`](crate::LatencyPredictor) (its MLP weights live
@@ -81,9 +82,11 @@ use std::sync::Arc;
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
 /// Start a key under `schema` with one network's hierarchy and layer
-/// shapes, the fields every builder shares.
+/// shapes, the fields every builder shares. The buffer is sized for the
+/// whole key up front: a layer's shape takes about 100 bytes, and the
+/// hierarchy, config and item fields a few hundred.
 fn network_fingerprint(schema: &str, hier: &Hierarchy, layers: &[Layer]) -> Fingerprinter {
-    let fp = Fingerprinter::new(schema);
+    let fp = Fingerprinter::with_capacity(schema, 512 + 112 * layers.len());
     fingerprint_layers(fingerprint_hierarchy(fp, hier), layers)
 }
 
@@ -140,9 +143,8 @@ fn loop_order_name(strategy: LoopOrderStrategy) -> &'static str {
 
 /// Everything in one network's item keys but the item index: schema,
 /// hierarchy, layer shapes, the strategy config and the effective seed.
-/// Planning builds one per network and derives each item's key from a
-/// clone, so a job fingerprints each network once.
-#[derive(Clone)]
+/// Planning builds one per network and extends it into each item's key,
+/// so a job fingerprints each network once.
 pub(crate) struct KeyPrefix {
     fp: Fingerprinter,
     /// The field name the item index is written under.
@@ -152,7 +154,8 @@ pub(crate) struct KeyPrefix {
 impl KeyPrefix {
     /// The key of the network's item `index`.
     pub(crate) fn item_key(&self, index: usize) -> CacheKey {
-        self.fp.clone().field(self.item).u64(index as u64).finish()
+        self.fp
+            .finish_extended(|fp| fp.field(self.item).u64(index as u64))
     }
 }
 
@@ -400,6 +403,26 @@ mod tests {
         assert!(gd_item_key(&hier, &layers(), &Surrogate::Edp, &cfg, 0).is_some());
         let analytical = Surrogate::PredictedLatency(crate::LatencyPredictor::analytical());
         assert!(gd_item_key(&hier, &layers(), &analytical, &cfg, 0).is_some());
+    }
+
+    #[test]
+    fn item_keys_equal_extended_prefix_clones() {
+        let hier = Hierarchy::gemmini();
+        let prefixes = [
+            gd_key_prefix(&hier, &layers(), &Surrogate::Edp, &GdConfig::default()).unwrap(),
+            random_key_prefix(&hier, &layers(), &RandomSearchConfig::default()),
+        ];
+        for prefix in &prefixes {
+            let cloned = |i: u64| prefix.fp.clone().field(prefix.item).u64(i).finish();
+            for i in [0, 1, 255, 256, usize::MAX] {
+                let key = prefix.item_key(i);
+                let old = cloned(i as u64);
+                assert_eq!(key.as_bytes(), old.as_bytes());
+                assert_eq!(key, old);
+                assert_eq!(key.cmp(&old), std::cmp::Ordering::Equal);
+                assert_eq!(key.cmp(&cloned(7)), old.cmp(&cloned(7)));
+            }
+        }
     }
 
     #[test]

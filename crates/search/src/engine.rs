@@ -702,13 +702,20 @@ pub(crate) fn run_segment<L: DiffLoss + ?Sized>(
 /// with the result cache); only the winner's mappings are cloned.
 pub(crate) fn merge_start_results<R: Borrow<SearchResult>>(per_start: Vec<R>) -> SearchResult {
     let mut merged = SearchResult::empty();
+    merged.history = Vec::with_capacity(per_start.iter().map(|r| r.borrow().history.len()).sum());
     let mut winner: Option<&SearchResult> = None;
+    // Each start's points lie in `(offset, offset + r.samples]`, so the
+    // concatenation is already ordered by sample count.
+    let mut best = f64::INFINITY;
     for r in &per_start {
         let r = r.borrow();
         let offset = merged.samples;
-        merged.history.extend(r.history.iter().map(|p| SearchPoint {
-            samples: offset + p.samples,
-            best_edp: p.best_edp,
+        merged.history.extend(r.history.iter().map(|p| {
+            best = best.min(p.best_edp);
+            SearchPoint {
+                samples: offset + p.samples,
+                best_edp: best,
+            }
         }));
         if r.best_edp < merged.best_edp {
             merged.best_edp = r.best_edp;
@@ -719,14 +726,6 @@ pub(crate) fn merge_start_results<R: Borrow<SearchResult>>(per_start: Vec<R>) ->
     if let Some(r) = winner {
         merged.best_hw = r.best_hw;
         merged.best_mappings = r.best_mappings.clone();
-    }
-    // Already ordered by construction; keep the invariant explicit (stable
-    // sort, so equal counts preserve start order).
-    merged.history.sort_by_key(|p| p.samples);
-    let mut best = f64::INFINITY;
-    for p in merged.history.iter_mut() {
-        best = best.min(p.best_edp);
-        p.best_edp = best;
     }
     debug_assert!(
         merged

@@ -1,7 +1,7 @@
 //! Bit parity of the batch expected-improvement scorer.
 //!
 //! BB-BO picks each surrogate-chosen design by scoring candidates with
-//! [`EiScorer`], eight per pass over the Cholesky factor. Every score must
+//! [`EiScorer`], sixteen per pass over the Cholesky factor. Every score must
 //! equal [`GaussianProcess::expected_improvement`] of the same point bit
 //! for bit, whatever the candidate count (full and partial lanes) and
 //! whatever sits in the neighbouring lanes: training points, duplicates,
@@ -87,7 +87,7 @@ fn batch_scores_equal_per_candidate_scores_bit_for_bit() {
         for noise in [0.05, 1e-6] {
             let seed = n as u64 * 31 + u64::from(noise < 0.01);
             let (gp, best, train) = fixture(seed, n, noise);
-            for count in [1, 7, 8, 9, 1000] {
+            for count in [1, 7, 8, 9, 15, 16, 17, 1000] {
                 let cands = candidates(seed + count as u64, count, &train);
                 let what = format!("n={n} noise={noise} count={count}");
                 assert_batch_matches_per_point(&gp, best, &cands, &what);

@@ -8,9 +8,9 @@
 //! property tests.
 
 use crate::divisors::divisors;
+use crate::mapper::improves;
 use crate::mapping::{LoopOrder, Mapping, Stationarity};
-use crate::minhw::fits;
-use crate::perf::{evaluate_layer, LayerPerf};
+use crate::perf::{LayerEvaluator, LayerPerf};
 use dosa_accel::{level, HardwareConfig, Hierarchy, NUM_LEVELS};
 use dosa_workload::{Dim, Problem, NUM_DIMS};
 
@@ -148,17 +148,10 @@ pub fn exhaustive_best(
     hw: &HardwareConfig,
     hier: &Hierarchy,
 ) -> Option<(Mapping, LayerPerf)> {
+    let eval = LayerEvaluator::new(problem, hw, hier);
     let mut best: Option<(Mapping, LayerPerf)> = None;
     enumerate_mappings(problem, hier, hw.pe_side(), |m| {
-        if !fits(problem, m, hw, hier) {
-            return;
-        }
-        let perf = evaluate_layer(problem, m, hw, hier);
-        let better = match &best {
-            None => true,
-            Some((_, b)) => perf.edp() < b.edp(),
-        };
-        if better {
+        if let Some(Some(perf)) = improves(&eval, m, &best) {
             best = Some((m.clone(), perf));
         }
     })?;

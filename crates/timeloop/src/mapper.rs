@@ -4,8 +4,7 @@
 
 use crate::divisors::factorize;
 use crate::mapping::{LoopOrder, Mapping, Stationarity};
-use crate::minhw::fits;
-use crate::perf::{evaluate_layer, LayerPerf};
+use crate::perf::{LayerEvaluator, LayerPerf};
 use dosa_accel::{HardwareConfig, Hierarchy, MAX_PE_SIDE, NUM_LEVELS};
 use dosa_workload::{Dim, Problem, NUM_DIMS};
 use rand::Rng;
@@ -174,7 +173,9 @@ pub struct MapperResult {
 /// `problem`, keep those that fit `hw`, and return the best by per-layer EDP.
 ///
 /// Returns `None` if no sampled mapping fits (e.g. the problem's minimum
-/// footprint exceeds the buffers).
+/// footprint exceeds the buffers). A fitting draw is evaluated in full
+/// only if [`LayerEvaluator::fitting_below`] says it could beat the best
+/// so far; one that cannot would not be kept.
 pub fn random_pruned_search(
     rng: &mut impl Rng,
     problem: &Problem,
@@ -183,36 +184,43 @@ pub fn random_pruned_search(
     samples: usize,
 ) -> Option<MapperResult> {
     let sampler = MapSampler::new(problem, hier, hw.pe_side());
-    let mut best: Option<MapperResult> = None;
+    let eval = LayerEvaluator::new(problem, hw, hier);
+    let mut best: Option<(Mapping, LayerPerf)> = None;
     let mut valid = 0usize;
     for _ in 0..samples {
         let m = sampler.draw(rng);
-        if !fits(problem, &m, hw, hier) {
+        let Some(better) = improves(&eval, &m, &best) else {
             continue;
-        }
-        valid += 1;
-        let perf = evaluate_layer(problem, &m, hw, hier);
-        let better = match &best {
-            None => true,
-            Some(b) => perf.edp() < b.perf.edp(),
         };
-        if better {
-            best = Some(MapperResult {
-                mapping: m,
-                perf,
-                valid_samples: 0,
-            });
+        valid += 1;
+        if let Some(perf) = better {
+            best = Some((m, perf));
         }
     }
-    best.map(|mut b| {
-        b.valid_samples = valid;
-        b
+    best.map(|(mapping, perf)| MapperResult {
+        mapping,
+        perf,
+        valid_samples: valid,
     })
+}
+
+/// One step of a keep-the-best fold over mappings of one layer: `None`
+/// if `m` does not fit, otherwise `Some` of its performance if its EDP
+/// beats `best`'s (or nothing is kept yet) and `Some(None)` if not.
+pub(crate) fn improves(
+    eval: &LayerEvaluator<'_>,
+    m: &Mapping,
+    best: &Option<(Mapping, LayerPerf)>,
+) -> Option<Option<LayerPerf>> {
+    let threshold = best.as_ref().map_or(f64::INFINITY, |(_, b)| b.edp());
+    let perf = eval.fitting_below(m, threshold)?;
+    Some(perf.filter(|p| best.as_ref().is_none_or(|(_, b)| p.edp() < b.edp())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{evaluate_layer, fits};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

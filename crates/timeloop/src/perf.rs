@@ -198,14 +198,21 @@ impl<'a> LayerEvaluator<'a> {
     /// threshold and lose no keeper. The bound is finite, so an infinite
     /// threshold evaluates every fitting mapping.
     pub fn evaluate_below(&self, mapping: &Mapping, threshold: f64) -> Option<LayerPerf> {
+        self.fitting_below(mapping, threshold).flatten()
+    }
+
+    /// [`evaluate_below`](LayerEvaluator::evaluate_below) for a search that
+    /// also counts the mappings that fit: `None` if `mapping` does not
+    /// [`fits`](crate::fits), otherwise `Some` of `evaluate_below`'s result.
+    pub fn fitting_below(&self, mapping: &Mapping, threshold: f64) -> Option<Option<LayerPerf>> {
         let extents = self.capacity.admit(self.nest.problem(), mapping)?;
         let nests = self.nest.dram_nests(mapping, &extents);
         let dram = self.nest.dram_traffic(&nests);
         if self.costs.edp_lower_bound(self.nest.macs(), &dram, mapping) >= threshold {
-            return None;
+            return Some(None);
         }
         let traffic = self.nest.traffic(nests, mapping, &extents);
-        Some(self.costs.perf(&traffic, mapping))
+        Some(Some(self.costs.perf(&traffic, mapping)))
     }
 
     /// A lower bound on `evaluate_layer(..).edp()` of `mapping` from its
