@@ -42,12 +42,12 @@
 //!
 //! Every field but the item index (`start`, `design`) is the same for all
 //! of a network's items, and the index is written last. Planning
-//! therefore fingerprints each network once into a key prefix and writes
-//! each item's key as the prefix plus its index, straight into one buffer
-//! of the key's size ([`Fingerprinter::finish_extended`]). The public
-//! builders are thin wrappers over the same prefixes, so a key has the
-//! same bytes and hash however it was built; `tests/cache_keys.rs` pins
-//! them.
+//! therefore fingerprints each network once into a key prefix, writes its
+//! first item's key as the prefix plus the index into one buffer of the
+//! key's size, and rewrites only the index bytes for each further item
+//! ([`Fingerprinter::indexed_keys`]). The public builders are thin
+//! wrappers over the same prefixes, so a key has the same bytes and hash
+//! however it was built; `tests/cache_keys.rs` pins them.
 //!
 //! Not everything has a stable canonical identity: a learned
 //! [`LatencyPredictor`](crate::LatencyPredictor) (its MLP weights live
@@ -156,6 +156,12 @@ impl KeyPrefix {
     pub(crate) fn item_key(&self, index: usize) -> CacheKey {
         self.fp
             .finish_extended(|fp| fp.field(self.item).u64(index as u64))
+    }
+
+    /// The keys of items `0..count` in order, each written over the last
+    /// ([`Fingerprinter::indexed_keys`]).
+    pub(crate) fn item_keys(&self, count: usize) -> impl Iterator<Item = CacheKey> {
+        self.fp.indexed_keys(self.item, 0..count as u64)
     }
 }
 
@@ -421,6 +427,9 @@ mod tests {
                 assert_eq!(key, old);
                 assert_eq!(key.cmp(&old), std::cmp::Ordering::Equal);
                 assert_eq!(key.cmp(&cloned(7)), old.cmp(&cloned(7)));
+            }
+            for (i, key) in prefix.item_keys(300).enumerate() {
+                assert_eq!(key, prefix.item_key(i));
             }
         }
     }

@@ -133,7 +133,7 @@
 //! resubmitting a degraded job resumes from its finished prefix.
 
 use crate::bbbo::{run_bayesian_search, BbboConfig};
-use crate::cache::{self, ResultCache};
+use crate::cache::{self, KeyPrefix, ResultCache};
 use crate::engine::{
     merge_start_results, run_segment, DescentState, DiffLoss, EdpLoss, PredictedLatencyLoss,
     ProgressCounters, StartControl,
@@ -1018,7 +1018,7 @@ fn plan_gd(job: &JobShared, net_index: usize, cfg: &GdConfig, plan: &mut JobPlan
         .cache
         .as_ref()
         .and_then(|_| cache::gd_key_prefix(hier, layers, &request.surrogate, &cfg));
-    let keys = (0..cfg.start_points).map(|i| prefix.as_ref().map(|p| p.item_key(i)));
+    let keys = item_keys(prefix.as_ref(), cfg.start_points);
     plan.network(job, net_index, keys, || {
         let (_, opts) = build_surrogate(&request.surrogate, layers, hier, &cfg);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -1035,6 +1035,16 @@ fn plan_gd(job: &JobShared, net_index: usize, cfg: &GdConfig, plan: &mut JobPlan
             .enumerate()
             .map(move |(start_index, start)| gd_task(start_index, start, cfg))
     });
+}
+
+/// The keys of one network's `count` items in plan order, or `count`
+/// `None`s when the job has no cache (or the items have no stable key).
+fn item_keys(
+    prefix: Option<&KeyPrefix>,
+    count: usize,
+) -> impl Iterator<Item = Option<CacheKey>> + '_ {
+    let mut keys = prefix.map(|p| p.item_keys(count));
+    (0..count).map(move |_| keys.as_mut().and_then(Iterator::next))
 }
 
 /// A not-yet-started descent from start point `start_index`.
@@ -1058,7 +1068,7 @@ fn plan_random(job: &JobShared, net_index: usize, cfg: &RandomSearchConfig, plan
         .cache
         .as_ref()
         .map(|_| cache::random_key_prefix(&request.hier, layers, &cfg));
-    let keys = (0..cfg.num_hw).map(|i| prefix.as_ref().map(|p| p.item_key(i)));
+    let keys = item_keys(prefix.as_ref(), cfg.num_hw);
     plan.network(job, net_index, keys, || {
         plan_random_designs(&cfg)
             .into_iter()
