@@ -5,7 +5,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dosa_accel::{HardwareConfig, Hierarchy};
 use dosa_rtl::RtlConfig;
-use dosa_search::{cosa_mapping, dosa_search_rtl, evaluate_rtl, GdConfig, LatencyPredictor};
+use dosa_search::{
+    cosa_mapping, dosa_search_rtl, evaluate_rtl, GdConfig, LatencyPredictor, SearchService,
+};
 use dosa_timeloop::Mapping;
 use dosa_workload::{unique_layers, Network};
 use std::hint::black_box;
@@ -13,6 +15,7 @@ use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
     let hier = Hierarchy::gemmini();
+    let service = SearchService::builder().build();
     let rtl_cfg = RtlConfig::default();
     let layers = unique_layers(Network::Bert);
 
@@ -30,7 +33,13 @@ fn bench(c: &mut Criterion) {
         fixed_pe_side: Some(16),
         ..GdConfig::default()
     };
-    let res = dosa_search_rtl(&layers, &hier, &cfg, &LatencyPredictor::analytical());
+    let res = dosa_search_rtl(
+        &service,
+        &layers,
+        &hier,
+        &cfg,
+        &LatencyPredictor::analytical(),
+    );
     let measured = evaluate_rtl(&layers, &res.best_mappings, &res.best_hw, &hier, &rtl_cfg);
     println!(
         "fig12 mini (BERT): default {:.3e} | DOSA analytical {:.3e} ({:.2}x) | buffers {}",
@@ -53,6 +62,7 @@ fn bench(c: &mut Criterion) {
                 ..GdConfig::default()
             };
             black_box(dosa_search_rtl(
+                &service,
                 &layers[..2],
                 &hier,
                 &cfg,

@@ -6,13 +6,14 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dosa_accel::{HardwareConfig, Hierarchy};
 use dosa_autodiff::Tape;
 use dosa_model::{build_loss, LossOptions, RelaxedMapping};
-use dosa_search::{cosa_mapping, dosa_search, GdConfig, LoopOrderStrategy};
+use dosa_search::{cosa_mapping, dosa_search, GdConfig, LoopOrderStrategy, SearchService};
 use dosa_workload::{unique_layers, Network};
 use std::hint::black_box;
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
     let hier = Hierarchy::gemmini();
+    let service = SearchService::builder().build();
     let layers: Vec<_> = unique_layers(Network::Bert).into_iter().take(3).collect();
     for strat in [
         LoopOrderStrategy::Baseline,
@@ -26,7 +27,7 @@ fn bench(c: &mut Criterion) {
             strategy: strat,
             ..GdConfig::default()
         };
-        let res = dosa_search(&layers, &hier, &cfg);
+        let res = dosa_search(&service, &layers, &hier, &cfg);
         println!("fig6 mini {strat:?}: best EDP {:.3e}", res.best_edp);
     }
 

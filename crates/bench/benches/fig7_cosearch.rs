@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dosa_accel::Hierarchy;
 use dosa_search::{
     bayesian_search, dosa_search, random_hw, random_search, BbboConfig, GdConfig,
-    RandomSearchConfig,
+    RandomSearchConfig, SearchService,
 };
 use dosa_timeloop::{evaluate_layer, fits, MapSampler};
 use dosa_workload::{unique_layers, Network};
@@ -18,9 +18,11 @@ use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
     let hier = Hierarchy::gemmini();
+    let service = SearchService::builder().build();
     let layers = unique_layers(Network::Bert);
 
     let dosa = dosa_search(
+        &service,
         &layers,
         &hier,
         &GdConfig {
@@ -31,6 +33,7 @@ fn bench(c: &mut Criterion) {
         },
     );
     let random = random_search(
+        &service,
         &layers,
         &hier,
         &RandomSearchConfig {
@@ -40,6 +43,7 @@ fn bench(c: &mut Criterion) {
         },
     );
     let bo = bayesian_search(
+        &service,
         &layers,
         &hier,
         &BbboConfig {

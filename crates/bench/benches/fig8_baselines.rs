@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dosa_accel::{all_baselines, Hierarchy};
-use dosa_search::{dosa_search, evaluate_with_random_mapper, GdConfig};
+use dosa_search::{dosa_search, evaluate_with_random_mapper, GdConfig, SearchService};
 use dosa_timeloop::random_pruned_search;
 use dosa_workload::{unique_layers, Network};
 use rand::rngs::StdRng;
@@ -14,6 +14,7 @@ use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
     let hier = Hierarchy::gemmini();
+    let service = SearchService::builder().build();
     let layers = unique_layers(Network::Bert);
 
     for baseline in all_baselines() {
@@ -21,6 +22,7 @@ fn bench(c: &mut Criterion) {
         println!("fig8 mini {}: EDP {:.3e}", baseline.name, perf.edp());
     }
     let dosa = dosa_search(
+        &service,
         &layers,
         &hier,
         &GdConfig {

@@ -3,16 +3,18 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dosa_accel::{HardwareConfig, Hierarchy};
-use dosa_search::{cosa_mapping, dosa_search, evaluate_with_cosa, GdConfig};
+use dosa_search::{cosa_mapping, dosa_search, evaluate_with_cosa, GdConfig, SearchService};
 use dosa_workload::{unique_layers, Network};
 use std::hint::black_box;
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
     let hier = Hierarchy::gemmini();
+    let service = SearchService::builder().build();
     let layers: Vec<_> = unique_layers(Network::Bert).into_iter().take(4).collect();
 
     let dosa = dosa_search(
+        &service,
         &layers,
         &hier,
         &GdConfig {

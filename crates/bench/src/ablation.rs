@@ -13,7 +13,7 @@
 use crate::plot::{table, write_csv};
 use crate::scale::Scale;
 use dosa_accel::{HardwareConfig, Hierarchy};
-use dosa_search::{dosa_search, GdConfig};
+use dosa_search::{dosa_search, GdConfig, SearchService};
 use dosa_timeloop::exhaustive_best;
 use dosa_workload::{unique_layers, Layer, Network, Problem};
 use std::path::Path;
@@ -42,7 +42,7 @@ fn base_cfg(scale: Scale, seed: u64) -> GdConfig {
 }
 
 /// Ablation: rounding frequency sweep at a fixed step budget.
-pub fn rounding_frequency(scale: Scale, seed: u64) -> Vec<(usize, f64)> {
+pub fn rounding_frequency(service: &SearchService, scale: Scale, seed: u64) -> Vec<(usize, f64)> {
     let layers = bert_subset();
     let hier = Hierarchy::gemmini();
     let base = base_cfg(scale, seed);
@@ -52,14 +52,14 @@ pub fn rounding_frequency(scale: Scale, seed: u64) -> Vec<(usize, f64)> {
             round_every: (base.steps_per_start / divisor).max(1),
             ..base
         };
-        let res = dosa_search(&layers, &hier, &cfg);
+        let res = dosa_search(service, &layers, &hier, &cfg);
         rows.push((cfg.round_every, res.best_edp));
     }
     rows
 }
 
 /// Ablation: learning-rate sweep.
-pub fn learning_rate(scale: Scale, seed: u64) -> Vec<(f64, f64)> {
+pub fn learning_rate(service: &SearchService, scale: Scale, seed: u64) -> Vec<(f64, f64)> {
     let layers = bert_subset();
     let hier = Hierarchy::gemmini();
     let base = base_cfg(scale, seed);
@@ -70,14 +70,18 @@ pub fn learning_rate(scale: Scale, seed: u64) -> Vec<(f64, f64)> {
                 learning_rate: lr,
                 ..base
             };
-            (lr, dosa_search(&layers, &hier, &cfg).best_edp)
+            (lr, dosa_search(service, &layers, &hier, &cfg).best_edp)
         })
         .collect()
 }
 
 /// Ablation: budget split between start points and steps per start, at a
 /// constant total number of gradient steps.
-pub fn startpoint_split(scale: Scale, seed: u64) -> Vec<(usize, usize, f64)> {
+pub fn startpoint_split(
+    service: &SearchService,
+    scale: Scale,
+    seed: u64,
+) -> Vec<(usize, usize, f64)> {
     let layers = bert_subset();
     let hier = Hierarchy::gemmini();
     let base = base_cfg(scale, seed);
@@ -91,7 +95,7 @@ pub fn startpoint_split(scale: Scale, seed: u64) -> Vec<(usize, usize, f64)> {
             round_every: (steps / 3).max(1),
             ..base
         };
-        let res = dosa_search(&layers, &hier, &cfg);
+        let res = dosa_search(service, &layers, &hier, &cfg);
         rows.push((starts, steps, res.best_edp));
     }
     rows
@@ -99,7 +103,7 @@ pub fn startpoint_split(scale: Scale, seed: u64) -> Vec<(usize, usize, f64)> {
 
 /// Ablation: gap between the GD pipeline and the exhaustive optimum on an
 /// enumerable layer with fixed hardware. Returns `(gd_edp, optimal_edp)`.
-pub fn optimality_gap(scale: Scale, seed: u64) -> (f64, f64) {
+pub fn optimality_gap(service: &SearchService, scale: Scale, seed: u64) -> (f64, f64) {
     let problem = Problem::conv("enum", 1, 1, 4, 4, 16, 16, 1).expect("valid");
     let hier = Hierarchy::gemmini();
     let hw = HardwareConfig::new(8, 4.0, 8.0).expect("valid");
@@ -112,15 +116,15 @@ pub fn optimality_gap(scale: Scale, seed: u64) -> (f64, f64) {
         fixed_pe_side: Some(8),
         ..base_cfg(scale, seed)
     };
-    let res = dosa_search(&layers, &hier, &cfg);
+    let res = dosa_search(service, &layers, &hier, &cfg);
     let perf = dosa_timeloop::evaluate_layer(&problem, &res.best_mappings[0], &hw, &hier);
     (perf.edp(), best.edp())
 }
 
 /// Run and print every ablation.
-pub fn run(scale: Scale, seed: u64, out_dir: &Path) {
+pub fn run(service: &SearchService, scale: Scale, seed: u64, out_dir: &Path) {
     println!("Ablation — rounding frequency (BERT, fixed step budget)");
-    let rf = rounding_frequency(scale, seed);
+    let rf = rounding_frequency(service, scale, seed);
     let rows: Vec<Vec<String>> = rf
         .iter()
         .map(|(n, e)| vec![format!("every {n} steps"), format!("{e:.3e}")])
@@ -136,7 +140,7 @@ pub fn run(scale: Scale, seed: u64, out_dir: &Path) {
     );
 
     println!("Ablation — Adam learning rate");
-    let lr = learning_rate(scale, seed);
+    let lr = learning_rate(service, scale, seed);
     let rows: Vec<Vec<String>> = lr
         .iter()
         .map(|(l, e)| vec![format!("{l}"), format!("{e:.3e}")])
@@ -152,7 +156,7 @@ pub fn run(scale: Scale, seed: u64, out_dir: &Path) {
     );
 
     println!("Ablation — start points vs steps (constant budget)");
-    let sp = startpoint_split(scale, seed);
+    let sp = startpoint_split(service, scale, seed);
     let rows: Vec<Vec<String>> = sp
         .iter()
         .map(|(s, st, e)| vec![format!("{s} x {st}"), format!("{e:.3e}")])
@@ -168,7 +172,7 @@ pub fn run(scale: Scale, seed: u64, out_dir: &Path) {
     );
 
     println!("Ablation — GD vs exhaustive optimum (enumerable layer, fixed HW)");
-    let (gd, opt) = optimality_gap(scale, seed);
+    let (gd, opt) = optimality_gap(service, scale, seed);
     println!(
         "  GD pipeline: {gd:.4e}  exhaustive optimum: {opt:.4e}  gap: {:.2}x\n",
         gd / opt
@@ -181,7 +185,7 @@ mod tests {
 
     #[test]
     fn gd_lands_near_the_exhaustive_optimum() {
-        let (gd, opt) = optimality_gap(Scale::Quick, 3);
+        let (gd, opt) = optimality_gap(&SearchService::builder().build(), Scale::Quick, 3);
         assert!(gd >= opt * (1.0 - 1e-12), "gd beat the oracle?");
         assert!(
             gd <= opt * 5.0,
@@ -197,6 +201,7 @@ mod tests {
             Problem::conv("s", 1, 1, 8, 8, 16, 16, 1).unwrap(),
         )];
         let hier = Hierarchy::gemmini();
+        let service = SearchService::builder().build();
         for divisor in [1usize, 2] {
             let cfg = GdConfig {
                 start_points: 1,
@@ -204,7 +209,7 @@ mod tests {
                 round_every: (40 / divisor).max(1),
                 ..GdConfig::default()
             };
-            let res = dosa_search(&layers, &hier, &cfg);
+            let res = dosa_search(&service, &layers, &hier, &cfg);
             assert!(res.best_edp.is_finite());
         }
     }

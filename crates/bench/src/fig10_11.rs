@@ -14,7 +14,7 @@ use dosa_rtl::simulate_latency;
 use dosa_rtl::RtlConfig;
 use dosa_search::{
     dosa_search_rtl, generate_rtl_dataset, GdConfig, LatencyModelKind, LatencyPredictor,
-    RtlDataset, RtlSample,
+    RtlDataset, RtlSample, SearchService,
 };
 use dosa_timeloop::min_hw_for_all;
 use dosa_workload::{dedup_layers, unique_layers, Network};
@@ -99,7 +99,12 @@ pub fn train_predictors(
 /// Collect DOSA-generated mappings of the target workloads by running the
 /// fixed-PE RTL search with the analytical model, then measuring each
 /// chosen mapping on the RTL simulator (the Figure 11 dataset).
-pub fn dosa_generated_samples(scale: Scale, seed: u64, hier: &Hierarchy) -> Vec<RtlSample> {
+pub fn dosa_generated_samples(
+    service: &SearchService,
+    scale: Scale,
+    seed: u64,
+    hier: &Hierarchy,
+) -> Vec<RtlSample> {
     let mut samples = Vec::new();
     let rtl_cfg = RtlConfig::default();
     for (i, network) in Network::TARGETS.into_iter().enumerate() {
@@ -123,7 +128,13 @@ pub fn dosa_generated_samples(scale: Scale, seed: u64, hier: &Hierarchy) -> Vec<
                 },
             }
         };
-        let res = dosa_search_rtl(&layers, hier, &cfg, &LatencyPredictor::analytical());
+        let res = dosa_search_rtl(
+            service,
+            &layers,
+            hier,
+            &cfg,
+            &LatencyPredictor::analytical(),
+        );
         let pairs: Vec<_> = layers
             .iter()
             .zip(&res.best_mappings)
@@ -148,11 +159,11 @@ pub fn dosa_generated_samples(scale: Scale, seed: u64, hier: &Hierarchy) -> Vec<
 }
 
 /// Run the Figure 10 + 11 studies.
-pub fn run(scale: Scale, seed: u64, out_dir: &Path) -> Fig1011Result {
+pub fn run(service: &SearchService, scale: Scale, seed: u64, out_dir: &Path) -> Fig1011Result {
     let hier = Hierarchy::gemmini();
     let (predictors, test) = train_predictors(scale, seed, &hier);
     let fig10 = accuracy(&predictors, &test, &hier);
-    let dosa_samples = dosa_generated_samples(scale, seed + 1000, &hier);
+    let dosa_samples = dosa_generated_samples(service, scale, seed + 1000, &hier);
     let fig11 = accuracy(&predictors, &dosa_samples, &hier);
 
     let rows = vec![

@@ -13,7 +13,7 @@ use crate::plot::{geomean, table, write_csv};
 use crate::scale::Scale;
 use dosa_accel::{HardwareConfig, Hierarchy};
 use dosa_rtl::RtlConfig;
-use dosa_search::{cosa_mapping, dosa_search_rtl, evaluate_rtl, GdConfig};
+use dosa_search::{cosa_mapping, dosa_search_rtl, evaluate_rtl, GdConfig, SearchService};
 use dosa_timeloop::Mapping;
 use dosa_workload::{unique_layers, Network};
 use std::path::Path;
@@ -39,7 +39,7 @@ pub struct Fig12Result {
 }
 
 /// Run Figure 12 (and print Table 7).
-pub fn run(scale: Scale, seed: u64, out_dir: &Path) -> Fig12Result {
+pub fn run(service: &SearchService, scale: Scale, seed: u64, out_dir: &Path) -> Fig12Result {
     let hier = Hierarchy::gemmini();
     let rtl_cfg = RtlConfig::default();
     let (predictors, _) = train_predictors(scale, seed, &hier);
@@ -65,7 +65,7 @@ pub fn run(scale: Scale, seed: u64, out_dir: &Path) -> Fig12Result {
                 seed: seed + (wi * 3 + pi) as u64,
                 ..scale.gd_main(seed + (wi * 3 + pi) as u64)
             };
-            let res = dosa_search_rtl(&layers, &hier, &cfg, predictor);
+            let res = dosa_search_rtl(service, &layers, &hier, &cfg, predictor);
             let measured = evaluate_rtl(&layers, &res.best_mappings, &res.best_hw, &hier, &rtl_cfg);
             model_edps[pi] = measured.edp();
             if pi == 2 {

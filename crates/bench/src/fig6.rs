@@ -8,7 +8,7 @@
 use crate::plot::{ascii_log_chart, mean_ci, write_csv, Series};
 use crate::scale::Scale;
 use dosa_accel::Hierarchy;
-use dosa_search::{dosa_search, LoopOrderStrategy, SearchResult};
+use dosa_search::{dosa_search, LoopOrderStrategy, SearchResult, SearchService};
 use dosa_workload::{unique_layers, Network};
 use std::path::Path;
 
@@ -61,7 +61,13 @@ pub fn mean_curve(results: &[SearchResult], grid_points: usize) -> Vec<(f64, f64
 }
 
 /// Run Figure 6 for one workload.
-pub fn run_network(scale: Scale, network: Network, seed: u64, out_dir: &Path) -> Fig6Result {
+pub fn run_network(
+    service: &SearchService,
+    scale: Scale,
+    network: Network,
+    seed: u64,
+    out_dir: &Path,
+) -> Fig6Result {
     let layers = unique_layers(network);
     let hier = Hierarchy::gemmini();
     let strategies = [
@@ -79,7 +85,7 @@ pub fn run_network(scale: Scale, network: Network, seed: u64, out_dir: &Path) ->
                 // Same start points across methods (§6.2): seed depends on
                 // the run index only.
                 let cfg = scale.gd_fig6(strat, seed + r as u64);
-                dosa_search(&layers, &hier, &cfg)
+                dosa_search(service, &layers, &hier, &cfg)
             })
             .collect();
         let finals: Vec<f64> = results.iter().map(|r| r.best_edp).collect();
@@ -142,10 +148,10 @@ pub fn run_network(scale: Scale, network: Network, seed: u64, out_dir: &Path) ->
 }
 
 /// Run Figure 6 on the paper's two workloads (ResNet-50 and BERT).
-pub fn run(scale: Scale, seed: u64, out_dir: &Path) -> Vec<Fig6Result> {
+pub fn run(service: &SearchService, scale: Scale, seed: u64, out_dir: &Path) -> Vec<Fig6Result> {
     [Network::ResNet50, Network::Bert]
         .into_iter()
-        .map(|n| run_network(scale, n, seed, out_dir))
+        .map(|n| run_network(service, scale, n, seed, out_dir))
         .collect()
 }
 

@@ -81,32 +81,35 @@ fn collect_runs(job: JobHandle) -> Vec<SearchResult> {
 /// [`Strategy`] jobs queued on one service (each run a batch entry), not
 /// three hand-rolled loops. Every run is bit-identical to a standalone
 /// submission with the same seed.
-pub fn run_network(scale: Scale, network: Network, seed: u64, out_dir: &Path) -> Fig7Result {
+pub fn run_network(
+    service: &SearchService,
+    scale: Scale,
+    network: Network,
+    seed: u64,
+    out_dir: &Path,
+) -> Fig7Result {
     let layers = unique_layers(network);
     let runs = scale.runs(5);
-    let service = SearchService::builder()
-        .threads(rayon::current_num_threads())
-        .build();
 
     // All three jobs are submitted up front and run concurrently, their
     // work items sharing the service's worker slots; results are
     // interleaving-invariant, so this only shortens wall-clock time.
     let dosa_job = submit_runs(
-        &service,
+        service,
         &layers,
         Strategy::GradientDescent(scale.gd_main(seed)),
         runs,
         seed,
     );
     let random_job = submit_runs(
-        &service,
+        service,
         &layers,
         Strategy::Random(scale.random_search(seed)),
         runs,
         seed + 100,
     );
     let bbbo_job = submit_runs(
-        &service,
+        service,
         &layers,
         Strategy::BayesOpt(scale.bbbo(seed)),
         runs,
@@ -180,10 +183,10 @@ pub fn run_network(scale: Scale, network: Network, seed: u64, out_dir: &Path) ->
 
 /// Run Figure 7 across all four target workloads and report the geometric
 /// mean improvements.
-pub fn run(scale: Scale, seed: u64, out_dir: &Path) -> Vec<Fig7Result> {
+pub fn run(service: &SearchService, scale: Scale, seed: u64, out_dir: &Path) -> Vec<Fig7Result> {
     let results: Vec<Fig7Result> = Network::TARGETS
         .into_iter()
-        .map(|n| run_network(scale, n, seed, out_dir))
+        .map(|n| run_network(service, scale, n, seed, out_dir))
         .collect();
     let vs_random: Vec<f64> = results.iter().map(|r| r.ratio_vs_dosa("Random")).collect();
     let vs_bbbo: Vec<f64> = results.iter().map(|r| r.ratio_vs_dosa("BB-BO")).collect();

@@ -9,7 +9,7 @@
 use crate::plot::{ascii_bars, write_csv};
 use crate::scale::Scale;
 use dosa_accel::{all_baselines, Hierarchy};
-use dosa_search::{dosa_search, evaluate_with_random_mapper};
+use dosa_search::{dosa_search, evaluate_with_random_mapper, SearchService};
 use dosa_workload::{unique_layers, Network};
 use std::path::Path;
 
@@ -34,7 +34,13 @@ impl Fig8Result {
 }
 
 /// Run Figure 8 for one workload.
-pub fn run_network(scale: Scale, network: Network, seed: u64, out_dir: &Path) -> Fig8Result {
+pub fn run_network(
+    service: &SearchService,
+    scale: Scale,
+    network: Network,
+    seed: u64,
+    out_dir: &Path,
+) -> Fig8Result {
     let layers = unique_layers(network);
     let hier = Hierarchy::gemmini();
     let per_layer = scale.fig8_mappings_per_layer();
@@ -47,7 +53,7 @@ pub fn run_network(scale: Scale, network: Network, seed: u64, out_dir: &Path) ->
     }
 
     // DOSA-optimized Gemmini-TL (one full search run).
-    let dosa = dosa_search(&layers, &hier, &scale.gd_main(seed));
+    let dosa = dosa_search(service, &layers, &hier, &scale.gd_main(seed));
     rows.push(("Gemmini DOSA".to_string(), dosa.best_edp));
 
     let csv: Vec<Vec<String>> = rows
@@ -80,9 +86,9 @@ pub fn run_network(scale: Scale, network: Network, seed: u64, out_dir: &Path) ->
 }
 
 /// Run Figure 8 across the four target workloads.
-pub fn run(scale: Scale, seed: u64, out_dir: &Path) -> Vec<Fig8Result> {
+pub fn run(service: &SearchService, scale: Scale, seed: u64, out_dir: &Path) -> Vec<Fig8Result> {
     Network::TARGETS
         .into_iter()
-        .map(|n| run_network(scale, n, seed, out_dir))
+        .map(|n| run_network(service, scale, n, seed, out_dir))
         .collect()
 }

@@ -60,7 +60,12 @@ pub struct Fig9Result {
 }
 
 /// Run Figure 9 for one workload.
-pub fn run_network(scale: Scale, network: Network, seed: u64) -> Fig9Result {
+pub fn run_network(
+    service: &SearchService,
+    scale: Scale,
+    network: Network,
+    seed: u64,
+) -> Fig9Result {
     let layers = unique_layers(network);
     let hier = Hierarchy::gemmini();
     let restarts = scale.fig9_restarts();
@@ -74,9 +79,6 @@ pub fn run_network(scale: Scale, network: Network, seed: u64) -> Fig9Result {
     // All GD restarts run as one batched service job (entries
     // `restart0..restartN`, each seeded like the old standalone runs and
     // bit-identical to them), fanning into one worker fleet.
-    let service = SearchService::builder()
-        .threads(rayon::current_num_threads())
-        .build();
     let mut builder =
         SearchRequest::builder(hier.clone()).strategy(Strategy::GradientDescent(GdConfig {
             start_points: 1,
@@ -134,10 +136,10 @@ pub fn run_network(scale: Scale, network: Network, seed: u64) -> Fig9Result {
 
 /// Run Figure 9 across the four target workloads and print the attribution
 /// table.
-pub fn run(scale: Scale, seed: u64, out_dir: &Path) -> Vec<Fig9Result> {
+pub fn run(service: &SearchService, scale: Scale, seed: u64, out_dir: &Path) -> Vec<Fig9Result> {
     let results: Vec<Fig9Result> = Network::TARGETS
         .into_iter()
-        .map(|n| run_network(scale, n, seed))
+        .map(|n| run_network(service, scale, n, seed))
         .collect();
 
     let mut rows = Vec::new();

@@ -6,9 +6,10 @@
 //! workloads: unet | resnet50 | bert | retinanet
 //! ```
 //!
-//! `--threads N` caps the worker threads the search service fans work
-//! items out over (default: all cores). Results are bit-identical for
-//! every choice; only wall-clock time changes. `--smoke bench` and
+//! Every figure runs on one search service built here, and `--threads N`
+//! sizes its worker pool (default: all cores), so the thread bound holds
+//! for the whole process. Results are bit-identical for every choice;
+//! only wall-clock time changes. `--smoke bench` and
 //! `--smoke lint` are the seconds-scale CI gates; the service's
 //! batching, scheduling, pool, cache and fault contracts are pinned by
 //! the `dosa-search` integration tests.
@@ -17,6 +18,7 @@ use dosa_accel::HardwareConfig;
 use dosa_bench::{
     ablation, fig10_11, fig12, fig4, fig6, fig7, fig8, fig9, info, lint, perf, Scale,
 };
+use dosa_search::SearchService;
 use dosa_workload::Network;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -123,15 +125,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let mut builder = SearchService::builder();
     if let Some(n) = args.threads {
-        if rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global()
-            .is_err()
-        {
-            eprintln!("warning: thread pool already configured; --threads ignored");
-        }
+        builder = builder.threads(n);
     }
+    let service = &builder.build();
     let (scale, seed, out) = (args.scale, args.seed, args.out.as_path());
     println!(
         "repro: scale={:?} seed={} out={} threads={}\n",
@@ -149,35 +147,35 @@ fn main() -> ExitCode {
             fig4::run(scale, seed, out);
         }
         "fig6" => {
-            fig6::run(scale, seed, out);
+            fig6::run(service, scale, seed, out);
         }
         "fig7" => match args.networks.first() {
             Some(n) => {
-                fig7::run_network(scale, *n, seed, out);
+                fig7::run_network(service, scale, *n, seed, out);
             }
             None => {
-                fig7::run(scale, seed, out);
+                fig7::run(service, scale, seed, out);
             }
         },
         "fig8" => match args.networks.first() {
             Some(n) => {
-                fig8::run_network(scale, *n, seed, out);
+                fig8::run_network(service, scale, *n, seed, out);
             }
             None => {
-                fig8::run(scale, seed, out);
+                fig8::run(service, scale, seed, out);
             }
         },
         "fig9" => {
-            fig9::run(scale, seed, out);
+            fig9::run(service, scale, seed, out);
         }
         "fig10" | "fig11" => {
-            fig10_11::run(scale, seed, out);
+            fig10_11::run(service, scale, seed, out);
         }
         "fig12" | "table7" => {
-            fig12::run(scale, seed, out);
+            fig12::run(service, scale, seed, out);
         }
         "ablation" => {
-            ablation::run(scale, seed, out);
+            ablation::run(service, scale, seed, out);
         }
         "bench" => {
             if args.smoke {
@@ -199,12 +197,12 @@ fn main() -> ExitCode {
         "all" => {
             info::all();
             fig4::run(scale, seed, out);
-            fig6::run(scale, seed, out);
-            fig7::run(scale, seed, out);
-            fig8::run(scale, seed, out);
-            fig9::run(scale, seed, out);
-            fig10_11::run(scale, seed, out);
-            fig12::run(scale, seed, out);
+            fig6::run(service, scale, seed, out);
+            fig7::run(service, scale, seed, out);
+            fig8::run(service, scale, seed, out);
+            fig9::run(service, scale, seed, out);
+            fig10_11::run(service, scale, seed, out);
+            fig12::run(service, scale, seed, out);
         }
         _ => {
             usage();

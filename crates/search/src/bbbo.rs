@@ -18,7 +18,7 @@ use crate::gd::SearchResult;
 use crate::gp::{GaussianProcess, EI_LANES};
 use crate::random_search::DesignSearch;
 use crate::request::SearchRequest;
-use crate::service::run_blocking;
+use crate::service::{run_blocking, SearchService};
 use crate::startpoints::random_hw;
 use crate::strategy::{stream_seed, Strategy};
 use dosa_accel::{HardwareConfig, Hierarchy};
@@ -202,21 +202,24 @@ pub(crate) fn run_bayesian_search(
 /// Run the BB-BO baseline on `layers`, blocking until done.
 ///
 /// This is a thin shim over the job service: it submits one
-/// single-network [`Strategy::BayesOpt`] request to a throwaway
-/// [`SearchService`](crate::SearchService) and waits. The worker-thread
-/// budget is read from the calling thread's rayon configuration, and the
-/// result is bit-identical for every budget. For batching, live
-/// progress, or cancellation, use the service directly.
+/// single-network [`Strategy::BayesOpt`] request to `service` and waits.
+/// The result is bit-identical for every worker budget. For batching, live
+/// progress, or cancellation, use [`SearchService::submit`] directly.
 ///
 /// # Panics
 ///
 /// Panics if `layers` is empty or `cfg` fails [`BbboConfig::validate`].
-pub fn bayesian_search(layers: &[Layer], hier: &Hierarchy, cfg: &BbboConfig) -> SearchResult {
+pub fn bayesian_search(
+    service: &SearchService,
+    layers: &[Layer],
+    hier: &Hierarchy,
+    cfg: &BbboConfig,
+) -> SearchResult {
     let request = SearchRequest::builder(hier.clone())
         .network("network", layers.to_vec())
         .strategy(Strategy::BayesOpt(*cfg))
         .build();
-    run_blocking(request, "BB-BO request")
+    run_blocking(service, request, "BB-BO request")
 }
 
 #[cfg(test)]
@@ -233,6 +236,7 @@ mod tests {
 
     #[test]
     fn bo_runs_and_improves() {
+        let service = SearchService::builder().build();
         let hier = Hierarchy::gemmini();
         let cfg = BbboConfig {
             num_hw: 8,
@@ -241,7 +245,7 @@ mod tests {
             candidates: 50,
             seed: 2,
         };
-        let res = bayesian_search(&layers(), &hier, &cfg);
+        let res = bayesian_search(&service, &layers(), &hier, &cfg);
         assert!(res.best_edp.is_finite());
         assert_eq!(res.samples, 8 * 20);
         for w in res.history.windows(2) {
@@ -251,6 +255,7 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
+        let service = SearchService::builder().build();
         let hier = Hierarchy::gemmini();
         let cfg = BbboConfig {
             num_hw: 5,
@@ -259,13 +264,14 @@ mod tests {
             candidates: 20,
             seed: 11,
         };
-        let a = bayesian_search(&layers(), &hier, &cfg);
-        let b = bayesian_search(&layers(), &hier, &cfg);
+        let a = bayesian_search(&service, &layers(), &hier, &cfg);
+        let b = bayesian_search(&service, &layers(), &hier, &cfg);
         assert_eq!(a.best_edp, b.best_edp);
     }
 
     #[test]
     fn history_samples_increase_strictly_with_no_duplicated_tail() {
+        let service = SearchService::builder().build();
         let hier = Hierarchy::gemmini();
         // samples_per_hw = 5 makes the record cadence (every sample) land
         // on the final sample — the duplicated-tail case before dedup.
@@ -276,7 +282,7 @@ mod tests {
             candidates: 20,
             seed: 3,
         };
-        let res = bayesian_search(&layers(), &hier, &cfg);
+        let res = bayesian_search(&service, &layers(), &hier, &cfg);
         for w in res.history.windows(2) {
             assert!(
                 w[1].samples > w[0].samples,

@@ -12,7 +12,7 @@
 //! comparable to the black-box baselines (§6.3).
 
 use crate::request::SearchRequest;
-use crate::service::run_blocking;
+use crate::service::{run_blocking, SearchService};
 use dosa_accel::{HardwareConfig, Hierarchy};
 use dosa_timeloop::{evaluate_layer, min_hw_for_all, LoopOrder, Mapping, Stationarity};
 use dosa_workload::Layer;
@@ -244,26 +244,28 @@ pub fn choose_best_orderings(
 /// Run the full DOSA one-loop search on `layers`, blocking until done.
 ///
 /// This is a thin shim over the job service: it submits one
-/// single-network [`Surrogate::Edp`](crate::Surrogate::Edp) request to a
-/// throwaway [`SearchService`](crate::SearchService) and waits. Start
-/// points are generated sequentially from `cfg.seed`, descended in
-/// parallel, and merged deterministically — the result is bit-identical
-/// for every worker-thread count. The thread budget is read from the
-/// calling thread's rayon configuration (`ThreadPool::install` scopes and
-/// `build_global` both apply), so existing `--threads`-style knobs keep
-/// working. For batching, live progress, or cancellation, use the service
-/// directly.
+/// single-network [`Surrogate::Edp`](crate::Surrogate::Edp) request to
+/// `service` and waits. Start points are generated sequentially from
+/// `cfg.seed`, descended in parallel on the service's workers, and merged
+/// deterministically — the result is bit-identical for every worker-thread
+/// count. For batching, live progress, or cancellation, use
+/// [`SearchService::submit`] directly.
 ///
 /// # Panics
 ///
 /// Panics if `layers` is empty or `cfg` fails
 /// [`GdConfig::validate`](GdConfig::validate).
-pub fn dosa_search(layers: &[Layer], hier: &Hierarchy, cfg: &GdConfig) -> SearchResult {
+pub fn dosa_search(
+    service: &SearchService,
+    layers: &[Layer],
+    hier: &Hierarchy,
+    cfg: &GdConfig,
+) -> SearchResult {
     let request = SearchRequest::builder(hier.clone())
         .network("network", layers.to_vec())
         .config(*cfg)
         .build();
-    run_blocking(request, "GdConfig")
+    run_blocking(service, request, "GdConfig")
 }
 
 #[cfg(test)]
@@ -290,9 +292,10 @@ mod tests {
 
     #[test]
     fn search_finds_valid_configuration() {
+        let service = SearchService::builder().build();
         let layers = tiny_layers();
         let hier = Hierarchy::gemmini();
-        let res = dosa_search(&layers, &hier, &tiny_cfg());
+        let res = dosa_search(&service, &layers, &hier, &tiny_cfg());
         assert!(res.best_edp.is_finite());
         assert_eq!(res.best_mappings.len(), 2);
         for (l, m) in layers.iter().zip(&res.best_mappings) {
@@ -307,6 +310,7 @@ mod tests {
 
     #[test]
     fn gd_improves_over_first_rounding() {
+        let service = SearchService::builder().build();
         let layers = tiny_layers();
         let hier = Hierarchy::gemmini();
         let cfg = GdConfig {
@@ -316,7 +320,7 @@ mod tests {
             seed: 3,
             ..GdConfig::default()
         };
-        let res = dosa_search(&layers, &hier, &cfg);
+        let res = dosa_search(&service, &layers, &hier, &cfg);
         let first = res
             .history
             .iter()
@@ -332,13 +336,14 @@ mod tests {
 
     #[test]
     fn fixed_pe_side_is_respected() {
+        let service = SearchService::builder().build();
         let layers = tiny_layers();
         let hier = Hierarchy::gemmini();
         let cfg = GdConfig {
             fixed_pe_side: Some(16),
             ..tiny_cfg()
         };
-        let res = dosa_search(&layers, &hier, &cfg);
+        let res = dosa_search(&service, &layers, &hier, &cfg);
         assert_eq!(res.best_hw.pe_side(), 16);
         for m in &res.best_mappings {
             assert!(m.spatial_product() <= 16 * 16);
@@ -347,10 +352,11 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
+        let service = SearchService::builder().build();
         let layers = tiny_layers();
         let hier = Hierarchy::gemmini();
-        let a = dosa_search(&layers, &hier, &tiny_cfg());
-        let b = dosa_search(&layers, &hier, &tiny_cfg());
+        let a = dosa_search(&service, &layers, &hier, &tiny_cfg());
+        let b = dosa_search(&service, &layers, &hier, &tiny_cfg());
         assert_eq!(a.best_edp, b.best_edp);
         assert_eq!(a.samples, b.samples);
     }
@@ -358,13 +364,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid GdConfig: round_every must be at least 1")]
     fn degenerate_round_every_panics_with_a_typed_message() {
+        let service = SearchService::builder().build();
         // Formerly a bare divide-by-zero deep in the gradient loop; now a
         // ConfigError surfaced at the service boundary.
         let cfg = GdConfig {
             round_every: 0,
             ..tiny_cfg()
         };
-        dosa_search(&tiny_layers(), &Hierarchy::gemmini(), &cfg);
+        dosa_search(&service, &tiny_layers(), &Hierarchy::gemmini(), &cfg);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use crate::gd::{GdConfig, SearchResult};
 use crate::random_search::samplers;
 use crate::request::{SearchRequest, Surrogate};
-use crate::service::run_blocking;
+use crate::service::{run_blocking, SearchService};
 use dosa_accel::{HardwareConfig, Hierarchy, ACC_WORD_BYTES};
 use dosa_autodiff::{Tape, Var};
 use dosa_model::{HwVars, RelaxedMapping, PARAMS_PER_LAYER};
@@ -299,15 +299,15 @@ pub fn evaluate_rtl(
 /// This is a thin blocking shim over the job service: it submits one
 /// single-network
 /// [`Surrogate::PredictedLatency`](crate::Surrogate::PredictedLatency)
-/// request to a throwaway [`SearchService`](crate::SearchService) (thread
-/// budget from the calling thread's rayon configuration) and waits; start
-/// points descend in parallel and merge deterministically.
+/// request to `service` and waits; start points descend in parallel and
+/// merge deterministically.
 ///
 /// # Panics
 ///
 /// Panics if `layers` is empty or `cfg` fails
 /// [`GdConfig::validate`](GdConfig::validate).
 pub fn dosa_search_rtl(
+    service: &SearchService,
     layers: &[Layer],
     hier: &Hierarchy,
     cfg: &GdConfig,
@@ -318,7 +318,7 @@ pub fn dosa_search_rtl(
         .surrogate(Surrogate::PredictedLatency(predictor.clone()))
         .config(*cfg)
         .build();
-    run_blocking(request, "GdConfig")
+    run_blocking(service, request, "GdConfig")
 }
 
 #[cfg(test)]
@@ -384,6 +384,7 @@ mod tests {
 
     #[test]
     fn rtl_search_respects_fixed_pe() {
+        let service = SearchService::builder().build();
         let hier = Hierarchy::gemmini();
         let cfg = GdConfig {
             start_points: 1,
@@ -392,7 +393,13 @@ mod tests {
             fixed_pe_side: Some(16),
             ..GdConfig::default()
         };
-        let res = dosa_search_rtl(&layers(), &hier, &cfg, &LatencyPredictor::analytical());
+        let res = dosa_search_rtl(
+            &service,
+            &layers(),
+            &hier,
+            &cfg,
+            &LatencyPredictor::analytical(),
+        );
         assert_eq!(res.best_hw.pe_side(), 16);
         assert!(res.best_edp.is_finite());
         for (l, m) in layers().iter().zip(&res.best_mappings) {

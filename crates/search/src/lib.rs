@@ -37,8 +37,8 @@
 //! typed [`ConfigError`] ([`GdConfig::validate`],
 //! [`RandomSearchConfig::validate`], [`BbboConfig::validate`]). The
 //! worker-thread budget is **per service**
-//! ([`SearchServiceBuilder::threads`]), not a global rayon pool, so
-//! differently-sized services coexist in one process.
+//! ([`SearchServiceBuilder::threads`]), so differently-sized services
+//! coexist in one process.
 //!
 //! Jobs on one service run **concurrently**: every job's work items
 //! interleave on the service's persistent worker pool (spawned once at
@@ -174,8 +174,7 @@
 //! ## Blocking shims
 //!
 //! Every strategy keeps a blocking free function that submits one
-//! single-network job to a throwaway service and waits (the worker
-//! budget follows the calling thread's rayon configuration):
+//! single-network job to the [`SearchService`] it is given and waits:
 //!
 //! * [`dosa_search`] — [`Strategy::GradientDescent`] with
 //!   [`Surrogate::Edp`],

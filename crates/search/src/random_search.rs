@@ -14,7 +14,7 @@ use crate::cosa::cosa_mapping;
 use crate::engine::StartControl;
 use crate::gd::SearchResult;
 use crate::request::SearchRequest;
-use crate::service::run_blocking;
+use crate::service::{run_blocking, SearchService};
 use crate::startpoints::random_hw;
 use crate::strategy::{stream_seed, Strategy};
 use dosa_accel::{HardwareConfig, Hierarchy};
@@ -186,23 +186,27 @@ pub(crate) fn run_random_design(
 /// Run the random-search baseline of §6.1/§6.3, blocking until done.
 ///
 /// This is a thin shim over the job service: it submits one
-/// single-network [`Strategy::Random`] request to a throwaway
-/// [`SearchService`](crate::SearchService) and waits. The worker-thread
-/// budget is read from the calling thread's rayon configuration, and the
-/// result is bit-identical for every budget (each hardware design is
-/// searched by a private RNG stream derived from the seed). For
-/// batching, live progress, or cancellation, use the service directly.
+/// single-network [`Strategy::Random`] request to `service` and waits.
+/// The result is bit-identical for every worker budget (each hardware
+/// design is searched by a private RNG stream derived from the seed). For
+/// batching, live progress, or cancellation, use
+/// [`SearchService::submit`] directly.
 ///
 /// # Panics
 ///
 /// Panics if `layers` is empty or `cfg` fails
 /// [`RandomSearchConfig::validate`].
-pub fn random_search(layers: &[Layer], hier: &Hierarchy, cfg: &RandomSearchConfig) -> SearchResult {
+pub fn random_search(
+    service: &SearchService,
+    layers: &[Layer],
+    hier: &Hierarchy,
+    cfg: &RandomSearchConfig,
+) -> SearchResult {
     let request = SearchRequest::builder(hier.clone())
         .network("network", layers.to_vec())
         .strategy(Strategy::Random(*cfg))
         .build();
-    run_blocking(request, "random-search request")
+    run_blocking(service, request, "random-search request")
 }
 
 /// Evaluate `layers` on fixed hardware with CoSA as a constant mapper
@@ -259,13 +263,14 @@ mod tests {
 
     #[test]
     fn random_search_produces_valid_result() {
+        let service = SearchService::builder().build();
         let hier = Hierarchy::gemmini();
         let cfg = RandomSearchConfig {
             num_hw: 3,
             samples_per_hw: 40,
             seed: 1,
         };
-        let res = random_search(&layers(), &hier, &cfg);
+        let res = random_search(&service, &layers(), &hier, &cfg);
         assert!(res.best_edp.is_finite());
         assert_eq!(res.samples, 120);
         assert_eq!(res.best_mappings.len(), 2);
@@ -276,6 +281,7 @@ mod tests {
 
     #[test]
     fn history_samples_increase_strictly_with_no_duplicated_tail() {
+        let service = SearchService::builder().build();
         let hier = Hierarchy::gemmini();
         // samples_per_hw chosen so the record cadence lands exactly on the
         // final sample — the case that used to produce a duplicated
@@ -286,7 +292,7 @@ mod tests {
                 samples_per_hw,
                 seed: 4,
             };
-            let res = random_search(&layers(), &hier, &cfg);
+            let res = random_search(&service, &layers(), &hier, &cfg);
             for w in res.history.windows(2) {
                 assert!(
                     w[1].samples > w[0].samples,
@@ -305,8 +311,10 @@ mod tests {
 
     #[test]
     fn more_samples_never_worse() {
+        let service = SearchService::builder().build();
         let hier = Hierarchy::gemmini();
         let small = random_search(
+            &service,
             &layers(),
             &hier,
             &RandomSearchConfig {
@@ -316,6 +324,7 @@ mod tests {
             },
         );
         let large = random_search(
+            &service,
             &layers(),
             &hier,
             &RandomSearchConfig {

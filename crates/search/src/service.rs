@@ -642,9 +642,9 @@ impl SearchServiceBuilder {
     /// most this many work items execute at any instant across **all**
     /// concurrently running jobs, so a budget of 1 degenerates to one
     /// item — and, under the default policy, one job — at a time. The
-    /// budget is owned by this service instance — it does not touch the
-    /// global rayon pool, so services with different budgets coexist in
-    /// one process. Results are bit-identical for every budget.
+    /// budget is owned by this service instance, so services with
+    /// different budgets coexist in one process. Results are
+    /// bit-identical for every budget.
     pub fn threads(mut self, n: usize) -> SearchServiceBuilder {
         self.threads = Some(n.max(1));
         self
@@ -774,14 +774,14 @@ impl SearchService {
 /// [`dosa_search_rtl`](crate::dosa_search_rtl),
 /// [`random_search`](crate::random_search),
 /// [`bayesian_search`](crate::bayesian_search)): submit one
-/// single-network `request` to a throwaway service sized by the calling
-/// thread's rayon configuration, and wait. Panics with
+/// single-network `request` to `service` and wait. Panics with
 /// `"invalid {label}: …"` on a rejected request and
 /// `"search job failed: …"` on a failed job.
-pub(crate) fn run_blocking(request: SearchRequest, label: &str) -> SearchResult {
-    let service = SearchService::builder()
-        .threads(rayon::current_num_threads())
-        .build();
+pub(crate) fn run_blocking(
+    service: &SearchService,
+    request: SearchRequest,
+    label: &str,
+) -> SearchResult {
     let handle = match service.submit(request) {
         Ok(handle) => handle,
         // dosa-lint: allow(panic-perimeter) — documented perimeter of the

@@ -1,15 +1,13 @@
 //! Thread-count invariance of the parallel GD engine: a search with a
 //! fixed seed must return bit-identical results whether start points run
 //! on one worker or many, and its sample accounting must match the
-//! sequential count.
+//! sequential count. Worker counts are varied by building one service
+//! per budget ([`SearchServiceBuilder::threads`]).
 //!
-//! Worker counts are varied with scoped pools
-//! (`ThreadPoolBuilder::build` + `ThreadPool::install`) — the pattern
-//! that also works against upstream rayon, where `build_global` can only
-//! ever be called once per process.
+//! [`SearchServiceBuilder::threads`]: dosa_search::SearchServiceBuilder::threads
 
 use dosa_accel::Hierarchy;
-use dosa_search::{dosa_search, dosa_search_rtl, GdConfig, LatencyPredictor};
+use dosa_search::{dosa_search, dosa_search_rtl, GdConfig, LatencyPredictor, SearchService};
 use dosa_workload::{Layer, Problem};
 
 fn layers() -> Vec<Layer> {
@@ -29,11 +27,8 @@ fn cfg() -> GdConfig {
     }
 }
 
-fn pool(threads: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("build scoped pool")
+fn service(threads: usize) -> SearchService {
+    SearchService::builder().threads(threads).build()
 }
 
 #[test]
@@ -42,10 +37,10 @@ fn same_seed_is_bit_identical_across_thread_counts() {
     let hier = Hierarchy::gemmini();
     let cfg = cfg();
 
-    let sequential = pool(1).install(|| dosa_search(&layers, &hier, &cfg));
+    let sequential = dosa_search(&service(1), &layers, &hier, &cfg);
 
     for threads in [2, 4, 8] {
-        let parallel = pool(threads).install(|| dosa_search(&layers, &hier, &cfg));
+        let parallel = dosa_search(&service(threads), &layers, &hier, &cfg);
         assert_eq!(
             sequential.best_edp.to_bits(),
             parallel.best_edp.to_bits(),
@@ -78,9 +73,9 @@ fn rtl_search_is_bit_identical_across_thread_counts() {
     let cfg = cfg();
     let predictor = LatencyPredictor::analytical();
 
-    let sequential = pool(1).install(|| dosa_search_rtl(&layers, &hier, &cfg, &predictor));
+    let sequential = dosa_search_rtl(&service(1), &layers, &hier, &cfg, &predictor);
     for threads in [2, 8] {
-        let parallel = pool(threads).install(|| dosa_search_rtl(&layers, &hier, &cfg, &predictor));
+        let parallel = dosa_search_rtl(&service(threads), &layers, &hier, &cfg, &predictor);
         assert_eq!(
             sequential.best_edp.to_bits(),
             parallel.best_edp.to_bits(),

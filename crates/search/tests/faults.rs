@@ -415,7 +415,12 @@ fn tiny_bayes(seed: u64) -> BbboConfig {
 
 /// Bit-level equality against the blocking shim's result.
 fn assert_matches_solo(result: &SearchResult, seed: u64, what: &str) {
-    let solo = dosa_search(&gemm(), &Hierarchy::gemmini(), &tiny_cfg(seed));
+    let solo = dosa_search(
+        &SearchService::builder().build(),
+        &gemm(),
+        &Hierarchy::gemmini(),
+        &tiny_cfg(seed),
+    );
     assert_bits_eq(result, &solo, what);
 }
 
@@ -502,12 +507,12 @@ fn each_fault_kind_fails_typed_and_spares_its_siblings() {
         (
             Strategy::Random(tiny_random(17)),
             Strategy::Random(tiny_random(18)),
-            random_search(&gemm(), &hier, &tiny_random(18)),
+            random_search(&service, &gemm(), &hier, &tiny_random(18)),
         ),
         (
             Strategy::BayesOpt(tiny_bayes(19)),
             Strategy::BayesOpt(tiny_bayes(20)),
-            bayesian_search(&gemm(), &hier, &tiny_bayes(20)),
+            bayesian_search(&service, &gemm(), &hier, &tiny_bayes(20)),
         ),
     ];
     for (strategy, sibling_strategy, solo) in black_box {
@@ -682,7 +687,7 @@ fn a_huge_candidate_count_is_stopped_by_deadlines_and_cancels() {
     };
     assert_bits_eq(
         &partial,
-        &bayesian_search(&gemm(), &hier, &prefix),
+        &bayesian_search(&service, &gemm(), &hier, &prefix),
         "cancelled mid-proposal vs its searched designs",
     );
 
@@ -692,7 +697,7 @@ fn a_huge_candidate_count_is_stopped_by_deadlines_and_cancels() {
         .into_single();
     assert_bits_eq(
         &normal,
-        &bayesian_search(&gemm(), &hier, &tiny_bayes(25)),
+        &bayesian_search(&service, &gemm(), &hier, &tiny_bayes(25)),
         "a normal job after the huge ones",
     );
 }

@@ -370,8 +370,8 @@ fn gd_segment_length_never_changes_a_result_bit() {
         base.segment_steps, None,
         "the reference must be unsegmented"
     );
-    let reference = dosa_search(&matmul_net(), &hier, &base);
     let service = SearchService::builder().threads(2).build();
+    let reference = dosa_search(&service, &matmul_net(), &hier, &base);
     for k in [1usize, 7, 64] {
         let job = service
             .submit(
@@ -419,6 +419,7 @@ fn segmented_cancel_plus_cached_resubmit_is_bit_identical() {
 
     // Unsegmented, uninterrupted, cache-free reference.
     let reference = dosa_search(
+        &SearchService::builder().build(),
         &matmul_net(),
         &hier,
         &GdConfig {

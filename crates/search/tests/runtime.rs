@@ -133,9 +133,10 @@ impl JobSpec {
     /// The standalone reference result this job must match bit-for-bit
     /// when it runs uninterrupted. Always unsegmented: segmentation must
     /// be bit-invisible.
-    fn standalone(&self, hier: &Hierarchy) -> SearchResult {
+    fn standalone(&self, service: &SearchService, hier: &Hierarchy) -> SearchResult {
         match self.strategy() {
             Strategy::GradientDescent(cfg) => dosa_search(
+                service,
                 &matmul_net(),
                 hier,
                 &GdConfig {
@@ -143,8 +144,8 @@ impl JobSpec {
                     ..cfg
                 },
             ),
-            Strategy::Random(cfg) => random_search(&matmul_net(), hier, &cfg),
-            Strategy::BayesOpt(cfg) => bayesian_search(&matmul_net(), hier, &cfg),
+            Strategy::Random(cfg) => random_search(service, &matmul_net(), hier, &cfg),
+            Strategy::BayesOpt(cfg) => bayesian_search(service, &matmul_net(), hier, &cfg),
             _ => unreachable!("JobSpec::strategy only builds the three variants above"),
         }
     }
@@ -227,12 +228,14 @@ proptest! {
             .collect();
         let hier = Hierarchy::gemmini();
 
-        // Standalone references first, so their transient service
-        // threads are gone before the baseline is captured.
+        // Standalone references first, on a service dropped before the
+        // baseline is captured.
+        let standalone = SearchService::builder().build();
         let references: Vec<Option<SearchResult>> = jobs
             .iter()
-            .map(|spec| (!spec.cancels()).then(|| spec.standalone(&hier)))
+            .map(|spec| (!spec.cancels()).then(|| spec.standalone(&standalone, &hier)))
             .collect();
+        drop(standalone);
 
         let baseline = live_threads();
         let ceiling = baseline + slots + SLACK;
@@ -323,11 +326,13 @@ fn a_hundred_deadline_armed_jobs_add_no_threads() {
         seed,
         ..GdConfig::default()
     };
-    // Standalone references first, so their transient service threads
-    // are gone before the baseline is captured.
+    // Standalone references first, on a service dropped before the
+    // baseline is captured.
+    let standalone = SearchService::builder().build();
     let references: Vec<SearchResult> = (0..JOBS)
-        .map(|seed| dosa_search(&matmul_net(), &hier, &cfg(seed)))
+        .map(|seed| dosa_search(&standalone, &matmul_net(), &hier, &cfg(seed)))
         .collect();
+    drop(standalone);
 
     let baseline = live_threads();
     let ceiling = baseline + SLOTS + SLACK;
@@ -474,6 +479,7 @@ fn a_fifo_job_is_never_starved_by_a_continuous_priority_stream() {
     );
     // And the contention changed nothing about its result.
     let reference = dosa_search(
+        &SearchService::builder().build(),
         &matmul_net(),
         &hier,
         &GdConfig {

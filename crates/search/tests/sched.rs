@@ -111,7 +111,7 @@ fn short_gd_job_completes_while_long_bayes_job_is_running() {
     assert_eq!(long.status(), JobStatus::Cancelled);
     assert!(partial.samples < 10_000 * 50 / 4, "cancel was not prompt");
 
-    let standalone = dosa_search(&matmul_net(), &hier, &cfg);
+    let standalone = dosa_search(&service, &matmul_net(), &hier, &cfg);
     assert_bit_identical(&result, &standalone, "short GD job under concurrent load");
 }
 
@@ -221,7 +221,7 @@ fn cancelling_a_running_job_frees_slots_for_the_queued_one() {
     let result = queued.wait().unwrap().into_single();
     assert_eq!(queued.status(), JobStatus::Completed);
     assert_eq!(long.status(), JobStatus::Cancelled);
-    let standalone = dosa_search(&matmul_net(), &hier, &cfg);
+    let standalone = dosa_search(&service, &matmul_net(), &hier, &cfg);
     assert_bit_identical(&result, &standalone, "queued job after cancel");
 }
 
@@ -321,8 +321,18 @@ fn every_strategy_is_bit_identical_under_concurrent_load() {
     let random_result = random.wait().unwrap().into_single();
     let bayes_result = bayes.wait().unwrap().into_single();
 
-    let solo_resnet = dosa_search(&resnet_subset(), &hier, &GdConfig { seed: 11, ..gd_cfg });
-    let solo_gemm = dosa_search(&matmul_net(), &hier, &GdConfig { seed: 14, ..gd_cfg });
+    let solo_resnet = dosa_search(
+        &service,
+        &resnet_subset(),
+        &hier,
+        &GdConfig { seed: 11, ..gd_cfg },
+    );
+    let solo_gemm = dosa_search(
+        &service,
+        &matmul_net(),
+        &hier,
+        &GdConfig { seed: 14, ..gd_cfg },
+    );
     assert_bit_identical(
         gd_batch.get("resnet50").unwrap(),
         &solo_resnet,
@@ -335,12 +345,12 @@ fn every_strategy_is_bit_identical_under_concurrent_load() {
     );
     assert_bit_identical(
         &random_result,
-        &random_search(&matmul_net(), &hier, &random_cfg),
+        &random_search(&service, &matmul_net(), &hier, &random_cfg),
         "concurrent random",
     );
     assert_bit_identical(
         &bayes_result,
-        &bayesian_search(&matmul_net(), &hier, &bbbo_cfg),
+        &bayesian_search(&service, &matmul_net(), &hier, &bbbo_cfg),
         "concurrent bayes",
     );
 }

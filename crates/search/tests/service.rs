@@ -104,8 +104,8 @@ fn batched_results_match_individual_submissions_bit_for_bit() {
     assert_bit_identical(batch.get("gemm").unwrap(), &solo_gemm, "gemm vs solo");
 
     // And against the blocking shim (the pre-service public API).
-    let shim_resnet = dosa_search(&resnet_subset(), &hier, &tiny_cfg(5));
-    let shim_gemm = dosa_search(&matmul_net(), &hier, &tiny_cfg(9));
+    let shim_resnet = dosa_search(&service, &resnet_subset(), &hier, &tiny_cfg(5));
+    let shim_gemm = dosa_search(&service, &matmul_net(), &hier, &tiny_cfg(9));
     assert_bit_identical(
         batch.get("resnet50").unwrap(),
         &shim_resnet,
@@ -159,7 +159,7 @@ fn rtl_surrogate_batch_matches_shim() {
         .wait()
         .unwrap()
         .into_single();
-    let shim = dosa_search_rtl(&matmul_net(), &hier, &cfg, &predictor);
+    let shim = dosa_search_rtl(&service, &matmul_net(), &hier, &cfg, &predictor);
     assert_bit_identical(&batched, &shim, "rtl gemm");
 }
 
@@ -298,12 +298,19 @@ fn random_strategy_batches_bit_identically_across_thread_budgets() {
             .strategy(Strategy::Random(cfg))
             .build()
     };
+    let standalone = SearchService::builder().build();
     let solo_resnet = random_search(
+        &standalone,
         &resnet_subset(),
         &hier,
         &RandomSearchConfig { seed: 5, ..cfg },
     );
-    let solo_gemm = random_search(&matmul_net(), &hier, &RandomSearchConfig { seed: 9, ..cfg });
+    let solo_gemm = random_search(
+        &standalone,
+        &matmul_net(),
+        &hier,
+        &RandomSearchConfig { seed: 9, ..cfg },
+    );
     for threads in [1, 4, 8] {
         let service = SearchService::builder().threads(threads).build();
         let batch = service.submit(request()).unwrap().wait().unwrap();
@@ -341,8 +348,19 @@ fn bayes_strategy_batches_bit_identically_across_thread_budgets() {
             .strategy(Strategy::BayesOpt(cfg))
             .build()
     };
-    let solo_resnet = bayesian_search(&resnet_subset(), &hier, &BbboConfig { seed: 3, ..cfg });
-    let solo_gemm = bayesian_search(&matmul_net(), &hier, &BbboConfig { seed: 4, ..cfg });
+    let standalone = SearchService::builder().build();
+    let solo_resnet = bayesian_search(
+        &standalone,
+        &resnet_subset(),
+        &hier,
+        &BbboConfig { seed: 3, ..cfg },
+    );
+    let solo_gemm = bayesian_search(
+        &standalone,
+        &matmul_net(),
+        &hier,
+        &BbboConfig { seed: 4, ..cfg },
+    );
     for threads in [1, 8] {
         let service = SearchService::builder().threads(threads).build();
         let batch = service.submit(request()).unwrap().wait().unwrap();

@@ -3,7 +3,7 @@
 //! `cargo test --release -p dosa-search --test speedup -- --ignored --nocapture`.
 
 use dosa_accel::Hierarchy;
-use dosa_search::{dosa_search, GdConfig};
+use dosa_search::{dosa_search, GdConfig, SearchService};
 use dosa_workload::{Layer, Problem};
 use std::time::Instant;
 
@@ -20,19 +20,17 @@ fn parallel_starts_beat_one_worker() {
         start_points: 4,
         ..GdConfig::default()
     };
-    let pool = |n: usize| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build()
-            .expect("build scoped pool")
-    };
+    let (one, four) = (
+        SearchService::builder().threads(1).build(),
+        SearchService::builder().threads(4).build(),
+    );
 
     let t = Instant::now();
-    let seq = pool(1).install(|| dosa_search(&layers, &hier, &cfg));
+    let seq = dosa_search(&one, &layers, &hier, &cfg);
     let t_seq = t.elapsed();
 
     let t = Instant::now();
-    let par = pool(4).install(|| dosa_search(&layers, &hier, &cfg));
+    let par = dosa_search(&four, &layers, &hier, &cfg);
     let t_par = t.elapsed();
 
     let cores = std::thread::available_parallelism()

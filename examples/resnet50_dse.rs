@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         samples_per_hw: dosa.samples / 4,
         seed: 7,
     };
-    let random = random_search(&layers, &hier, &rs_cfg);
+    let random = random_search(&service, &layers, &hier, &rs_cfg);
     println!(
         "Random: best EDP {:.4e} after {} samples on {}",
         random.best_edp, random.samples, random.best_hw

@@ -118,6 +118,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // network equals the standalone free function with the same seed.
     let (_, random_job) = &jobs[1];
     let standalone = random_search(
+        &service,
         &gemm,
         &hier,
         &RandomSearchConfig {

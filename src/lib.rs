@@ -32,10 +32,12 @@
 //! let layers = vec![Layer::once(Problem::conv("l", 1, 1, 56, 56, 64, 64, 1)?)];
 //! let hier = Hierarchy::gemmini();
 //!
-//! // A tiny one-loop search: hardware and mapping found together.
+//! // A tiny one-loop search: hardware and mapping found together, on a
+//! // service whose worker pool every later search can share.
+//! let service = SearchService::builder().build();
 //! let cfg = GdConfig { start_points: 1, steps_per_start: 60, round_every: 30,
 //!                      ..GdConfig::default() };
-//! let result = dosa_search(&layers, &hier, &cfg);
+//! let result = dosa_search(&service, &layers, &hier, &cfg);
 //! assert!(result.best_edp.is_finite());
 //! # Ok::<(), dosa::workload::ProblemError>(())
 //! ```
@@ -168,8 +170,8 @@
 //! The blocking searchers [`search::dosa_search`],
 //! [`search::dosa_search_rtl`], [`search::random_search`] and
 //! [`search::bayesian_search`] remain as thin shims that submit one job
-//! and wait (thread budget from the calling thread's rayon
-//! configuration, so `repro --threads N` still applies). See
+//! to the service they are given and wait; `repro` builds one service
+//! per process, sized by `--threads N`. See
 //! `examples/batched_service.rs` and `examples/strategy_comparison.rs`
 //! for the service lifecycle end to end.
 

@@ -15,13 +15,14 @@ fn toy_layers() -> Vec<Layer> {
 fn one_loop_search_produces_consistent_configuration() {
     let layers = toy_layers();
     let hier = Hierarchy::gemmini();
+    let service = SearchService::builder().build();
     let cfg = GdConfig {
         start_points: 2,
         steps_per_start: 80,
         round_every: 40,
         ..GdConfig::default()
     };
-    let res = dosa_search(&layers, &hier, &cfg);
+    let res = dosa_search(&service, &layers, &hier, &cfg);
 
     // Mappings valid and consistent with the reported hardware.
     assert_eq!(res.best_mappings.len(), layers.len());
@@ -55,6 +56,7 @@ fn one_loop_search_produces_consistent_configuration() {
 fn search_beats_the_trivial_mapping() {
     let layers = toy_layers();
     let hier = Hierarchy::gemmini();
+    let service = SearchService::builder().build();
     // Trivial: everything at DRAM on minimal hardware.
     let trivial: Vec<Mapping> = layers
         .iter()
@@ -74,7 +76,7 @@ fn search_beats_the_trivial_mapping() {
         round_every: 40,
         ..GdConfig::default()
     };
-    let res = dosa_search(&layers, &hier, &cfg);
+    let res = dosa_search(&service, &layers, &hier, &cfg);
     assert!(
         res.best_edp < trivial_edp / 10.0,
         "search {} vs trivial {}",
@@ -87,6 +89,7 @@ fn search_beats_the_trivial_mapping() {
 fn all_strategies_return_finite_results() {
     let layers = toy_layers();
     let hier = Hierarchy::gemmini();
+    let service = SearchService::builder().build();
     for strategy in [
         LoopOrderStrategy::Baseline,
         LoopOrderStrategy::Iterate,
@@ -99,7 +102,7 @@ fn all_strategies_return_finite_results() {
             strategy,
             ..GdConfig::default()
         };
-        let res = dosa_search(&layers, &hier, &cfg);
+        let res = dosa_search(&service, &layers, &hier, &cfg);
         assert!(res.best_edp.is_finite(), "{strategy:?}");
     }
 }
@@ -108,7 +111,9 @@ fn all_strategies_return_finite_results() {
 fn baseline_searchers_are_dominated_by_dosa_on_seeds() {
     let layers = toy_layers();
     let hier = Hierarchy::gemmini();
+    let service = SearchService::builder().build();
     let dosa = dosa_search(
+        &service,
         &layers,
         &hier,
         &GdConfig {
@@ -119,6 +124,7 @@ fn baseline_searchers_are_dominated_by_dosa_on_seeds() {
         },
     );
     let random = random_search(
+        &service,
         &layers,
         &hier,
         &RandomSearchConfig {

@@ -47,6 +47,7 @@ fn combined_predictor_tracks_rtl_better_than_analytical_in_mse() {
 #[test]
 fn rtl_search_produces_measurable_configurations() {
     let hier = Hierarchy::gemmini();
+    let service = SearchService::builder().build();
     let rtl_cfg = RtlConfig::default();
     let cfg = GdConfig {
         start_points: 1,
@@ -55,7 +56,13 @@ fn rtl_search_produces_measurable_configurations() {
         fixed_pe_side: Some(16),
         ..GdConfig::default()
     };
-    let res = dosa_search_rtl(&layers(), &hier, &cfg, &LatencyPredictor::analytical());
+    let res = dosa_search_rtl(
+        &service,
+        &layers(),
+        &hier,
+        &cfg,
+        &LatencyPredictor::analytical(),
+    );
     assert_eq!(res.best_hw.pe_side(), 16);
     let measured = evaluate_rtl(&layers(), &res.best_mappings, &res.best_hw, &hier, &rtl_cfg);
     assert!(measured.edp().is_finite() && measured.edp() > 0.0);
@@ -67,6 +74,7 @@ fn rtl_search_produces_measurable_configurations() {
 #[test]
 fn optimized_rtl_config_beats_naive_default_mapping() {
     let hier = Hierarchy::gemmini();
+    let service = SearchService::builder().build();
     let rtl_cfg = RtlConfig::default();
     let ls = layers();
     // Naive: everything at DRAM on default hardware.
@@ -84,7 +92,7 @@ fn optimized_rtl_config_beats_naive_default_mapping() {
         fixed_pe_side: Some(16),
         ..GdConfig::default()
     };
-    let res = dosa_search_rtl(&ls, &hier, &cfg, &LatencyPredictor::analytical());
+    let res = dosa_search_rtl(&service, &ls, &hier, &cfg, &LatencyPredictor::analytical());
     let tuned = evaluate_rtl(&ls, &res.best_mappings, &res.best_hw, &hier, &rtl_cfg);
     assert!(
         tuned.edp() < naive_perf.edp(),
