@@ -92,7 +92,7 @@ pub fn run_network(
         .submit(builder.build())
         .expect("scale presets always validate")
         .wait()
-        .expect("ablation job failed")
+        .expect("Figure 9 job failed")
         .networks
         .into_iter()
         .map(|n| n.result)

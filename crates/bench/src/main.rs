@@ -1,7 +1,7 @@
 //! `repro` — regenerate the tables and figures of the DOSA paper.
 //!
 //! ```text
-//! repro [--scale quick|paper] [--seed N] [--out DIR] [--threads N] [--smoke] <command> [workload..]
+//! repro [--scale quick|paper] [--seed N] [--out DIR] [--threads N] [--smoke] <command> [workload]
 //! commands: info | table2 | fig4 | fig6 | fig7 | fig8 | fig9 | fig10 | fig12 | ablation | bench | lint | all
 //! workloads: unet | resnet50 | bert | retinanet
 //! ```
@@ -30,7 +30,7 @@ struct Args {
     threads: Option<usize>,
     smoke: bool,
     command: String,
-    networks: Vec<Network>,
+    network: Option<Network>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -67,11 +67,20 @@ fn parse_args() -> Result<Args, String> {
             other => positional.push(other.to_string()),
         }
     }
-    let command = positional.first().cloned().unwrap_or_else(|| "help".into());
-    let mut networks = Vec::new();
-    for name in &positional[1.min(positional.len())..] {
-        networks.push(Network::parse(name).ok_or_else(|| format!("unknown workload {name}"))?);
-    }
+    let (command, workloads) = match positional.split_first() {
+        Some((command, rest)) => (command.clone(), rest),
+        None => ("help".to_string(), &[][..]),
+    };
+    // Only fig7 and fig8 serve a workload argument; any other is rejected
+    // rather than ignored.
+    let network = match workloads {
+        [] => None,
+        _ if !matches!(command.as_str(), "fig7" | "fig8") => {
+            return Err(format!("{command} takes no workload argument"));
+        }
+        [name] => Some(Network::parse(name).ok_or_else(|| format!("unknown workload {name}"))?),
+        _ => return Err(format!("{command} takes at most one workload argument")),
+    };
     Ok(Args {
         scale,
         seed,
@@ -79,7 +88,7 @@ fn parse_args() -> Result<Args, String> {
         threads,
         smoke,
         command,
-        networks,
+        network,
     })
 }
 
@@ -149,17 +158,17 @@ fn main() -> ExitCode {
         "fig6" => {
             fig6::run(service, scale, seed, out);
         }
-        "fig7" => match args.networks.first() {
+        "fig7" => match args.network {
             Some(n) => {
-                fig7::run_network(service, scale, *n, seed, out);
+                fig7::run_network(service, scale, n, seed, out);
             }
             None => {
                 fig7::run(service, scale, seed, out);
             }
         },
-        "fig8" => match args.networks.first() {
+        "fig8" => match args.network {
             Some(n) => {
-                fig8::run_network(service, scale, *n, seed, out);
+                fig8::run_network(service, scale, n, seed, out);
             }
             None => {
                 fig8::run(service, scale, seed, out);

@@ -124,3 +124,20 @@ fn quick_figures_reproduce_their_pins_at_one_thread() {
 fn quick_figures_reproduce_their_pins_at_two_threads() {
     check_pins(2);
 }
+
+/// A workload argument the command would ignore is a usage error: nonzero
+/// exit, and no CSV written.
+#[test]
+fn unserved_workload_arguments_are_rejected() {
+    for args in [
+        &["fig8", "unet", "bert"][..],
+        &["fig9", "unet"],
+        &["info", "bert"],
+    ] {
+        let out = out_dir(&args.join("-"));
+        let run = repro(&out, args);
+        assert!(!run.status.success(), "repro {args:?} exited 0");
+        assert!(csvs(&out).is_empty(), "repro {args:?} wrote a CSV");
+        let _ = fs::remove_dir_all(&out);
+    }
+}
