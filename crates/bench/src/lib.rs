@@ -1,12 +1,11 @@
 //! # dosa-bench
 //!
 //! The experiment harness of the DOSA reproduction: one module per table /
-//! figure of the paper's evaluation (§6), the autodiff hot-path
-//! measurement ([`perf`]), the workspace invariant checker driver
-//! ([`lint`]), shared terminal plotting and CSV output, and quick/paper
-//! scaling presets. The `repro` binary exposes each experiment as a
-//! subcommand; the Criterion benches under `benches/` run reduced
-//! versions of the same code paths.
+//! figure of the paper's evaluation (§6), shared terminal plotting and CSV
+//! output, and quick/paper scaling presets. The `repro` binary exposes
+//! each experiment as a subcommand. Timing belongs to the repository
+//! benchmark (`perfbench/`); this crate's tests pin the quick-scale
+//! figure CSVs and validate the checked-in `BENCH_*.json` records.
 
 #![warn(missing_docs)]
 
@@ -19,8 +18,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod info;
-pub mod lint;
-pub mod perf;
 pub mod plot;
 pub mod scale;
 

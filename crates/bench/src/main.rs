@@ -1,23 +1,22 @@
 //! `repro` — regenerate the tables and figures of the DOSA paper.
 //!
 //! ```text
-//! repro [--scale quick|paper] [--seed N] [--out DIR] [--threads N] [--smoke] <command> [workload]
-//! commands: info | table2 | fig4 | fig6 | fig7 | fig8 | fig9 | fig10 | fig12 | ablation | bench | lint | all
+//! repro [--scale quick|paper] [--seed N] [--out DIR] [--threads N] <command> [workload]
+//! commands: info | table2 | fig4 | fig6 | fig7 | fig8 | fig9 | fig10 | fig12 | ablation | all
 //! workloads: unet | resnet50 | bert | retinanet
 //! ```
 //!
-//! Every figure runs on one search service built here, and `--threads N`
-//! sizes its worker pool (default: all cores), so the thread bound holds
-//! for the whole process. Results are bit-identical for every choice;
-//! only wall-clock time changes. `--smoke bench` and
-//! `--smoke lint` are the seconds-scale CI gates; the service's
-//! batching, scheduling, pool, cache and fault contracts are pinned by
-//! the `dosa-search` integration tests.
+//! Every search of a run goes to one search service, built only by the
+//! commands that search, and `--threads N` sizes its worker pool
+//! (default: all cores), so the thread bound holds for the whole process.
+//! Results are bit-identical for every choice; only wall-clock time
+//! changes. An unknown option, or a workload argument the command would
+//! ignore, is a usage error. The service's batching, scheduling, pool,
+//! cache and fault contracts are pinned by the `dosa-search` integration
+//! tests.
 
 use dosa_accel::HardwareConfig;
-use dosa_bench::{
-    ablation, fig10_11, fig12, fig4, fig6, fig7, fig8, fig9, info, lint, perf, Scale,
-};
+use dosa_bench::{ablation, fig10_11, fig12, fig4, fig6, fig7, fig8, fig9, info, Scale};
 use dosa_search::SearchService;
 use dosa_workload::Network;
 use std::path::PathBuf;
@@ -28,7 +27,6 @@ struct Args {
     seed: u64,
     out: PathBuf,
     threads: Option<usize>,
-    smoke: bool,
     command: String,
     network: Option<Network>,
 }
@@ -38,7 +36,6 @@ fn parse_args() -> Result<Args, String> {
     let mut seed = 0u64;
     let mut out = PathBuf::from("output_dir");
     let mut threads = None;
-    let mut smoke = false;
     let mut positional = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -62,8 +59,8 @@ fn parse_args() -> Result<Args, String> {
                 }
                 threads = Some(n);
             }
-            "--smoke" => smoke = true,
             "--help" | "-h" => return Err(String::new()),
+            other if other.starts_with('-') => return Err(format!("unknown option {other}")),
             other => positional.push(other.to_string()),
         }
     }
@@ -86,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
         seed,
         out,
         threads,
-        smoke,
         command,
         network,
     })
@@ -106,20 +102,11 @@ fn usage() {
            fig10   latency-model accuracy (Figures 10 & 11)\n\
            fig12   Gemmini-RTL optimization + Table 7\n\
            ablation  design-choice ablations (rounding, lr, start points)\n\
-           bench   measure the autodiff hot path (record / sweep /\n\
-                   full GD step) and regenerate BENCH_6.json at the\n\
-                   repository root\n\
-           lint    run the workspace invariant checker (dosa-lint):\n\
-                   determinism, panic-perimeter, and unsafe-audit\n\
-                   rules over every workspace .rs file; exits nonzero\n\
-                   on any unsuppressed violation\n\
            all     info, fig4, fig6, fig7, fig8, fig9, fig10 and fig12\n\
-                   (not table2, ablation, bench or lint)\n\
+                   (not table2 or ablation)\n\
          workloads: unet | resnet50 | bert | retinanet\n\
          --threads N caps the service's worker threads (results are\n\
-         identical for every N; only wall-clock time changes)\n\
-         --smoke bench re-measures quickly and validates every checked-in\n\
-         BENCH_*.json by its schema tag; --smoke lint is the CI lint gate"
+         identical for every N; only wall-clock time changes)"
     );
 }
 
@@ -134,11 +121,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut builder = SearchService::builder();
-    if let Some(n) = args.threads {
-        builder = builder.threads(n);
-    }
-    let service = &builder.build();
+    // Built on demand, so the commands that never search spawn no pool.
+    let service = || {
+        let mut builder = SearchService::builder();
+        if let Some(n) = args.threads {
+            builder = builder.threads(n);
+        }
+        builder.build()
+    };
     let (scale, seed, out) = (args.scale, args.seed, args.out.as_path());
     println!(
         "repro: scale={:?} seed={} out={} threads={}\n",
@@ -156,54 +146,38 @@ fn main() -> ExitCode {
             fig4::run(scale, seed, out);
         }
         "fig6" => {
-            fig6::run(service, scale, seed, out);
+            fig6::run(&service(), scale, seed, out);
         }
         "fig7" => match args.network {
             Some(n) => {
-                fig7::run_network(service, scale, n, seed, out);
+                fig7::run_network(&service(), scale, n, seed, out);
             }
             None => {
-                fig7::run(service, scale, seed, out);
+                fig7::run(&service(), scale, seed, out);
             }
         },
         "fig8" => match args.network {
             Some(n) => {
-                fig8::run_network(service, scale, n, seed, out);
+                fig8::run_network(&service(), scale, n, seed, out);
             }
             None => {
-                fig8::run(service, scale, seed, out);
+                fig8::run(&service(), scale, seed, out);
             }
         },
         "fig9" => {
-            fig9::run(service, scale, seed, out);
+            fig9::run(&service(), scale, seed, out);
         }
         "fig10" | "fig11" => {
-            fig10_11::run(service, scale, seed, out);
+            fig10_11::run(&service(), scale, seed, out);
         }
         "fig12" | "table7" => {
-            fig12::run(service, scale, seed, out);
+            fig12::run(&service(), scale, seed, out);
         }
         "ablation" => {
-            ablation::run(service, scale, seed, out);
-        }
-        "bench" => {
-            if args.smoke {
-                perf::run_smoke();
-            } else {
-                perf::run();
-            }
-        }
-        "lint" => {
-            let clean = if args.smoke {
-                lint::run_smoke()
-            } else {
-                lint::run()
-            };
-            if !clean {
-                return ExitCode::FAILURE;
-            }
+            ablation::run(&service(), scale, seed, out);
         }
         "all" => {
+            let service = &service();
             info::all();
             fig4::run(scale, seed, out);
             fig6::run(service, scale, seed, out);

@@ -125,14 +125,18 @@ fn quick_figures_reproduce_their_pins_at_two_threads() {
     check_pins(2);
 }
 
-/// A workload argument the command would ignore is a usage error: nonzero
-/// exit, and no CSV written.
+/// An argument `repro` does not serve is a usage error: nonzero exit, and
+/// no CSV written. That covers a workload argument the command would
+/// ignore, an unknown command and an unknown option.
 #[test]
-fn unserved_workload_arguments_are_rejected() {
+fn unserved_arguments_are_rejected() {
     for args in [
         &["fig8", "unet", "bert"][..],
         &["fig9", "unet"],
         &["info", "bert"],
+        &["bench"],
+        &["lint"],
+        &["--smoke", "info"],
     ] {
         let out = out_dir(&args.join("-"));
         let run = repro(&out, args);
@@ -140,4 +144,7 @@ fn unserved_workload_arguments_are_rejected() {
         assert!(csvs(&out).is_empty(), "repro {args:?} wrote a CSV");
         let _ = fs::remove_dir_all(&out);
     }
+    let run = repro(&out_dir("smoke"), &["--smoke", "fig7"]);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(stderr.contains("unknown option --smoke"), "{stderr}");
 }

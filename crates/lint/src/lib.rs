@@ -8,9 +8,9 @@
 //! offline-vendored, so there is no `syn`; the lexer is the whole
 //! front-end, and every rule is a short token-sequence pattern.
 //!
-//! Run it as `repro lint` (full report), `repro --smoke lint` (the CI
-//! gate), or the standalone `dosa-lint` binary. The tool exits nonzero on
-//! any unsuppressed violation; suppressions are explicit, per-line, and
+//! `cargo test` runs it over the workspace (`tests/workspace.rs`), and the
+//! standalone `dosa-lint` binary prints the full report, exiting nonzero
+//! on any unsuppressed violation. Suppressions are explicit, per-line, and
 //! auditable:
 //!
 //! ```text

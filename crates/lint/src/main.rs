@@ -2,8 +2,8 @@
 //!
 //! With no argument, ascends from the current directory to the enclosing
 //! Cargo workspace root. Prints every unsuppressed violation plus the
-//! per-rule summary and exits nonzero on any violation — the same engine
-//! `repro lint` and the `repro --smoke lint` CI gate drive.
+//! per-rule summary and exits nonzero on any violation — the same check
+//! `cargo test` runs in `tests/workspace.rs`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -377,8 +377,8 @@ fn a_hundred_deadline_armed_jobs_add_no_threads() {
     }
 }
 
-/// The starvation regression the aging rule exists for (ROADMAP item 1,
-/// acceptance criterion: this test FAILS against the pre-PR rank rule).
+/// The starvation regression the aging rule exists for: this test fails
+/// under the rank rule without aging.
 ///
 /// One worker, one queued `Fifo` job, and a generator keeping a constant
 /// backlog of `Priority(0)` jobs. Under the pre-aging rule this starves
